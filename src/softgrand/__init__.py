@@ -18,9 +18,8 @@ from .harness import (ErrorQueryDistribution, GuardError, OracleReport,
                       write_trials_csv)
 from .patterns import (QueryOrder, QueryPattern, pattern_log_probability,
                        query_patterns, realized_positions)
-from .softout import (ConfidenceLedger, LlrReport, conditional_llr,
-                      confidence_llr, p_incorrect_cum, p_incorrect_cum_exact,
-                      record_query)
+from .softout import (ConfidenceLedger, LlrReport, confidence_llr,
+                      p_incorrect_cum, record_query)
 
 __version__ = "0.1.0"
 
@@ -34,7 +33,7 @@ __all__ = [
     "run_sweep", "write_sweep_csv", "write_trials_csv",
     "QueryOrder", "QueryPattern", "pattern_log_probability", "query_patterns",
     "realized_positions",
-    "ConfidenceLedger", "LlrReport", "conditional_llr", "confidence_llr",
-    "p_incorrect_cum", "p_incorrect_cum_exact", "record_query",
+    "ConfidenceLedger", "LlrReport", "confidence_llr", "p_incorrect_cum",
+    "record_query",
     "__version__",
 ]

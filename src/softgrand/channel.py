@@ -11,6 +11,7 @@ units throughout, converting to base 2 only in reported confidence values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,8 @@ class ChannelParams:
     rate: float
 
     def __post_init__(self):
+        if not math.isfinite(self.ebn0_db):
+            raise ValueError(f"ebn0_db must be finite, got {self.ebn0_db}")
         if not 0.0 < self.rate < 1.0:
             raise ValueError(f"rate must be in (0, 1), got {self.rate}")
 
@@ -68,29 +71,31 @@ class ChannelParams:
 class SoftObservation:
     """Hard decisions plus per-bit soft information for one received block.
 
-    ``reliab`` holds the natural-log reliability magnitudes l_i = |lambda_i|,
-    ``flip_prob`` the matching B_i = e^-l / (1 + e^-l) in (0, 0.5], and
-    ``ranks`` the bit indices sorted by ascending reliability (ties broken
-    by ascending bit index), so ranks[0] is the least reliable bit.
+    ``reliab`` holds the natural-log reliability magnitudes l_i = |lambda_i|
+    and ``ranks`` the bit indices sorted by ascending reliability (ties
+    broken by ascending bit index), so ranks[0] is the least reliable bit.
     """
 
     hard: np.ndarray
     reliab: np.ndarray
-    flip_prob: np.ndarray
     ranks: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.hard = np.asarray(self.hard, dtype=np.uint8)
         self.reliab = np.asarray(self.reliab, dtype=float)
-        self.flip_prob = np.asarray(self.flip_prob, dtype=float)
         if self.ranks is None:
             self.ranks = np.argsort(self.reliab, kind="stable")
-        if not (len(self.hard) == len(self.reliab) == len(self.flip_prob) == len(self.ranks)):
+        if not (len(self.hard) == len(self.reliab) == len(self.ranks)):
             raise ValueError("field lengths disagree")
 
     @property
     def n(self):
         return len(self.hard)
+
+    @property
+    def flip_prob(self):
+        """Per-bit flip probabilities B_i = e^-l / (1 + e^-l) in (0, 0.5]."""
+        return flip_probability(self.reliab)
 
     @classmethod
     def from_channel_llrs(cls, llrs):
@@ -98,7 +103,7 @@ class SoftObservation:
         llrs = np.asarray(llrs, dtype=float)
         hard = (llrs < 0).astype(np.uint8)
         reliab = np.abs(llrs)
-        return cls(hard=hard, reliab=reliab, flip_prob=flip_probability(reliab))
+        return cls(hard=hard, reliab=reliab)
 
     @classmethod
     def from_flip_probs(cls, hard, flip_prob):
@@ -107,11 +112,10 @@ class SoftObservation:
         Used for statistical (hard-detection) accounting, e.g. a constant
         BSC crossover probability on every bit.
         """
-        flip_prob = np.broadcast_to(np.asarray(flip_prob, dtype=float), np.shape(hard)).copy()
+        flip_prob = np.broadcast_to(np.asarray(flip_prob, dtype=float), np.shape(hard))
         if np.any(flip_prob <= 0) or np.any(flip_prob > 0.5):
             raise ValueError("flip probabilities must lie in (0, 0.5]")
-        reliab = np.log1p(-flip_prob) - np.log(flip_prob)
-        return cls(hard=hard, reliab=reliab, flip_prob=flip_prob)
+        return cls(hard=hard, reliab=np.log1p(-flip_prob) - np.log(flip_prob))
 
 
 def flip_probability(l):

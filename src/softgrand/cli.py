@@ -33,6 +33,9 @@ __all__ = ["RunConfig", "ConfigError", "parse_and_validate", "run", "main"]
 
 ORACLE_TOLERANCE = 1e-10
 
+# The decoder packs each parity-check column into one uint64 word.
+_MAX_REDUNDANCY = 63
+
 _FLAG_KEYS = ("mode", "code", "decoder", "tau", "ebn0", "trials", "seed",
               "workers", "out", "trials_csv")
 
@@ -146,32 +149,36 @@ def _parse_taus(text):
         tok = tok.strip().lower()
         if tok == "none":
             taus.append(None)
-        else:
-            try:
-                taus.append(float(tok))
-            except ValueError:
-                raise ConfigError(f"bad tau value {tok!r}") from None
+            continue
+        try:
+            tau = float(tok)
+        except ValueError:
+            raise ConfigError(f"bad tau value {tok!r}") from None
+        if not math.isfinite(tau):
+            raise ConfigError(f"tau must be finite (use 'none' to never abandon), got {tok!r}")
+        taus.append(tau)
     if not taus:
         raise ConfigError("empty tau list")
     return tuple(taus)
 
 
 def _parse_ebn0(value):
-    if isinstance(value, (int, float)):
-        return (float(value),)
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    s = str(value)
+    text = str(value)
+    is_range = isinstance(value, str) and ":" in value
+    items = value if isinstance(value, (list, tuple)) else text.split(":" if is_range else ",")
     try:
-        if ":" in s:
-            start, step, stop = (float(tok) for tok in s.split(":"))
-            if step <= 0 or stop < start:
-                raise ConfigError(f"bad sweep range {s!r}")
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
-            return tuple(start + i * step for i in range(count))
-        return tuple(float(tok) for tok in s.split(","))
-    except ValueError:
-        raise ConfigError(f"bad ebn0 value {s!r}") from None
+        points = tuple(float(v) for v in items)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad ebn0 value {text!r}") from None
+    if not all(map(math.isfinite, points)):
+        raise ConfigError(f"ebn0 values must be finite, got {text!r}")
+    if not is_range:
+        return points
+    if len(points) != 3 or points[1] <= 0 or points[2] < points[0]:
+        raise ConfigError(f"bad ebn0 range {text!r}")
+    start, step, stop = points
+    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return tuple(start + i * step for i in range(count))
 
 
 def parse_and_validate(argv=None):
@@ -204,6 +211,8 @@ def parse_and_validate(argv=None):
     if "code" not in merged:
         raise ConfigError("--code is required")
     kind, n, k, code_seed, poly = _parse_code(merged["code"])
+    if mode in ("sweep", "fig1") and n - k > _MAX_REDUNDANCY:
+        raise ConfigError(f"mode {mode} needs n-k <= {_MAX_REDUNDANCY}, got {n - k}")
 
     decoder = merged.get("decoder", "orbgrand")
     if decoder not in _DECODER_SETUP:

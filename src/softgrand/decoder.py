@@ -10,9 +10,13 @@ The threshold comparison is strict: abandon iff llr_bits < tau.
 
 For speed the loop is evaluated in growing chunks of queries with numpy
 (reduceat over the concatenated pattern table, packed parity columns XORed
-as uint64 words, logaddexp.accumulate for the running sum).  The arithmetic
-is performed in exactly the same order as a one-query-at-a-time loop, so
-reported confidence values match the scalar ledger bit for bit.
+as uint64 words, logaddexp.accumulate for the running sum).  The running
+sum is accumulated in query order, as a one-query-at-a-time loop would, and
+the wrong-hit term is the value ``softout`` reports.  The tests check that
+outcome, query count and word match the scalar reference decoder in
+``tests/conftest.py``.  A pattern's flipped reliabilities are summed in
+frame order here and in bit order there, so a reported confidence can differ
+from the reference in its last bits; the tests hold it to a relative 1e-12.
 
 Ordering inputs and accounting inputs are deliberately separable: ``decode``
 takes an optional second observation whose flip probabilities feed the
@@ -31,7 +35,7 @@ import numpy as np
 from . import softout
 from .codes import is_codeword, packed_parity_columns
 from .patterns import QueryOrder, order_table
-from .softout import LlrReport
+from .softout import LlrReport, llr_report
 
 __all__ = [
     "DecodePolicy",
@@ -56,10 +60,10 @@ _CHUNK_STEP = 4096
 class DecodePolicy:
     """What the decoder is allowed to do.
 
-    ``tau`` is the abandonment threshold in bits (None = never abandon);
-    ``max_queries`` caps the search, defaulting to min(8 * 2^redundancy, 2^n)
-    which covers eight mean lifetimes of the wrong-hit geometric model;
-    ``order_kind`` picks the pattern enumeration.
+    ``tau`` is the finite abandonment threshold in bits (None = never
+    abandon); ``max_queries`` caps the search, defaulting to
+    min(8 * 2^redundancy, 2^n) which covers eight mean lifetimes of the
+    wrong-hit geometric model; ``order_kind`` picks the pattern enumeration.
     """
 
     tau: Optional[float] = None
@@ -67,6 +71,8 @@ class DecodePolicy:
     order_kind: str = "logistic"
 
     def __post_init__(self):
+        if self.tau is not None and not math.isfinite(self.tau):
+            raise ValueError(f"tau must be finite or None, got {self.tau}")
         if self.max_queries is not None and self.max_queries < 1:
             raise ValueError(f"max_queries must be >= 1, got {self.max_queries}")
         if self.order_kind not in ("hamming", "logistic"):
@@ -102,16 +108,6 @@ def resolve_max_queries(policy, code):
     if code.n < 63:
         cap = min(cap, 1 << code.n)
     return cap
-
-
-def _report_at(redundancy, q, cum_log):
-    log_u = softout.log_p_incorrect_cum(redundancy, q)
-    return LlrReport(
-        llr_bits=(cum_log - log_u) / _LN2,
-        p_correct_cum=math.exp(cum_log),
-        p_incorrect_cum=softout.p_incorrect_cum(redundancy, q),
-        q=q,
-    )
 
 
 def _first_true(mask):
@@ -160,7 +156,6 @@ def decode(code, obs, policy, accounting=None):
     base = -float(np.sum(np.log1p(np.exp(-np.asarray(acct.reliab, dtype=float)))))
     target = np.bitwise_xor.reduce(packed_parity_columns(code)[obs.hard.astype(bool)])
 
-    log_u = _log_u_table(redundancy, cap)
     hard = obs.hard
     carry = -math.inf
 
@@ -184,53 +179,31 @@ def decode(code, obs, policy, accounting=None):
         logp = base - flips
         cum = np.logaddexp.accumulate(np.concatenate(([carry], logp)))[1:]
         hits = syn == target
+        # Grown here even without a threshold: the report at a hit reads it.
+        log_u = softout.log_p_incorrect_prefix(redundancy, hi)
 
         ab_i = None
         if tau is not None:
-            llr = (cum - log_u[lo:hi]) / _LN2
+            llr = (cum - log_u[lo:]) / _LN2
             ab_i = _first_true(llr < tau)
         hit_i = _first_true(hits)
 
         if ab_i is not None and (hit_i is None or ab_i <= hit_i):
             q = lo + ab_i + 1
             return DecodeOutcome(decoded=False, q=q, reason=ABANDON_LLR,
-                                 report=_report_at(redundancy, q, float(cum[ab_i])))
+                                 report=llr_report(redundancy, q, float(cum[ab_i])))
         if hit_i is not None:
             q = lo + hit_i + 1
             seg = vals[off[hit_i]:off[hit_i + 1]]
             word = hard.copy()
             word[frame_map[seg - 1]] ^= 1
             return DecodeOutcome(decoded=True, q=q, word=word,
-                                 report=_report_at(redundancy, q, float(cum[hit_i])))
+                                 report=llr_report(redundancy, q, float(cum[hit_i])))
         carry = float(cum[-1])
 
     q = min(cap, table.count) if table.exhausted else cap
     return DecodeOutcome(decoded=False, q=q, reason=ABANDON_CAP,
-                         report=_report_at(redundancy, q, carry) if q >= 1 else None)
-
-
-_LOG_U_CACHE = {}
-
-
-def _log_u_table(redundancy, cap):
-    """log p_incorrect_cum(redundancy, q) for q = 1..cap, 0-indexed by q-1."""
-    key = (redundancy, cap)
-    cached = _LOG_U_CACHE.get(key)
-    if cached is not None:
-        return cached
-    # Reuse a longer table for the same redundancy when available.
-    for (r, c), tab in _LOG_U_CACHE.items():
-        if r == redundancy and c > cap:
-            view = tab[:cap]
-            _LOG_U_CACHE[key] = view
-            return view
-    t = math.log1p(-(2.0 ** -redundancy))
-    tq = np.arange(1, cap + 1, dtype=float) * t
-    out = np.where(tq > -_LN2,
-                   np.log(-np.expm1(tq)),
-                   np.log1p(-np.exp(tq)))
-    _LOG_U_CACHE[key] = out
-    return out
+                         report=llr_report(redundancy, q, carry) if q >= 1 else None)
 
 
 def extract_message(code, word):

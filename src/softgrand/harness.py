@@ -59,8 +59,24 @@ def _point_key(ebn0_db):
     return int(np.float64(ebn0_db).view(np.uint64))
 
 
-def _trial_rng(master_seed, point_key, trial):
-    return np.random.default_rng(np.random.SeedSequence((master_seed, point_key, trial)))
+def _check_accounting(accounting):
+    if accounting not in ("soft", "bsc"):
+        raise ValueError(f"accounting must be 'soft' or 'bsc', got {accounting!r}")
+
+
+def _trial(code, params, crossover, master_seed, point_key, trial):
+    """Seed, message, encode and transmit one trial.
+
+    Returns (code word, observation, accounting observation); the last is
+    None for soft accounting (``crossover`` None) and a constant-crossover
+    observation otherwise.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((master_seed, point_key, trial)))
+    msg = rng.integers(0, 2, size=code.k, dtype=np.uint8)
+    cw = encode(code, msg)
+    obs = transmit(cw, params, rng)
+    acct = None if crossover is None else SoftObservation.from_flip_probs(obs.hard, crossover)
+    return cw, obs, acct
 
 
 @dataclass
@@ -169,13 +185,7 @@ def _decode_block(code, params, policies, accounting, master_seed, point_key, lo
            for _ in policies]
     crossover = bsc_crossover(params) if accounting == "bsc" else None
     for i in range(m):
-        rng = _trial_rng(master_seed, point_key, lo + i)
-        msg = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-        cw = encode(code, msg)
-        obs = transmit(cw, params, rng)
-        acct = None
-        if crossover is not None:
-            acct = SoftObservation.from_flip_probs(obs.hard, crossover)
+        cw, obs, acct = _trial(code, params, crossover, master_seed, point_key, lo + i)
         for j, policy in enumerate(policies):
             res = decode(code, obs, policy, accounting=acct)
             if res.decoded:
@@ -218,8 +228,7 @@ def run_sweep(code, policies, ebn0_points, trials_per_point, master_seed,
         raise ValueError("trials_per_point must be >= 1")
     if master_seed < 0:
         raise ValueError("master_seed must be a nonnegative integer")
-    if accounting not in ("soft", "bsc"):
-        raise ValueError(f"accounting must be 'soft' or 'bsc', got {accounting!r}")
+    _check_accounting(accounting)
     labels = [p.label() for p in policies]
     if len(set(labels)) != len(labels):
         raise ValueError(f"policy labels must be unique, got {labels}")
@@ -335,6 +344,7 @@ def collect_error_query_distribution(code, ebn0_db, target_errors, seed,
     """
     if target_errors < 1:
         raise ValueError("target_errors must be >= 1")
+    _check_accounting(accounting)
     params = ChannelParams(ebn0_db=ebn0_db, rate=code.rate)
     crossover = bsc_crossover(params)
     if crossover < min_crossover:
@@ -342,18 +352,12 @@ def collect_error_query_distribution(code, ebn0_db, target_errors, seed,
             f"crossover {crossover:.3g} at {ebn0_db} dB is below the floor "
             f"{min_crossover:g}; incorrect decodings would be too rare")
     policy = DecodePolicy(tau=None, max_queries=max_queries, order_kind=order_kind)
-    acct_template = accounting
+    acct_crossover = crossover if accounting == "bsc" else None
     key = _point_key(ebn0_db)
     qs = []
     trials = 0
     while len(qs) < target_errors:
-        rng = _trial_rng(seed, key, trials)
-        msg = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-        cw = encode(code, msg)
-        obs = transmit(cw, params, rng)
-        acct = None
-        if acct_template == "bsc":
-            acct = SoftObservation.from_flip_probs(obs.hard, crossover)
+        cw, obs, acct = _trial(code, params, acct_crossover, seed, key, trials)
         res = decode(code, obs, policy, accounting=acct)
         trials += 1
         if res.decoded and not np.array_equal(res.word, cw):

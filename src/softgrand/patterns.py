@@ -10,9 +10,10 @@ descending pattern likelihood without using reliability magnitudes.
 
 Patterns live in the order's reference frame: "hamming" indexes bits
 directly, "logistic" indexes the ascending-reliability permutation of the
-bits (index 0 = least reliable).  Enumerations are cached per (kind, n) and
-grown one whole weight class at a time, so a sequence can be resumed from
-any global index without recomputing the prefix.
+bits (index 0 = least reliable).  Each (kind, n) has one cached table fed
+by one pattern generator; the table holds exactly the patterns asked for so
+far, and a sequence can be resumed from any global index without
+recomputing the prefix.
 """
 
 from __future__ import annotations
@@ -79,12 +80,26 @@ def _partitions_fixed(total, m, lo, hi):
             yield (first,) + tail
 
 
+def _pattern_stream(kind, n):
+    """Every flip set of 1-based frame indices 1..n, in query order."""
+    if kind == "hamming":
+        for weight in range(n + 1):
+            yield from itertools.combinations(range(1, n + 1), weight)
+        return
+    for weight in range(n * (n + 1) // 2 + 1):
+        m = 0
+        while m <= n and m * (m + 1) // 2 <= weight:
+            yield from _partitions_fixed(weight, m, 1, n)
+            m += 1
+
+
 class _OrderTable:
-    """Materialised pattern sequence for one (kind, n), grown class by class.
+    """Materialised prefix of the pattern sequence for one (kind, n).
 
     ``flat`` holds the concatenated 1-based frame indices of every pattern,
     ``offsets[i]:offsets[i+1]`` delimits pattern i, so the arrays feed
-    numpy ``reduceat`` calls directly.
+    numpy ``reduceat`` calls directly.  ``exhausted`` turns true once the
+    generator has run dry.
     """
 
     def __init__(self, kind, n):
@@ -93,48 +108,24 @@ class _OrderTable:
         self.flat = np.zeros(0, dtype=np.int32)
         self.offsets = np.zeros(1, dtype=np.int64)
         self.count = 0
-        self._next_class = 0
-        self._max_class = n if kind == "hamming" else n * (n + 1) // 2
-
-    @property
-    def exhausted(self):
-        return self._next_class > self._max_class
-
-    def _class_members(self, cls):
-        n = self.n
-        if cls == 0:
-            return [()]
-        if self.kind == "hamming":
-            return list(itertools.combinations(range(1, n + 1), cls))
-        members = []
-        m = 1
-        while m <= n and m * (m + 1) // 2 <= cls:
-            if cls <= m * (2 * n - m + 1) // 2:
-                members.extend(_partitions_fixed(cls, m, 1, n))
-            m += 1
-        return members
+        self.exhausted = False
+        self._stream = _pattern_stream(kind, n)
 
     def extend_to(self, count):
-        """Grow the table until it holds at least ``count`` patterns."""
+        """Grow the table until it holds ``count`` patterns or all of them."""
         if count <= self.count or self.exhausted:
             return
-        new_flat = [self.flat]
-        new_offsets = [self.offsets]
-        tail = int(self.offsets[-1])
-        while self.count < count and not self.exhausted:
-            members = self._class_members(self._next_class)
-            self._next_class += 1
-            if not members:
-                continue
-            lengths = np.fromiter((len(p) for p in members), dtype=np.int64, count=len(members))
-            vals = np.fromiter(itertools.chain.from_iterable(members), dtype=np.int32,
-                               count=int(lengths.sum()))
-            new_flat.append(vals)
-            new_offsets.append(tail + np.cumsum(lengths))
-            tail += int(lengths.sum())
-            self.count += len(members)
-        self.flat = np.concatenate(new_flat)
-        self.offsets = np.concatenate(new_offsets)
+        members = list(itertools.islice(self._stream, count - self.count))
+        if len(members) < count - self.count:
+            self.exhausted = True
+        if not members:
+            return
+        lengths = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
+        vals = np.fromiter(itertools.chain.from_iterable(members), dtype=np.int32,
+                           count=int(lengths.sum()))
+        self.flat = np.concatenate((self.flat, vals))
+        self.offsets = np.concatenate((self.offsets, self.offsets[-1] + np.cumsum(lengths)))
+        self.count += len(members)
 
     def pattern(self, i):
         if i >= self.count:

@@ -28,9 +28,9 @@ __all__ = [
     "record_query",
     "p_incorrect_cum",
     "log_p_incorrect_cum",
-    "p_incorrect_cum_exact",
+    "log_p_incorrect_prefix",
+    "llr_report",
     "confidence_llr",
-    "conditional_llr",
 ]
 
 _LN2 = math.log(2.0)
@@ -48,7 +48,6 @@ class ConfidenceLedger:
     redundancy: int
     q: int = 0
     cum_correct_log: float = -math.inf
-    last_pattern_log: float = math.nan
 
     def __post_init__(self):
         if self.redundancy < 1:
@@ -62,7 +61,6 @@ def record_query(ledger, pattern_log_prob):
         raise ValueError(f"pattern log-probability must be <= 0, got {lp}")
     ledger.q += 1
     ledger.cum_correct_log = float(np.logaddexp(ledger.cum_correct_log, lp))
-    ledger.last_pattern_log = lp
     return ledger
 
 
@@ -71,13 +69,6 @@ def _check_rq(redundancy, q):
         raise ValueError(f"redundancy must be >= 1, got {redundancy}")
     if q < 0:
         raise ValueError(f"query count must be >= 0, got {q}")
-
-
-def _log1mexp(t):
-    """log(1 - e^t) for t < 0, accurate for t near 0 and for t << 0."""
-    if t > -_LN2:
-        return math.log(-math.expm1(t))
-    return math.log1p(-math.exp(t))
 
 
 def p_incorrect_cum(redundancy, q):
@@ -93,28 +84,33 @@ def p_incorrect_cum(redundancy, q):
 
 
 def log_p_incorrect_cum(redundancy, q):
-    """Natural log of p_incorrect_cum, without forming the linear value."""
-    _check_rq(redundancy, q)
-    if q == 0:
-        return -math.inf
-    return _log1mexp(q * math.log1p(-(2.0 ** -redundancy)))
+    """Natural log of p_incorrect_cum for an int or an int array ``q``.
 
-
-def p_incorrect_cum_exact(n, k, q):
-    """Exact-codebook variant 1 - (1 - 2^k/(2^n - 1))^q.
-
-    The per-query hit probability 2^k/(2^n - 1) differs from 2^-(n-k) by
-    O(2^-n); the simpler form is the default everywhere, this one exists for
-    oracle comparisons.
+    log(1 - e^t) with t = q * log1p(-2^-r), taking log(-expm1(t)) near 0
+    and log1p(-e^t) below -ln 2 so both ends keep full accuracy; q = 0
+    gives -inf.  An int gives a float, an array an array.
     """
-    if not 0 < k < n:
-        raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
-    if q < 0:
-        raise ValueError(f"query count must be >= 0, got {q}")
-    if q == 0:
-        return 0.0
-    per_query = (2.0 ** k) / (2.0 ** n - 1.0)
-    return -math.expm1(q * math.log1p(-per_query))
+    _check_rq(redundancy, np.min(q, initial=0))  # < 0 iff some q < 0
+    tq = np.asarray(q, dtype=float) * math.log1p(-(2.0 ** -redundancy))
+    # log(0) = -inf at q = 0 is meant; log1p(-1) only occurs in the branch
+    # np.where discards.
+    with np.errstate(divide="ignore"):
+        out = np.where(tq > -_LN2, np.log(-np.expm1(tq)), np.log1p(-np.exp(tq)))
+    return float(out) if out.ndim == 0 else out
+
+
+# redundancy -> log_p_incorrect_cum(redundancy, q) for q = 1..len, grown on
+# demand to the longest prefix a decode has asked for.
+_LOG_U = {}
+
+
+def log_p_incorrect_prefix(redundancy, stop):
+    """log_p_incorrect_cum(redundancy, q) for q = 1..stop, indexed by q - 1."""
+    table = _LOG_U.get(redundancy, np.zeros(0))
+    if len(table) < stop:
+        more = log_p_incorrect_cum(redundancy, np.arange(len(table) + 1, stop + 1))
+        table = _LOG_U[redundancy] = np.concatenate((table, more))
+    return table[:stop]
 
 
 @dataclass(frozen=True)
@@ -132,40 +128,27 @@ class LlrReport:
     q: int
 
 
-def confidence_llr(ledger):
-    """Base-2 log ratio of correct- to incorrect-decoding probability at q."""
-    if ledger.q < 1:
+def llr_report(redundancy, q, cum_log):
+    """Report at query q >= 1 given the natural-log correct mass ``cum_log``.
+
+    Reads the wrong-hit term from the prefix table when it reaches q and
+    evaluates the same expression otherwise, so the value is the same.
+    """
+    if q < 1:
         raise ValueError("no queries recorded yet")
-    log_u = log_p_incorrect_cum(ledger.redundancy, ledger.q)
-    llr_bits = (ledger.cum_correct_log - log_u) / _LN2
+    table = _LOG_U.get(redundancy, ())
+    if q <= len(table):
+        log_u = float(table[q - 1])
+    else:
+        log_u = log_p_incorrect_cum(redundancy, q)
     return LlrReport(
-        llr_bits=llr_bits,
-        p_correct_cum=math.exp(ledger.cum_correct_log),
-        p_incorrect_cum=p_incorrect_cum(ledger.redundancy, ledger.q),
-        q=ledger.q,
+        llr_bits=(cum_log - log_u) / _LN2,
+        p_correct_cum=math.exp(cum_log),
+        p_incorrect_cum=p_incorrect_cum(redundancy, q),
+        q=q,
     )
 
 
-def conditional_llr(ledger, redundancy=None):
-    """Base-2 log ratio for the *next* query hitting: diagnostic only.
-
-    Compares P(correct hit exactly at q) * P(no wrong hit through q) against
-    P(wrong hit exactly at q) * P(no correct hit through q).  Returns +inf
-    when the recorded correct-probability mass has saturated at 1, which
-    makes P(no correct hit) = 0; callers detect that with math.isinf.  Not
-    suitable as an abandonment rule.
-    """
-    if ledger.q < 1:
-        raise ValueError("no queries recorded yet")
-    if math.isnan(ledger.last_pattern_log):
-        raise ValueError("no pattern log-probability recorded")
-    r = ledger.redundancy if redundancy is None else redundancy
-    _check_rq(r, ledger.q)
-    if ledger.cum_correct_log >= 0.0:
-        return math.inf
-    t = math.log1p(-(2.0 ** -r))
-    log2_u_gt = ledger.q * t / _LN2
-    log2_u_eq = (ledger.q - 1) * t / _LN2 - r
-    log2_g_eq = ledger.last_pattern_log / _LN2
-    log2_g_gt = _log1mexp(ledger.cum_correct_log) / _LN2
-    return log2_g_eq + log2_u_gt - log2_u_eq - log2_g_gt
+def confidence_llr(ledger):
+    """Base-2 log ratio of correct- to incorrect-decoding probability at q."""
+    return llr_report(ledger.redundancy, ledger.q, ledger.cum_correct_log)

@@ -33,6 +33,11 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ChannelParams(ebn0_db=0.0, rate=1.0)
 
+    @pytest.mark.parametrize("ebn0_db", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ebn0_rejected(self, ebn0_db):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelParams(ebn0_db=ebn0_db, rate=0.5)
+
 
 class TestTransmit:
     def test_reproducible_bit_exact(self):
@@ -86,8 +91,13 @@ class TestSoftObservation:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            SoftObservation(hard=np.zeros(3, dtype=np.uint8),
-                            reliab=np.zeros(2), flip_prob=np.full(2, 0.1))
+            SoftObservation(hard=np.zeros(3, dtype=np.uint8), reliab=np.zeros(2))
+
+    def test_flip_prob_derived_from_reliab(self):
+        obs = SoftObservation.from_channel_llrs([3.0, -0.5, 0.0])
+        assert np.array_equal(obs.flip_prob, flip_probability(obs.reliab))
+        obs.reliab = np.array([math.log(3), 5.0, 40.0])
+        assert obs.flip_prob[0] == pytest.approx(0.25, rel=1e-14)
 
 
 class TestFlipProbability:

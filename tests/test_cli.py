@@ -159,6 +159,56 @@ class TestMainExitCodes:
         assert "guard failure" in capsys.readouterr().err
 
 
+class TestRejectedValues:
+    """Non-finite thresholds or Eb/N0 and over-wide codes exit 2, no numbers."""
+
+    SWEEP = ["--mode", "sweep", "--code", "rlc:16:8", "--trials", "5"]
+
+    @pytest.mark.parametrize("extra", [
+        ["--ebn0", "3", "--tau", "nan"],
+        ["--ebn0", "3", "--tau", "inf"],
+        ["--ebn0", "3", "--tau=-inf"],
+        ["--ebn0", "3", "--tau", "none,0,nan"],
+        ["--ebn0", "nan"],
+        ["--ebn0=-inf"],
+        ["--ebn0", "3,nan,4"],
+        ["--ebn0", "nan:1:3"],
+        ["--ebn0", "0:1:inf"],
+        ["--ebn0", "0:nan:3"],
+        ["--ebn0", "0:inf:3"],
+    ])
+    def test_non_finite_flags(self, extra, tmp_path, capsys):
+        assert main(self.SWEEP + extra + ["--out", str(tmp_path)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("payload", [
+        {"tau": "0,inf", "ebn0": "3"},
+        {"tau": float("nan"), "ebn0": "3"},
+        {"ebn0": [3.0, float("nan")]},
+        {"ebn0": float("inf")},
+        {"ebn0": "1:0.5:nan"},
+    ])
+    def test_non_finite_config_values(self, payload, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(dict(mode="sweep", code="rlc:16:8", **payload)))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_none_is_the_only_never_abandon(self):
+        cfg = parse_and_validate(self.SWEEP + ["--ebn0", "3", "--tau", "None,1e300"])
+        assert cfg.taus == (None, 1e300)
+
+    @pytest.mark.parametrize("mode", ["sweep", "fig1"])
+    def test_redundancy_beyond_packed_words(self, mode, capsys):
+        assert main(["--mode", mode, "--code", "rlc:128:60:1", "--ebn0", "8",
+                     "--trials", "5"]) == 2
+        assert "n-k <= 63" in capsys.readouterr().err
+
+    def test_markers_accept_any_redundancy(self):
+        assert main(["--mode", "markers", "--code", "rlc:128:60:1"]) == 0
+
+
 class TestMarkersMode:
     def test_prints_both_thresholds(self, capsys):
         assert main(["--mode", "markers", "--code", "rlc:128:116"]) == 0

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from conftest import (outcome_tag, random_observation, random_small_code,
                       reference_decode)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from softgrand import patterns, softout
 from softgrand.channel import ChannelParams, SoftObservation, bsc_crossover
 from softgrand.codes import encode, is_codeword, make_rlc
 from softgrand.decoder import (ABANDON_CAP, ABANDON_LLR, DecodePolicy,
@@ -42,6 +45,17 @@ class TestCleanDecode:
         out = decode(code, _obs_for_word(noisy, flips), DecodePolicy())
         assert out.decoded and out.q == 2
         assert np.array_equal(out.word, cw)
+
+    def test_large_redundancy_clean_block(self):
+        # r = 40: the default cap is 8 * 2^40 queries, far more than memory
+        # could tabulate; a clean block must still stop at the first query.
+        code = make_rlc(128, 88, seed=1)
+        cw, obs = random_observation(code, 8.0, np.random.default_rng(0))
+        assert np.array_equal(obs.hard, cw)
+        out = decode(code, obs, DecodePolicy(tau=None))
+        assert out.decoded and out.q == 1
+        assert np.array_equal(out.word, cw)
+        assert len(softout._LOG_U[40]) <= 16
 
 
 class TestAbandonment:
@@ -144,6 +158,36 @@ class TestReferenceEquivalence:
                 assert out.report.llr_bits == pytest.approx(
                     ref_llr, rel=1e-12, abs=1e-12)
 
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_property_against_reference(self, data):
+        n = data.draw(st.integers(6, 12), label="n")
+        rmin = max(2, math.ceil(math.log2(n + 1)))
+        k = data.draw(st.integers(2, max(2, n - rmin)), label="k")
+        code = make_rlc(n, k, seed=data.draw(st.integers(1, 10_000), label="code_seed"))
+        ebn0 = data.draw(st.floats(-3.0, 8.0), label="ebn0")
+        _, obs = random_observation(
+            code, ebn0, np.random.default_rng(data.draw(st.integers(0, 2**32), label="seed")))
+        tau = data.draw(st.none() | st.floats(-20.0, 60.0), label="tau")
+        # caps above 2^n let the order table run dry inside a chunk
+        caps = st.none() | st.integers(1, 300) | st.sampled_from([1 << 12, 1 << 13])
+        max_queries = data.draw(caps, label="max_queries")
+        kind = data.draw(st.sampled_from(["logistic", "hamming"]), label="kind")
+        acct = None
+        if data.draw(st.booleans(), label="bsc"):
+            crossover = bsc_crossover(ChannelParams(ebn0_db=ebn0, rate=code.rate))
+            acct = SoftObservation.from_flip_probs(obs.hard, crossover)
+        policy = DecodePolicy(tau=tau, max_queries=max_queries, order_kind=kind)
+        # Start from empty tables so each example grows them from scratch.
+        patterns._TABLE_CACHE.clear()
+        softout._LOG_U.clear()
+        out = decode(code, obs, policy, accounting=acct)
+        tag, q, ref_word, ref_llr = reference_decode(code, obs, policy, accounting=acct)
+        assert outcome_tag(out) == tag and out.q == q
+        if tag == "decoded":
+            assert np.array_equal(out.word, ref_word)
+        assert out.report.llr_bits == pytest.approx(ref_llr, rel=1e-12, abs=1e-12)
+
     def test_hard_detection_accounting_changes_confidence_not_path(self):
         code = make_rlc(16, 8, seed=2)
         rng = np.random.default_rng(21)
@@ -223,6 +267,11 @@ class TestPolicyAndGuards:
             DecodePolicy(order_kind="likelihood")
         with pytest.raises(ValueError):
             DecodePolicy(max_queries=0)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="finite"):
+            DecodePolicy(tau=tau)
 
     def test_length_mismatch_rejected(self):
         code = make_rlc(12, 7, seed=1)

@@ -201,6 +201,11 @@ class TestErrorQueryDistribution:
         with pytest.raises(ValueError):
             collect_error_query_distribution(code, 0.0, 0, seed=1)
 
+    def test_accounting_validation(self):
+        code = make_rlc(16, 8, seed=4)
+        with pytest.raises(ValueError, match="accounting"):
+            collect_error_query_distribution(code, 0.0, 5, seed=1, accounting="fuzzy")
+
 
 class TestExhaustiveOracle:
     @pytest.mark.parametrize("kind", ["logistic", "hamming"])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from softgrand import patterns
 from softgrand.channel import SoftObservation
 from softgrand.patterns import (QueryOrder, QueryPattern, _partitions_fixed,
                                 order_table, pattern_log_probability,
@@ -116,6 +117,23 @@ class TestTableInternals:
         for i in range(81 - 37):
             seg = vals[off[i]:off[i + 1]]
             assert tuple(int(v) - 1 for v in seg) == table.pattern(37 + i).positions
+
+    @pytest.mark.parametrize("kind", ["hamming", "logistic"])
+    def test_holds_only_what_was_asked(self, kind):
+        table = patterns._OrderTable(kind, 128)
+        table.extend_to(32768)
+        assert table.count == 32768 and len(table.offsets) == 32769
+        assert not table.exhausted
+        table.extend_to(100)
+        assert table.count == 32768
+
+    @pytest.mark.parametrize("kind", ["hamming", "logistic"])
+    def test_exhausted_when_generator_runs_dry(self, kind):
+        table = patterns._OrderTable(kind, 5)
+        table.extend_to(32)
+        assert table.count == 32 and not table.exhausted
+        vals, off, stop = table.slice_arrays(16, 64)
+        assert stop == 32 and len(off) == 17 and table.exhausted
 
     def test_cache_shared(self):
         assert order_table(QueryOrder("hamming", 6)) is order_table(QueryOrder("hamming", 6))

@@ -7,9 +7,10 @@ import pytest
 
 from softgrand.channel import SoftObservation
 from softgrand.patterns import QueryOrder, pattern_log_probability, query_patterns
-from softgrand.softout import (ConfidenceLedger, conditional_llr, confidence_llr,
-                               log_p_incorrect_cum, p_incorrect_cum,
-                               p_incorrect_cum_exact, record_query)
+from softgrand import softout
+from softgrand.softout import (ConfidenceLedger, confidence_llr, llr_report,
+                               log_p_incorrect_cum, log_p_incorrect_prefix,
+                               p_incorrect_cum, record_query)
 
 
 class TestRecordQuery:
@@ -18,7 +19,6 @@ class TestRecordQuery:
         record_query(ledger, -2.5)
         assert ledger.q == 1
         assert ledger.cum_correct_log == pytest.approx(-2.5)
-        assert ledger.last_pattern_log == -2.5
 
     def test_normalizes_over_full_enumeration(self):
         # n=2, both flip probabilities 0.1: four patterns sum to one
@@ -119,14 +119,47 @@ class TestIncorrectModel:
             p_incorrect_cum(12, -1)
 
     def test_exact_codebook_variant(self):
-        assert p_incorrect_cum_exact(8, 4, 16) == pytest.approx(
-            0.64541241301267597, rel=1e-13)
-        assert p_incorrect_cum_exact(8, 4, 0) == 0.0
+        # An [n, k] code book hits a wrong word with probability
+        # 2^k / (2^n - 1) per query; the model's 2^-(n-k) is a hair lower.
+        def exact(n, k, q):
+            return -math.expm1(q * math.log1p(-(2.0 ** k) / (2.0 ** n - 1.0)))
+
+        assert exact(8, 4, 16) == pytest.approx(0.64541241301267597, rel=1e-13)
+        assert 0.0 < exact(8, 4, 16) - p_incorrect_cum(4, 16) < 16 * 2.0 ** -8
         # differs from the simple form by O(2^-n): invisible at n=128
-        assert p_incorrect_cum_exact(128, 116, 4096) == pytest.approx(
-            p_incorrect_cum(12, 4096), rel=1e-13)
+        assert p_incorrect_cum(12, 4096) == pytest.approx(
+            exact(128, 116, 4096), rel=1e-13)
+
+    def test_array_form_matches_scalar_form(self):
+        for r in (2, 12, 40, 63):
+            qs = np.array([0, 1, 2, 7, 100, 4096, 10 ** 6])
+            got = log_p_incorrect_cum(r, qs)
+            assert isinstance(got, np.ndarray) and got.shape == qs.shape
+            want = [log_p_incorrect_cum(r, int(q)) for q in qs]
+            assert got.tolist() == want
         with pytest.raises(ValueError):
-            p_incorrect_cum_exact(8, 8, 1)
+            log_p_incorrect_cum(12, np.array([3, -1]))
+
+
+class TestPrefixTable:
+    def test_grows_on_demand_and_matches_model(self):
+        r = 17
+        softout._LOG_U.pop(r, None)
+        short = log_p_incorrect_prefix(r, 16)
+        assert len(softout._LOG_U[r]) == 16
+        longer = log_p_incorrect_prefix(r, 300)
+        assert len(softout._LOG_U[r]) == 300
+        assert longer[:16].tolist() == short.tolist()
+        assert len(log_p_incorrect_prefix(r, 40)) == 40
+        assert len(softout._LOG_U[r]) == 300  # never shrinks, never overshoots
+        assert longer.tolist() == [log_p_incorrect_cum(r, q) for q in range(1, 301)]
+
+    def test_report_is_the_same_with_or_without_the_table(self):
+        r = 19
+        softout._LOG_U.pop(r, None)
+        before = [llr_report(r, q, -0.25) for q in (1, 5, 64)]
+        log_p_incorrect_prefix(r, 64)
+        assert [llr_report(r, q, -0.25) for q in (1, 5, 64)] == before
 
 
 class TestConfidenceLlr:
@@ -172,58 +205,3 @@ class TestConfidenceLlr:
         record_query(ledger, -math.inf)
         after = confidence_llr(ledger).llr_bits
         assert after < before
-
-
-class TestConditionalLlr:
-    def test_symmetric_toy_is_zero(self):
-        r = 6
-        ledger = ConfidenceLedger(redundancy=r)
-        record_query(ledger, math.log(2.0 ** -r))
-        assert conditional_llr(ledger) == pytest.approx(0.0, abs=1e-12)
-
-    def test_matches_direct_formula(self):
-        rng = np.random.default_rng(4)
-        flips = rng.uniform(0.01, 0.5, size=8)
-        obs = SoftObservation.from_flip_probs(np.zeros(8, dtype=np.uint8), flips)
-        r = 4
-        ledger = ConfidenceLedger(redundancy=r)
-        for i, pat in enumerate(query_patterns(QueryOrder("logistic", 8))):
-            record_query(ledger, pattern_log_probability(obs, pat.positions))
-            got = conditional_llr(ledger)
-            q = ledger.q
-            g_eq = math.exp(ledger.last_pattern_log)
-            g_gt = 1.0 - math.exp(ledger.cum_correct_log)
-            u_eq = (1 - 2.0 ** -r) ** (q - 1) * 2.0 ** -r
-            u_gt = (1 - 2.0 ** -r) ** q
-            want = math.log2(g_eq * u_gt / (u_eq * g_gt))
-            assert got == pytest.approx(want, abs=1e-9)
-            if i >= 60:
-                break
-
-    def test_saturation_flagged_as_inf(self):
-        ledger = ConfidenceLedger(redundancy=3)
-        record_query(ledger, 0.0)
-        assert math.isinf(conditional_llr(ledger))
-
-    def test_redundancy_override(self):
-        ledger = ConfidenceLedger(redundancy=3)
-        record_query(ledger, math.log(2.0 ** -9))
-        assert conditional_llr(ledger, redundancy=9) == pytest.approx(0.0, abs=1e-12)
-
-    def test_requires_query(self):
-        with pytest.raises(ValueError):
-            conditional_llr(ConfidenceLedger(redundancy=3))
-
-    def test_finite_under_strict_ml_order(self):
-        # strictly descending pattern probabilities on a tiny instance keep
-        # the numerator mass strictly below 1 before exhaustion
-        obs = SoftObservation.from_flip_probs(np.zeros(4, dtype=np.uint8),
-                                              [0.05, 0.1, 0.2, 0.4])
-        ledger = ConfidenceLedger(redundancy=2)
-        count = 0
-        for pat in query_patterns(QueryOrder("logistic", 4)):
-            record_query(ledger, pattern_log_probability(obs, pat.positions))
-            count += 1
-            if count >= 15:
-                break
-            assert math.isfinite(conditional_llr(ledger))
