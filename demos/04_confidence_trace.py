@@ -9,7 +9,7 @@ import numpy as np
 
 from softgrand.channel import ChannelParams, transmit
 from softgrand.codes import encode, make_rlc
-from softgrand.decoder import DecodePolicy, decode
+from softgrand.decoder import decode_ladder
 from softgrand.patterns import (QueryOrder, pattern_log_probability,
                                 query_patterns, realized_positions)
 from softgrand.softout import (ConfidenceLedger, confidence_llr, record_query)
@@ -38,15 +38,16 @@ print("confidence LLR after q queries:")
 for q in (1, 2, 5, 10, 50, 200, 1000, 2000):
     print(f"  q = {q:>5}: {trace[q - 1]:+.3f} bits")
 
-# the decoder reports the same number at its stopping point
-out = decode(code, obs, DecodePolicy(tau=None))
+# the decoder reports the same number at its stopping point; one scan
+# serves every threshold, since only the abandonment test depends on tau
+taus = (None, 0.0, 2.0, 6.0)
+out, *thresholded = decode_ladder(code, obs, taus)
 print(f"\ntau=None: decoded at q={out.q}, llr={out.report.llr_bits:+.3f} bits, "
       f"correct={bool(np.array_equal(out.word, cw))}")
-for tau in (0.0, 2.0, 6.0):
-    res = decode(code, obs, DecodePolicy(tau=tau))
+for tau, res in zip(taus[1:], thresholded):
     if res.decoded:
         print(f"tau={tau:g}: decoded at q={res.q} "
-          f"(llr {res.report.llr_bits:+.3f} >= {tau:g} throughout)")
+              f"(llr {res.report.llr_bits:+.3f} >= {tau:g} throughout)")
     else:
         print(f"tau={tau:g}: abandoned at q={res.q} ({res.reason}, "
               f"llr {res.report.llr_bits:+.3f} < {tau:g})")

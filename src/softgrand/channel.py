@@ -18,9 +18,11 @@ import numpy as np
 from scipy import optimize, special
 
 __all__ = [
+    "EBN0_LIMIT_DB",
     "ChannelParams",
     "SoftObservation",
     "transmit",
+    "transmit_batch",
     "flip_probability",
     "bsc_crossover",
     "capacity_markers",
@@ -44,6 +46,12 @@ def binary_entropy(p):
     return out if out.ndim else float(out)
 
 
+# Largest accepted |Eb/N0| in dB, far beyond any physical link.  Within it,
+# sigma^2 and 2 / sigma^2 are finite normal floats for any code rate k/n, so
+# every channel LLR that ``transmit`` computes is finite.
+EBN0_LIMIT_DB = 300.0
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Eb/N0 operating point for a code of the given rate."""
@@ -54,6 +62,9 @@ class ChannelParams:
     def __post_init__(self):
         if not math.isfinite(self.ebn0_db):
             raise ValueError(f"ebn0_db must be finite, got {self.ebn0_db}")
+        if abs(self.ebn0_db) > EBN0_LIMIT_DB:
+            raise ValueError(f"ebn0_db must lie within +-{EBN0_LIMIT_DB:g} dB, "
+                             f"got {self.ebn0_db}")
         if not 0.0 < self.rate < 1.0:
             raise ValueError(f"rate must be in (0, 1), got {self.rate}")
 
@@ -99,11 +110,12 @@ class SoftObservation:
 
     @classmethod
     def from_channel_llrs(cls, llrs):
-        """Build an observation from raw channel LLRs (sign favours bit 0)."""
+        """Build an observation from finite raw channel LLRs (sign favours bit 0)."""
         llrs = np.asarray(llrs, dtype=float)
-        hard = (llrs < 0).astype(np.uint8)
-        reliab = np.abs(llrs)
-        return cls(hard=hard, reliab=reliab)
+        if not np.isfinite(llrs).all():
+            raise ValueError("channel LLRs must be finite")
+        (obs,) = _observations(llrs[np.newaxis])
+        return obs
 
     @classmethod
     def from_flip_probs(cls, hard, flip_prob):
@@ -132,6 +144,14 @@ def flip_probability(l):
     return float(out) if arr.ndim == 0 else out
 
 
+def _observations(llrs):
+    """One SoftObservation per row of a 2-D array of channel LLRs."""
+    hard = (llrs < 0).astype(np.uint8)
+    reliab = np.abs(llrs)
+    ranks = np.argsort(reliab, axis=1, kind="stable")
+    return [SoftObservation(h, r, k) for h, r, k in zip(hard, reliab, ranks)]
+
+
 def transmit(code_word, params, rng):
     """Send one code word through the BPSK/AWGN channel.
 
@@ -140,10 +160,21 @@ def transmit(code_word, params, rng):
     """
     rng = np.random.default_rng(rng)
     bits = np.asarray(code_word, dtype=np.uint8)
-    symbols = 1.0 - 2.0 * bits
+    (obs,) = transmit_batch(bits[np.newaxis], rng.standard_normal((1, len(bits))), params)
+    return obs
+
+
+def transmit_batch(code_words, noise, params):
+    """Observations of a (B, n) block of code words under (B, n) unit noise.
+
+    Row i is what ``transmit(code_words[i], params, rng)`` returns when
+    ``noise[i]`` is that rng's next ``standard_normal(n)`` draw.  Every row
+    is computed with the same float operations, so batching changes no bit.
+    """
+    symbols = 1.0 - 2.0 * np.asarray(code_words, dtype=np.uint8)
     sigma2 = params.sigma2
-    y = symbols + rng.standard_normal(len(bits)) * np.sqrt(sigma2)
-    return SoftObservation.from_channel_llrs(2.0 * y / sigma2)
+    y = symbols + noise * np.sqrt(sigma2)
+    return _observations(2.0 * y / sigma2)
 
 
 def bsc_crossover(params):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .channel import ChannelParams, capacity_markers, transmit
+from .channel import EBN0_LIMIT_DB, ChannelParams, capacity_markers, transmit
 from .codes import encode, make_crc, make_rlc
 from .decoder import DecodePolicy
 from .harness import (GuardError, collect_error_query_distribution,
@@ -172,13 +172,23 @@ def _parse_ebn0(value):
         raise ConfigError(f"bad ebn0 value {text!r}") from None
     if not all(map(math.isfinite, points)):
         raise ConfigError(f"ebn0 values must be finite, got {text!r}")
+    _check_ebn0_limit(points, text)
     if not is_range:
         return points
     if len(points) != 3 or points[1] <= 0 or points[2] < points[0]:
         raise ConfigError(f"bad ebn0 range {text!r}")
     start, step, stop = points
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + i * step for i in range(count))
+    points = tuple(start + i * step for i in range(count))
+    # The last point may overshoot the stop by a rounding error.
+    _check_ebn0_limit(points, text)
+    return points
+
+
+def _check_ebn0_limit(points, text):
+    if any(abs(p) > EBN0_LIMIT_DB for p in points):
+        raise ConfigError(f"ebn0 values must lie within +-{EBN0_LIMIT_DB:g} dB, "
+                          f"got {text!r}")
 
 
 def parse_and_validate(argv=None):

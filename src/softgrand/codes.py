@@ -208,11 +208,16 @@ def crc_division_remainder(code, word):
 
 
 def encode(code, message):
-    """Encode a k-bit message; systematic, so the first k bits are the message."""
+    """Encode a k-bit message, or each row of a (B, k) block of messages.
+
+    Systematic, so the first k bits of a code word are its message.
+    """
     message = np.asarray(message, dtype=np.uint8)
-    if message.shape != (code.k,):
+    if message.ndim not in (1, 2) or message.shape[-1] != code.k:
         raise ValueError(f"message must have length k={code.k}")
-    return (message @ code.generator) % 2
+    # uint8 sums wrap modulo 256, which keeps their parity.  Not a BLAS
+    # product: its threads oversubscribe the cores under a process pool.
+    return np.einsum("...k,kn->...n", message, code.generator) & 1
 
 
 def syndrome(code, word):

@@ -8,6 +8,15 @@ query q happens with the q-th pattern's probability already recorded but
 before the q-th membership test, so abandonment wins a tie at the same q.
 The threshold comparison is strict: abandon iff llr_bits < tau.
 
+The LLR trajectory and the first hit do not depend on tau, so
+``decode_ladder`` decodes one observation under a list of thresholds in a
+single scan.  Each tau abandons at the first query where llr_bits < tau if
+that query is no later than the first hit, and otherwise takes the shared
+outcome: the hit, or the query cap.  The scan stops at the first hit, or
+once every tau has abandoned when no tau is None, so it goes only as deep
+as the deepest search among the thresholds.  ``decode`` is the one-tau case
+of the same loop, and the outcomes are those of one ``decode`` call per tau.
+
 For speed the loop is evaluated in growing chunks of queries with numpy
 (reduceat over the concatenated pattern table, packed parity columns XORed
 as uint64 words, logaddexp.accumulate for the running sum).  The running
@@ -41,6 +50,7 @@ __all__ = [
     "DecodePolicy",
     "DecodeOutcome",
     "decode",
+    "decode_ladder",
     "extract_message",
     "resolve_max_queries",
 ]
@@ -54,6 +64,18 @@ ABANDON_CAP = "query_cap_reached"
 # steady-state chunks amortise numpy overhead on deep searches.
 _CHUNK_EDGES = (16, 64, 256, 1024, 4096)
 _CHUNK_STEP = 4096
+
+
+def _check_tau(tau):
+    if tau is not None and not math.isfinite(tau):
+        raise ValueError(f"tau must be finite or None, got {tau}")
+
+
+def _check_search(max_queries, order_kind):
+    if max_queries is not None and max_queries < 1:
+        raise ValueError(f"max_queries must be >= 1, got {max_queries}")
+    if order_kind not in ("hamming", "logistic"):
+        raise ValueError(f"unknown order kind {order_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -71,12 +93,8 @@ class DecodePolicy:
     order_kind: str = "logistic"
 
     def __post_init__(self):
-        if self.tau is not None and not math.isfinite(self.tau):
-            raise ValueError(f"tau must be finite or None, got {self.tau}")
-        if self.max_queries is not None and self.max_queries < 1:
-            raise ValueError(f"max_queries must be >= 1, got {self.max_queries}")
-        if self.order_kind not in ("hamming", "logistic"):
-            raise ValueError(f"unknown order kind {self.order_kind!r}")
+        _check_tau(self.tau)
+        _check_search(self.max_queries, self.order_kind)
 
     def label(self):
         base = "none" if self.tau is None else f"{self.tau:g}"
@@ -100,14 +118,18 @@ class DecodeOutcome:
     reason: Optional[str] = None
 
 
-def resolve_max_queries(policy, code):
-    """Effective query cap for this policy on this code."""
-    if policy.max_queries is not None:
-        return int(policy.max_queries)
+def _resolve_cap(max_queries, code):
+    if max_queries is not None:
+        return int(max_queries)
     cap = 8 << code.redundancy
     if code.n < 63:
         cap = min(cap, 1 << code.n)
     return cap
+
+
+def resolve_max_queries(policy, code):
+    """Effective query cap for this policy on this code."""
+    return _resolve_cap(policy.max_queries, code)
 
 
 def _first_true(mask):
@@ -134,6 +156,22 @@ def decode(code, obs, policy, accounting=None):
     probabilities feed the confidence ledger (defaults to ``obs`` itself,
     the matched case).
     """
+    (out,) = decode_ladder(code, obs, (policy.tau,), policy.order_kind,
+                           policy.max_queries, accounting)
+    return out
+
+
+def decode_ladder(code, obs, taus, order_kind="logistic", max_queries=None,
+                  accounting=None):
+    """Decode one observation under every threshold in ``taus`` in one scan.
+
+    Returns one DecodeOutcome per entry of ``taus`` (None = never abandon),
+    equal to what ``decode`` returns for a policy with that tau and the given
+    order and cap.
+    """
+    for tau in taus:
+        _check_tau(tau)
+    _check_search(max_queries, order_kind)
     if obs.n != code.n:
         raise ValueError(f"observation length {obs.n} != code length {code.n}")
     acct = obs if accounting is None else accounting
@@ -142,11 +180,10 @@ def decode(code, obs, policy, accounting=None):
 
     n = code.n
     redundancy = code.redundancy
-    cap = resolve_max_queries(policy, code)
-    tau = policy.tau
+    cap = _resolve_cap(max_queries, code)
 
-    table = order_table(QueryOrder(kind=policy.order_kind, n=n))
-    if policy.order_kind == "logistic":
+    table = order_table(QueryOrder(kind=order_kind, n=n))
+    if order_kind == "logistic":
         frame_map = np.asarray(obs.ranks, dtype=np.int64)
     else:
         frame_map = np.arange(n, dtype=np.int64)
@@ -158,6 +195,10 @@ def decode(code, obs, policy, accounting=None):
 
     hard = obs.hard
     carry = -math.inf
+    outcomes = [None] * len(taus)
+    live = [j for j, tau in enumerate(taus) if tau is not None]
+    # A tau of None never abandons: the scan then runs to a hit or the cap.
+    to_the_end = len(live) < len(taus)
 
     for lo, hi in _chunk_bounds(cap):
         vals, off, hi = table.slice_arrays(lo, hi)
@@ -178,32 +219,36 @@ def decode(code, obs, policy, accounting=None):
             syn[0] = 0
         logp = base - flips
         cum = np.logaddexp.accumulate(np.concatenate(([carry], logp)))[1:]
-        hits = syn == target
+        hit_i = _first_true(syn == target)
         # Grown here even without a threshold: the report at a hit reads it.
         log_u = softout.log_p_incorrect_prefix(redundancy, hi)
 
-        ab_i = None
-        if tau is not None:
+        if live:
             llr = (cum - log_u[lo:]) / _LN2
-            ab_i = _first_true(llr < tau)
-        hit_i = _first_true(hits)
-
-        if ab_i is not None and (hit_i is None or ab_i <= hit_i):
-            q = lo + ab_i + 1
-            return DecodeOutcome(decoded=False, q=q, reason=ABANDON_LLR,
-                                 report=llr_report(redundancy, q, float(cum[ab_i])))
+            for j in live:
+                ab_i = _first_true(llr < taus[j])
+                if ab_i is not None and (hit_i is None or ab_i <= hit_i):
+                    q = lo + ab_i + 1
+                    outcomes[j] = DecodeOutcome(
+                        decoded=False, q=q, reason=ABANDON_LLR,
+                        report=llr_report(redundancy, q, float(cum[ab_i])))
+            live = [j for j in live if outcomes[j] is None]
         if hit_i is not None:
             q = lo + hit_i + 1
             seg = vals[off[hit_i]:off[hit_i + 1]]
             word = hard.copy()
             word[frame_map[seg - 1]] ^= 1
-            return DecodeOutcome(decoded=True, q=q, word=word,
-                                 report=llr_report(redundancy, q, float(cum[hit_i])))
+            hit = DecodeOutcome(decoded=True, q=q, word=word,
+                                report=llr_report(redundancy, q, float(cum[hit_i])))
+            return [hit if out is None else out for out in outcomes]
+        if not (live or to_the_end):
+            return outcomes
         carry = float(cum[-1])
 
     q = min(cap, table.count) if table.exhausted else cap
-    return DecodeOutcome(decoded=False, q=q, reason=ABANDON_CAP,
-                         report=llr_report(redundancy, q, carry) if q >= 1 else None)
+    end = DecodeOutcome(decoded=False, q=q, reason=ABANDON_CAP,
+                        report=llr_report(redundancy, q, carry) if q >= 1 else None)
+    return [end if out is None else out for out in outcomes]
 
 
 def extract_message(code, word):

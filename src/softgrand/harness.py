@@ -7,6 +7,12 @@ SeedSequence((master_seed, point_key, trial_index)) where point_key is the
 bit pattern of the Eb/N0 value, making any cell reproducible from its
 (master_seed, point, trial range) alone, independent of sweep layout.
 
+Sweeps run trials in lockstep batches: each trial's message and noise are
+drawn from its own seed, then the batch is encoded and transmitted as whole
+arrays, and each trial is decoded with one ``decode_ladder`` scan per group
+of policies sharing a pattern order and query cap.  Results do not depend
+on the batch size or the worker count.
+
 Points where a thresholded policy abandons almost everything escalate
 their trial count (up to a cap) until conditional statistics have enough
 non-abandoned events to be meaningful; escalation rounds decode only the
@@ -23,9 +29,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import softout
-from .channel import ChannelParams, SoftObservation, bsc_crossover, transmit
+# transmit is not called here, but it stays a module name, like encode and
+# decode: perfbench/spans.py wraps these three to trace a run.
+from .channel import (ChannelParams, SoftObservation, bsc_crossover, transmit,
+                      transmit_batch)
 from .codes import encode, is_codeword
-from .decoder import DecodePolicy, decode
+from .decoder import DecodePolicy, decode, decode_ladder, resolve_max_queries
 from .patterns import (QueryOrder, pattern_log_probability, query_patterns,
                        realized_positions)
 
@@ -49,6 +58,12 @@ __all__ = [
 CORRECT, INCORRECT, ABANDONED = 0, 1, 2
 _OUTCOME_NAMES = ("correct", "incorrect", "abandoned")
 
+# Trials per lockstep batch.  Fixed, so that the memory a block holds does
+# not grow with the block: escalation blocks reach thousands of trials.
+_BATCH = 256
+# Trials per pool task.
+_TASK = 512
+
 
 class GuardError(RuntimeError):
     """A statistical precondition failed; results would be meaningless."""
@@ -62,21 +77,6 @@ def _point_key(ebn0_db):
 def _check_accounting(accounting):
     if accounting not in ("soft", "bsc"):
         raise ValueError(f"accounting must be 'soft' or 'bsc', got {accounting!r}")
-
-
-def _trial(code, params, crossover, master_seed, point_key, trial):
-    """Seed, message, encode and transmit one trial.
-
-    Returns (code word, observation, accounting observation); the last is
-    None for soft accounting (``crossover`` None) and a constant-crossover
-    observation otherwise.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence((master_seed, point_key, trial)))
-    msg = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-    cw = encode(code, msg)
-    obs = transmit(cw, params, rng)
-    acct = None if crossover is None else SoftObservation.from_flip_probs(obs.hard, crossover)
-    return cw, obs, acct
 
 
 @dataclass
@@ -175,6 +175,34 @@ def _stats_from_batch(label, ebn0_db, batch):
     )
 
 
+def _trial_batch(code, params, master_seed, point_key, lo, hi):
+    """Code words and observations of trials [lo, hi) at one point.
+
+    Each trial draws its message, then its noise, from its own seed; the
+    rest is whole-array work, so a trial's bits do not depend on the batch.
+    """
+    msgs = np.empty((hi - lo, code.k), dtype=np.uint8)
+    noise = np.empty((hi - lo, code.n))
+    for i, trial in enumerate(range(lo, hi)):
+        rng = np.random.default_rng(np.random.SeedSequence((master_seed, point_key, trial)))
+        msgs[i] = rng.integers(0, 2, size=code.k, dtype=np.uint8)
+        noise[i] = rng.standard_normal(code.n)
+    cws = encode(code, msgs)
+    return cws, transmit_batch(cws, noise, params)
+
+
+def _accounting_observation(code, params, accounting):
+    """None for soft accounting; for BSC, the constant-crossover observation.
+
+    The ledger reads only an accounting observation's flip probabilities,
+    which under BSC accounting are the same for every trial at a point.
+    """
+    if accounting == "soft":
+        return None
+    return SoftObservation.from_flip_probs(np.zeros(code.n, dtype=np.uint8),
+                                           bsc_crossover(params))
+
+
 def _decode_block(code, params, policies, accounting, master_seed, point_key, lo, hi):
     """Run trials [lo, hi) at one point for the given policies.
 
@@ -183,19 +211,26 @@ def _decode_block(code, params, policies, accounting, master_seed, point_key, lo
     m = hi - lo
     out = [(np.zeros(m, dtype=np.int8), np.zeros(m, dtype=np.int64), np.full(m, math.nan))
            for _ in policies]
-    crossover = bsc_crossover(params) if accounting == "bsc" else None
-    for i in range(m):
-        cw, obs, acct = _trial(code, params, crossover, master_seed, point_key, lo + i)
-        for j, policy in enumerate(policies):
-            res = decode(code, obs, policy, accounting=acct)
-            if res.decoded:
-                tag = CORRECT if np.array_equal(res.word, cw) else INCORRECT
-            else:
-                tag = ABANDONED
-            out[j][0][i] = tag
-            out[j][1][i] = res.q
-            if res.report is not None:
-                out[j][2][i] = res.report.llr_bits
+    acct = _accounting_observation(code, params, accounting)
+    groups = {}
+    for j, policy in enumerate(policies):
+        key = (policy.order_kind, resolve_max_queries(policy, code))
+        groups.setdefault(key, []).append(j)
+    ladders = [(kind, cap, js, [policies[j].tau for j in js])
+               for (kind, cap), js in groups.items()]
+    for b_lo in range(lo, hi, _BATCH):
+        cws, observations = _trial_batch(code, params, master_seed, point_key,
+                                         b_lo, min(b_lo + _BATCH, hi))
+        for i, cw, obs in zip(range(b_lo - lo, m), cws, observations):
+            for kind, cap, js, taus in ladders:
+                for j, res in zip(js, decode_ladder(code, obs, taus, kind, cap, acct)):
+                    if res.decoded:
+                        out[j][0][i] = CORRECT if np.array_equal(res.word, cw) else INCORRECT
+                    else:
+                        out[j][0][i] = ABANDONED
+                    out[j][1][i] = res.q
+                    if res.report is not None:
+                        out[j][2][i] = res.report.llr_bits
     return out
 
 
@@ -236,52 +271,54 @@ def run_sweep(code, policies, ebn0_points, trials_per_point, master_seed,
     points = [float(e) for e in ebn0_points]
     batches = {(lbl, pi): TrialBatch() for lbl in labels for pi in range(len(points))}
     stats = []
+    # One pool serves every block of the sweep, so each worker builds its
+    # order table once; it starts with the first block large enough to split.
+    pool = None
+    try:
+        for pi, ebn0_db in enumerate(points):
+            params = ChannelParams(ebn0_db=ebn0_db, rate=code.rate)
+            key = _point_key(ebn0_db)
 
-    for pi, ebn0_db in enumerate(points):
-        params = ChannelParams(ebn0_db=ebn0_db, rate=code.rate)
-        key = _point_key(ebn0_db)
+            def run_block(lo, hi, active):
+                nonlocal pool
+                args = (code, params, active, accounting, master_seed, key)
+                if workers <= 1 or hi - lo < 64:
+                    parts = [_decode_block(*args, lo, hi)]
+                else:
+                    if pool is None:
+                        pool = ProcessPoolExecutor(max_workers=workers)
+                    edges = list(range(lo, hi, _TASK)) + [hi]
+                    parts = pool.map(_block_task, [args + (a, b) for a, b
+                                                   in zip(edges[:-1], edges[1:])])
+                for part in parts:
+                    for policy, cols in zip(active, part):
+                        batches[(policy.label(), pi)].extend(*cols)
 
-        def run_block(lo, hi, active):
-            for j, (o, q, l) in enumerate(_run_blocks(
-                    code, params, active, accounting, master_seed, key, lo, hi, workers)):
-                batches[(active[j].label(), pi)].extend(o, q, l)
+            run_block(0, trials_per_point, policies)
+            total = trials_per_point
+            cap = trials_per_point * max_trials_factor
+            while total < cap:
+                deficits = []
+                for policy in policies:
+                    b = batches[(policy.label(), pi)]
+                    nonab = int(np.count_nonzero(b.outcome != ABANDONED))
+                    frac_ab = int(np.count_nonzero(b.outcome == ABANDONED)) / len(b)
+                    if frac_ab > escalate_abandon_frac and nonab < min_conditional_events:
+                        deficits.append(policy)
+                if not deficits:
+                    break
+                nxt = min(2 * total, cap)
+                run_block(total, nxt, deficits)
+                total = nxt
 
-        run_block(0, trials_per_point, policies)
-        total = trials_per_point
-        cap = trials_per_point * max_trials_factor
-        while total < cap:
-            deficits = []
-            for policy in policies:
-                b = batches[(policy.label(), pi)]
-                nonab = int(np.count_nonzero(b.outcome != ABANDONED))
-                frac_ab = int(np.count_nonzero(b.outcome == ABANDONED)) / len(b)
-                if frac_ab > escalate_abandon_frac and nonab < min_conditional_events:
-                    deficits.append(policy)
-            if not deficits:
-                break
-            nxt = min(2 * total, cap)
-            run_block(total, nxt, deficits)
-            total = nxt
-
-        for lbl in labels:
-            stats.append(_stats_from_batch(lbl, ebn0_db, batches[(lbl, pi)]))
+            for lbl in labels:
+                stats.append(_stats_from_batch(lbl, ebn0_db, batches[(lbl, pi)]))
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
     return SweepResult(stats=stats, batches=batches, points=points,
                        policy_labels=labels, base_trials=trials_per_point)
-
-
-def _run_blocks(code, params, policies, accounting, master_seed, key, lo, hi, workers):
-    if workers <= 1 or hi - lo < 64:
-        return _decode_block(code, params, policies, accounting, master_seed, key, lo, hi)
-    edges = list(range(lo, hi, 512)) + [hi]
-    tasks = [(code, params, policies, accounting, master_seed, key, a, b)
-             for a, b in zip(edges[:-1], edges[1:])]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_block_task, tasks))
-    merged = []
-    for j in range(len(policies)):
-        merged.append(tuple(np.concatenate([p[j][f] for p in parts]) for f in range(3)))
-    return merged
 
 
 def geometric_cdf(p, q):
@@ -352,12 +389,12 @@ def collect_error_query_distribution(code, ebn0_db, target_errors, seed,
             f"crossover {crossover:.3g} at {ebn0_db} dB is below the floor "
             f"{min_crossover:g}; incorrect decodings would be too rare")
     policy = DecodePolicy(tau=None, max_queries=max_queries, order_kind=order_kind)
-    acct_crossover = crossover if accounting == "bsc" else None
+    acct = _accounting_observation(code, params, accounting)
     key = _point_key(ebn0_db)
     qs = []
     trials = 0
     while len(qs) < target_errors:
-        cw, obs, acct = _trial(code, params, acct_crossover, seed, key, trials)
+        (cw,), (obs,) = _trial_batch(code, params, seed, key, trials, trials + 1)
         res = decode(code, obs, policy, accounting=acct)
         trials += 1
         if res.decoded and not np.array_equal(res.word, cw):

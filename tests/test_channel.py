@@ -5,13 +5,16 @@ digits and are frozen here to their float64 neighborhood.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from softgrand.channel import (ChannelParams, SoftObservation, binary_entropy,
-                               bsc_crossover, capacity_markers,
-                               flip_probability, q_function, transmit)
+from softgrand.channel import (EBN0_LIMIT_DB, ChannelParams, SoftObservation,
+                               binary_entropy, bsc_crossover, capacity_markers,
+                               flip_probability, q_function, transmit,
+                               transmit_batch)
+from softgrand.codes import make_rlc
 
 RATE_116_128 = 116 / 128
 SHANNON_116_128 = 4.4888888307456213
@@ -38,6 +41,22 @@ class TestChannelParams:
         with pytest.raises(ValueError, match="finite"):
             ChannelParams(ebn0_db=ebn0_db, rate=0.5)
 
+    @pytest.mark.parametrize("ebn0_db", [300.5, -300.5, 3080.0, -3080.0, 4000.0])
+    def test_out_of_range_ebn0_rejected(self, ebn0_db):
+        with pytest.raises(ValueError, match="within"):
+            ChannelParams(ebn0_db=ebn0_db, rate=0.5)
+
+    @pytest.mark.parametrize("ebn0_db", [EBN0_LIMIT_DB, -EBN0_LIMIT_DB])
+    @pytest.mark.parametrize("rate", [1e-6, 0.5, 1 - 1e-6])
+    def test_llrs_finite_at_the_limit(self, ebn0_db, rate):
+        p = ChannelParams(ebn0_db=ebn0_db, rate=rate)
+        for v in (p.sigma2, 2.0 / p.sigma2):
+            assert math.isfinite(v) and v >= sys.float_info.min
+        words = np.random.default_rng(0).integers(0, 2, (4, 64), dtype=np.uint8)
+        noise = 40.0 * np.sign(np.random.default_rng(1).standard_normal((4, 64)))
+        for obs in transmit_batch(words, noise, p):
+            assert np.isfinite(obs.reliab).all()
+
 
 class TestTransmit:
     def test_reproducible_bit_exact(self):
@@ -54,6 +73,16 @@ class TestTransmit:
         cw = rng.integers(0, 2, 64, dtype=np.uint8)
         obs = transmit(cw, params, rng)
         assert np.array_equal(obs.hard, cw)
+
+    def test_batch_rows_match_transmit(self):
+        params = ChannelParams(ebn0_db=1.0, rate=0.5)
+        words = np.random.default_rng(5).integers(0, 2, (6, 24), dtype=np.uint8)
+        noise = np.stack([np.random.default_rng(s).standard_normal(24) for s in range(6)])
+        for s, (word, got) in enumerate(zip(words, transmit_batch(words, noise, params))):
+            want = transmit(word, params, s)
+            assert np.array_equal(got.hard, want.hard)
+            assert np.array_equal(got.reliab, want.reliab)
+            assert np.array_equal(got.ranks, want.ranks)
 
     def test_llr_statistics(self):
         # lambda | bit=0 is Gaussian with mean 2/sigma^2 and variance 4/sigma^2
@@ -72,6 +101,17 @@ class TestSoftObservation:
         assert obs.hard.tolist() == [0, 1, 0, 1]
         assert obs.reliab.tolist() == [3.0, 0.5, 0.25, 7.0]
         assert obs.ranks.tolist() == [2, 1, 0, 3]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_llrs_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SoftObservation.from_channel_llrs([1.0, bad, -2.0])
+
+    def test_all_nan_block_rejected(self):
+        # Such a block once decoded at q=1 with a NaN confidence.
+        code = make_rlc(16, 8, 1)
+        with pytest.raises(ValueError, match="finite"):
+            SoftObservation.from_channel_llrs(np.full(code.n, np.nan))
 
     def test_rank_ties_break_by_index(self):
         obs = SoftObservation.from_channel_llrs([1.0, -1.0, 1.0])

@@ -182,6 +182,19 @@ class TestRejectedValues:
         assert "must be finite" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("extra", [
+        ["--ebn0", "4000"],
+        ["--ebn0", "3080"],
+        ["--ebn0=-3080"],
+        ["--ebn0", "1,300.5"],
+        ["--ebn0", "290:5:400"],
+        ["--ebn0", "290:10.000000001:300"],  # last point rounds past 300
+    ])
+    def test_out_of_range_ebn0(self, extra, tmp_path, capsys):
+        assert main(self.SWEEP + extra + ["--out", str(tmp_path)]) == 2
+        assert "must lie within" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("payload", [
         {"tau": "0,inf", "ebn0": "3"},
         {"tau": float("nan"), "ebn0": "3"},

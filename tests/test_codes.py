@@ -151,6 +151,19 @@ class TestMembership:
             msg = rng.integers(0, 2, 8, dtype=np.uint8)
             assert is_codeword(code, encode(code, msg))
 
+    @pytest.mark.parametrize("n,k", [(128, 116), (600, 576)])
+    def test_encode_block_matches_rows(self, n, k):
+        # At k=576 parity sums pass 255, past the range of uint8.
+        code = make_rlc(n, k, seed=1)
+        msgs = np.random.default_rng(4).integers(0, 2, (40, k), dtype=np.uint8)
+        msgs[0] = 1
+        block = encode(code, msgs)
+        assert block.dtype == np.uint8
+        exact = (msgs.astype(np.int64) @ code.generator.astype(np.int64)) % 2
+        for msg, cw, want in zip(msgs, block, exact):
+            assert np.array_equal(cw, want)
+            assert np.array_equal(cw, encode(code, msg))
+
     def test_encode_length_guard(self):
         code = make_rlc(16, 8, seed=4)
         with pytest.raises(ValueError):

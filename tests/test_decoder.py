@@ -13,7 +13,8 @@ from softgrand import patterns, softout
 from softgrand.channel import ChannelParams, SoftObservation, bsc_crossover
 from softgrand.codes import encode, is_codeword, make_rlc
 from softgrand.decoder import (ABANDON_CAP, ABANDON_LLR, DecodePolicy,
-                               decode, extract_message, resolve_max_queries)
+                               decode, decode_ladder, extract_message,
+                               resolve_max_queries)
 from softgrand.softout import p_incorrect_cum
 
 
@@ -200,6 +201,47 @@ class TestReferenceEquivalence:
 
 
 class TestThresholdLadder:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_ladder_equals_separate_decodes(self, data):
+        n = data.draw(st.integers(6, 12), label="n")
+        rmin = max(2, math.ceil(math.log2(n + 1)))
+        k = data.draw(st.integers(2, max(2, n - rmin)), label="k")
+        code = make_rlc(n, k, seed=data.draw(st.integers(1, 10_000), label="code_seed"))
+        ebn0 = data.draw(st.floats(-3.0, 8.0), label="ebn0")
+        _, obs = random_observation(
+            code, ebn0, np.random.default_rng(data.draw(st.integers(0, 2**32), label="seed")))
+        taus = data.draw(st.lists(st.none() | st.floats(-20.0, 60.0), min_size=1,
+                                  max_size=5), label="taus")
+        taus += data.draw(st.lists(st.sampled_from(taus), max_size=2), label="duplicates")
+        max_queries = data.draw(st.none() | st.integers(1, 300), label="max_queries")
+        kind = data.draw(st.sampled_from(["logistic", "hamming"]), label="kind")
+        acct = None
+        if data.draw(st.booleans(), label="bsc"):
+            crossover = bsc_crossover(ChannelParams(ebn0_db=ebn0, rate=code.rate))
+            acct = SoftObservation.from_flip_probs(obs.hard, crossover)
+        ladder = decode_ladder(code, obs, taus, kind, max_queries, accounting=acct)
+        assert len(ladder) == len(taus)
+        for tau, got in zip(taus, ladder):
+            policy = DecodePolicy(tau=tau, max_queries=max_queries, order_kind=kind)
+            want = decode(code, obs, policy, accounting=acct)
+            assert (outcome_tag(got), got.q) == (outcome_tag(want), want.q)
+            assert np.array_equal(got.word, want.word)
+            assert got.report.llr_bits == want.report.llr_bits
+        # the first threshold also against the scalar reference
+        policy = DecodePolicy(tau=taus[0], max_queries=max_queries, order_kind=kind)
+        tag, q, ref_word, ref_llr = reference_decode(code, obs, policy, accounting=acct)
+        assert (outcome_tag(ladder[0]), ladder[0].q) == (tag, q)
+        assert np.array_equal(ladder[0].word, ref_word)
+        assert ladder[0].report.llr_bits == pytest.approx(ref_llr, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("taus", [[math.nan], [0.0, math.inf]])
+    def test_ladder_rejects_non_finite_tau(self, taus):
+        code = make_rlc(16, 8, seed=2)
+        obs = _obs_for_word(np.zeros(16, dtype=np.uint8), 0.05)
+        with pytest.raises(ValueError, match="finite"):
+            decode_ladder(code, obs, taus)
+
     def test_monotone_behaviour_under_shared_noise(self):
         code = make_rlc(16, 8, seed=7)
         ladder = [0.0, 1.0, 2.0, 4.0]

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from softgrand.codes import make_rlc
-from softgrand.decoder import DecodePolicy
+from softgrand import harness
+from softgrand.channel import ChannelParams, transmit
+from softgrand.codes import encode, make_rlc
+from softgrand.decoder import DecodePolicy, decode
 from softgrand.harness import (GuardError, OracleReport, TrialBatch,
                                binomial_halfwidth,
                                collect_error_query_distribution, geometric_cdf,
@@ -71,6 +73,76 @@ class TestSweepDeterminism:
         parallel = run_sweep(workers=2, **kwargs)
         _stats_match(serial.stats, parallel.stats)
         _batches_match(serial.batches, parallel.batches)
+
+
+def _reference_trial(code, ebn0_db, master_seed, trial):
+    """One trial drawn on its own: message, then noise, from the trial's seed."""
+    seq = np.random.SeedSequence((master_seed, harness._point_key(ebn0_db), trial))
+    rng = np.random.default_rng(seq)
+    cw = encode(code, rng.integers(0, 2, size=code.k, dtype=np.uint8))
+    return cw, transmit(cw, ChannelParams(ebn0_db=ebn0_db, rate=code.rate), rng)
+
+
+class TestLockstepBatches:
+    # tau=1000 abandons every trial, so both points escalate to 4x.
+    POLICIES = [DecodePolicy(tau=None), DecodePolicy(tau=1.0), DecodePolicy(tau=1000.0)]
+
+    def _csv_bytes(self, result, tmp_path, name):
+        write_sweep_csv(tmp_path / f"{name}.csv", result.stats)
+        write_trials_csv(tmp_path / f"{name}-trials.csv", result)
+        return ((tmp_path / f"{name}.csv").read_bytes(),
+                (tmp_path / f"{name}-trials.csv").read_bytes())
+
+    @pytest.mark.parametrize("accounting", ["soft", "bsc"])
+    def test_batch_size_invariance(self, small_code, tmp_path, monkeypatch, accounting):
+        outputs = []
+        for size in (1, 7, 256):
+            monkeypatch.setattr(harness, "_BATCH", size)
+            res = run_sweep(small_code, self.POLICIES, [1.0, 4.0], 40, master_seed=6,
+                            accounting=accounting, max_trials_factor=4)
+            assert len(res.batches[("tau=1000", 0)]) == 160
+            outputs.append(self._csv_bytes(res, tmp_path, f"b{size}"))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_workers_byte_identity_with_one_pool(self, small_code, tmp_path, monkeypatch):
+        starts = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(harness, "_TASK", 40)  # several tasks per block
+        kwargs = dict(code=small_code, policies=self.POLICIES, ebn0_points=[1.0, 4.0],
+                      trials_per_point=96, master_seed=11, max_trials_factor=4)
+        serial = run_sweep(workers=1, **kwargs)
+        assert not starts
+        pooled = run_sweep(workers=2, **kwargs)
+        # two points, each a base block and two escalation rounds, one pool
+        assert len(starts) == 1
+        assert len(pooled.batches[("tau=1000", 1)]) == 384
+        assert (self._csv_bytes(serial, tmp_path, "serial")
+                == self._csv_bytes(pooled, tmp_path, "pooled"))
+
+    def test_mixed_orders_match_per_policy_decoding(self, small_code):
+        policies = [DecodePolicy(tau=None),
+                    DecodePolicy(tau=1.0, order_kind="hamming"),
+                    DecodePolicy(tau=2.0, max_queries=20),
+                    DecodePolicy(tau=-1.0, order_kind="hamming", max_queries=20)]
+        res = run_sweep(small_code, policies, [2.0], 60, master_seed=4)
+        for t in range(60):
+            cw, obs = _reference_trial(small_code, 2.0, 4, t)
+            for policy in policies:
+                out = decode(small_code, obs, policy)
+                b = res.batches[(policy.label(), 0)]
+                if not out.decoded:
+                    assert b.outcome[t] == harness.ABANDONED
+                else:
+                    assert b.outcome[t] == (harness.CORRECT if np.array_equal(out.word, cw)
+                                            else harness.INCORRECT)
+                assert b.q[t] == out.q
+                assert b.llr_bits[t] == out.report.llr_bits
 
 
 class TestSweepStatistics:
@@ -173,6 +245,17 @@ class TestErrorQueryDistribution:
         assert d.trials >= 300
         assert abs(d.sample_mean - 256) / 256 < 0.15
         assert d.ks_distance < 0.1
+
+    @pytest.mark.parametrize("accounting", ["soft", "bsc"])
+    def test_same_trials_as_a_sweep(self, accounting):
+        # fig1 and sweeps draw trial t at a point from the same seed.
+        code = make_rlc(24, 16, seed=4)
+        d = collect_error_query_distribution(code, -2.0, 20, seed=5, accounting=accounting)
+        res = run_sweep(code, [DecodePolicy(tau=None)], [-2.0], d.trials, master_seed=5,
+                        accounting=accounting)
+        b = res.batches[(res.policy_labels[0], 0)]
+        assert np.array_equal(b.q[b.outcome == harness.INCORRECT], d.queries)
+        assert b.outcome[-1] == harness.INCORRECT
 
     def test_histogram_partitions_samples(self):
         code = make_rlc(24, 16, seed=4)
