@@ -22,7 +22,7 @@ __all__ = [
     "ChannelParams",
     "SoftObservation",
     "transmit",
-    "transmit_batch",
+    "transmit_arrays",
     "flip_probability",
     "bsc_crossover",
     "capacity_markers",
@@ -114,8 +114,8 @@ class SoftObservation:
         llrs = np.asarray(llrs, dtype=float)
         if not np.isfinite(llrs).all():
             raise ValueError("channel LLRs must be finite")
-        (obs,) = _observations(llrs[np.newaxis])
-        return obs
+        hard, reliab, ranks = _llr_arrays(llrs[np.newaxis])
+        return cls(hard[0], reliab[0], ranks[0])
 
     @classmethod
     def from_flip_probs(cls, hard, flip_prob):
@@ -144,12 +144,10 @@ def flip_probability(l):
     return float(out) if arr.ndim == 0 else out
 
 
-def _observations(llrs):
-    """One SoftObservation per row of a 2-D array of channel LLRs."""
-    hard = (llrs < 0).astype(np.uint8)
+def _llr_arrays(llrs):
+    """Hard decisions, reliabilities and ranks of a 2-D array of channel LLRs."""
     reliab = np.abs(llrs)
-    ranks = np.argsort(reliab, axis=1, kind="stable")
-    return [SoftObservation(h, r, k) for h, r, k in zip(hard, reliab, ranks)]
+    return (llrs < 0).astype(np.uint8), reliab, np.argsort(reliab, axis=1, kind="stable")
 
 
 def transmit(code_word, params, rng):
@@ -160,21 +158,23 @@ def transmit(code_word, params, rng):
     """
     rng = np.random.default_rng(rng)
     bits = np.asarray(code_word, dtype=np.uint8)
-    (obs,) = transmit_batch(bits[np.newaxis], rng.standard_normal((1, len(bits))), params)
-    return obs
+    hard, reliab, ranks = transmit_arrays(bits[np.newaxis],
+                                          rng.standard_normal((1, len(bits))), params)
+    return SoftObservation(hard[0], reliab[0], ranks[0])
 
 
-def transmit_batch(code_words, noise, params):
-    """Observations of a (B, n) block of code words under (B, n) unit noise.
+def transmit_arrays(code_words, noise, params):
+    """(hard, reliab, ranks) of a (B, n) block of code words under (B, n) unit noise.
 
-    Row i is what ``transmit(code_words[i], params, rng)`` returns when
-    ``noise[i]`` is that rng's next ``standard_normal(n)`` draw.  Every row
-    is computed with the same float operations, so batching changes no bit.
+    Row i holds the fields of what ``transmit(code_words[i], params, rng)``
+    returns when ``noise[i]`` is that rng's next ``standard_normal(n)``
+    draw.  Every row is computed with the same float operations, so
+    batching changes no bit.
     """
     symbols = 1.0 - 2.0 * np.asarray(code_words, dtype=np.uint8)
     sigma2 = params.sigma2
     y = symbols + noise * np.sqrt(sigma2)
-    return _observations(2.0 * y / sigma2)
+    return _llr_arrays(2.0 * y / sigma2)
 
 
 def bsc_crossover(params):

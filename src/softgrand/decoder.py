@@ -8,33 +8,39 @@ query q happens with the q-th pattern's probability already recorded but
 before the q-th membership test, so abandonment wins a tie at the same q.
 The threshold comparison is strict: abandon iff llr_bits < tau.
 
-The LLR trajectory and the first hit do not depend on tau, so
-``decode_ladder`` decodes one observation under a list of thresholds in a
-single scan.  Each tau abandons at the first query where llr_bits < tau if
-that query is no later than the first hit, and otherwise takes the shared
-outcome: the hit, or the query cap.  The scan stops at the first hit, or
-once every tau has abandoned when no tau is None, so it goes only as deep
-as the deepest search among the thresholds.  ``decode`` is the one-tau case
-of the same loop, and the outcomes are those of one ``decode`` call per tau.
+The LLR trajectory and the first hit do not depend on tau, so one scan
+decodes an observation under a list of thresholds.  Each tau abandons at
+the first query where llr_bits < tau if that query is no later than the
+first hit, and otherwise takes the shared outcome: the hit, or the query
+cap.  The scan stops at the first hit, or once every tau has abandoned when
+no tau is None, so it goes only as deep as the deepest search among the
+thresholds.
 
 For speed the loop is evaluated in growing chunks of queries with numpy
 (reduceat over the concatenated pattern table, packed parity columns XORed
-as uint64 words, logaddexp.accumulate for the running sum).  The running
-sum is accumulated in query order, as a one-query-at-a-time loop would, and
-the wrong-hit term is the value ``softout`` reports.  The tests check that
+as uint64 words, logaddexp.accumulate for the running sum).  The chunk body
+works on a (rows, queries) block: ``decode_batch`` runs the first chunks,
+up to query 64, for a whole block of observations at once, and rows still
+searching after them continue one at a time through the same body from
+where they stopped.  ``decode_ladder`` is the one-row case and ``decode``
+its one-tau case, so the outcomes of every entry point are those of one
+``decode`` call per observation and tau.  The running sum is accumulated in
+query order along each row, as a one-query-at-a-time loop would, and the
+wrong-hit term is the value ``softout`` reports.  The tests check that
 outcome, query count and word match the scalar reference decoder in
 ``tests/conftest.py``.  A pattern's flipped reliabilities are summed in
 frame order here and in bit order there, so a reported confidence can differ
 from the reference in its last bits; the tests hold it to a relative 1e-12.
 
-Ordering inputs and accounting inputs are deliberately separable: ``decode``
-takes an optional second observation whose flip probabilities feed the
-ledger, which supports hard-detection accounting (constant BSC crossover)
-under any pattern order.
+Ordering inputs and accounting inputs are deliberately separable: the
+decoders take an optional accounting observation whose flip probabilities
+feed the ledger, which supports hard-detection accounting (constant BSC
+crossover) under any pattern order.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -47,9 +53,12 @@ from .patterns import QueryOrder, order_table
 from .softout import LlrReport, llr_report
 
 __all__ = [
+    "Accounting",
+    "BatchOutcome",
     "DecodePolicy",
     "DecodeOutcome",
     "decode",
+    "decode_batch",
     "decode_ladder",
     "extract_message",
     "resolve_max_queries",
@@ -60,10 +69,16 @@ _LN2 = math.log(2.0)
 ABANDON_LLR = "llr_below_tau"
 ABANDON_CAP = "query_cap_reached"
 
+# Per-threshold status of a row; 0 while the row's search has not settled it.
+HIT, BELOW_TAU, AT_CAP = 1, 2, 3
+_REASONS = {BELOW_TAU: ABANDON_LLR, AT_CAP: ABANDON_CAP}
+
 # Chunk edges: small early chunks keep clean-channel decodes cheap, 4096-wide
 # steady-state chunks amortise numpy overhead on deep searches.
 _CHUNK_EDGES = (16, 64, 256, 1024, 4096)
 _CHUNK_STEP = 4096
+# decode_batch runs the chunks up to this edge for all its rows at once.
+_BLOCK_QUERIES = _CHUNK_EDGES[1]
 
 
 def _check_tau(tau):
@@ -118,6 +133,45 @@ class DecodeOutcome:
     reason: Optional[str] = None
 
 
+@dataclass(frozen=True)
+class BatchOutcome:
+    """Results of ``decode_batch``: one column per row, one row per tau.
+
+    ``status[j, i]`` is HIT, BELOW_TAU or AT_CAP for threshold j on row i;
+    ``q`` and ``llr_bits`` are what the DecodeOutcome and its report would
+    hold.  ``words[i]`` is row i's first hit, shared by every threshold that
+    decoded it (the row's hard decision when its search found none).
+    """
+
+    status: np.ndarray
+    q: np.ndarray
+    llr_bits: np.ndarray
+    words: np.ndarray
+
+    @property
+    def decoded(self):
+        return self.status == HIT
+
+
+@dataclass(frozen=True)
+class Accounting:
+    """What the confidence ledger reads from an accounting observation.
+
+    ``reliab`` are its reliabilities and ``base`` is the natural-log
+    probability that no bit flipped, -sum(log1p(e^-l)).  Build it once with
+    ``of`` when many decodes share the observation, as every trial at a
+    point does under hard-detection (BSC) accounting.
+    """
+
+    reliab: np.ndarray
+    base: float
+
+    @classmethod
+    def of(cls, obs):
+        reliab = np.asarray(obs.reliab, dtype=float)
+        return cls(reliab, -float(np.sum(np.log1p(np.exp(-reliab)))))
+
+
 def _resolve_cap(max_queries, code):
     if max_queries is not None:
         return int(max_queries)
@@ -132,11 +186,6 @@ def resolve_max_queries(policy, code):
     return _resolve_cap(policy.max_queries, code)
 
 
-def _first_true(mask):
-    i = int(mask.argmax())
-    return i if mask[i] else None
-
-
 def _chunk_bounds(cap):
     lo = 0
     for edge in _CHUNK_EDGES:
@@ -149,12 +198,179 @@ def _chunk_bounds(cap):
         lo = min(lo + _CHUNK_STEP, cap)
 
 
+class _Scan:
+    """Search state of a block of observations, one row each.
+
+    ``ids`` lists the block rows still searching.  For each of them, in the
+    same order, the scan holds the frame-ordered reliabilities and parity
+    columns (a single row where all rows share them), the no-flip
+    log-probability ``base``, the syndrome to hit, the running log-mass
+    ``carry`` and which thresholds are still ``open``; a row leaves these
+    arrays once it has stopped.  Per block row it records the query and
+    log-mass of the first hit (q 0 for none) and of the search's end at the
+    cap, and per threshold and row those of an abandonment (q 0 for none).
+    """
+
+    def __init__(self, code, hard, reliab, ranks, taus, order_kind, max_queries,
+                 accounting):
+        for tau in taus:
+            _check_tau(tau)
+        _check_search(max_queries, order_kind)
+        n = code.n
+        if hard.ndim != 2 or hard.shape[1] != n:
+            raise ValueError(f"observation length {hard.shape[-1]} != code length {n}")
+        if accounting is not None:
+            if not isinstance(accounting, Accounting):
+                accounting = Accounting.of(accounting)
+            if len(accounting.reliab) != n:
+                raise ValueError(f"accounting length {len(accounting.reliab)} "
+                                 f"!= code length {n}")
+        rows = len(hard)
+        self.redundancy = code.redundancy
+        self.cap = _resolve_cap(max_queries, code)
+        self.table = order_table(QueryOrder(kind=order_kind, n=n))
+        self.taus = [tau for tau in taus if tau is not None]
+        self.thresholds = [j for j, tau in enumerate(taus) if tau is not None]
+        # A tau of None never abandons: its search runs to a hit or the cap.
+        self.to_the_end = len(self.taus) < len(taus)
+
+        packed = packed_parity_columns(code)
+        # frame[i] maps row i's pattern frame to bit positions; None is the
+        # identity frame of the hamming order.
+        self.frame = ranks if order_kind == "logistic" else None
+        self.ids = np.arange(rows)
+        if accounting is None:
+            self.l = (reliab if self.frame is None
+                      else reliab[self.ids[:, np.newaxis], ranks])
+            self.base = -np.sum(np.log1p(np.exp(-reliab)), axis=1, keepdims=True)
+        else:
+            self.l = (accounting.reliab[np.newaxis] if self.frame is None
+                      else accounting.reliab[ranks])
+            self.base = np.full((rows, 1), accounting.base)
+        self.cols = packed[np.newaxis] if self.frame is None else packed[ranks]
+        self.target = np.bitwise_xor.reduce(
+            np.where(hard.astype(bool), packed, np.uint64(0)), axis=1, keepdims=True)
+        self.carry = np.full((rows, 1), -math.inf)
+        self.open = np.full((len(self.taus), rows), True)
+
+        self.hit_q = np.zeros(rows, dtype=np.int64)
+        self.hit_cum = np.zeros(rows)
+        self.end_cum = np.zeros(rows)
+        self.ab_q = np.zeros((len(taus), rows), dtype=np.int64)
+        self.ab_cum = np.zeros((len(taus), rows))
+
+    def run(self, lo=0, stop=None):
+        """Advance the searching rows, all at query ``lo``, until each stops.
+
+        With ``stop``, rows still searching when the next chunk would start
+        at query ``stop`` stay in the scan; otherwise none do.
+        """
+        for c_lo, c_hi in _chunk_bounds(self.cap):
+            if c_lo < lo:
+                continue
+            if not len(self.ids) or (stop is not None and c_lo >= stop):
+                return
+            vals, off, hi = self.table.slice_arrays(c_lo, c_hi)
+            if hi <= c_lo:
+                break
+            self._chunk(c_lo, hi, vals, off)
+        self.end_cum[self.ids] = self.carry[:, 0]
+        self.ids = self.ids[:0]
+
+    def _chunk(self, lo, hi, vals, off):
+        """Queries [lo, hi) for every searching row."""
+        m = hi - lo
+        idx = off[:-1]
+        if vals.size:
+            at = vals - 1
+            flips = np.add.reduceat(self.l.take(at, axis=1), idx, axis=1)
+            syn = np.bitwise_xor.reduceat(self.cols.take(at, axis=1), idx, axis=1)
+        else:
+            flips = np.zeros((len(self.l), m))
+            syn = np.zeros((len(self.cols), m), dtype=np.uint64)
+        if lo == 0:
+            # reduceat yields arr[i] for the empty leading segment; the
+            # empty pattern flips nothing and leaves the syndrome alone.
+            flips[:, 0] = 0.0
+            syn[:, 0] = 0
+        cum = np.logaddexp.accumulate(
+            np.concatenate((self.carry, self.base - flips), axis=1), axis=1)[:, 1:]
+        eq = syn == self.target
+        hit_i = eq.argmax(axis=1)
+        hit = eq.any(axis=1)
+        # Grown here even without a threshold: the report at a hit reads it.
+        log_u = softout.log_p_incorrect_prefix(self.redundancy, hi)
+
+        if self.taus and self.open.any():
+            llr = (cum - log_u[lo:]) / _LN2
+            # A threshold abandons at its first crossing no later than the hit.
+            last = np.where(hit, hit_i, m)
+            for t, (j, tau) in enumerate(zip(self.thresholds, self.taus)):
+                below = llr < tau
+                ab_i = below.argmax(axis=1)
+                (r,) = np.nonzero(self.open[t] & below.any(axis=1) & (ab_i <= last))
+                if len(r):
+                    self.ab_q[j, self.ids[r]] = lo + ab_i[r] + 1
+                    self.ab_cum[j, self.ids[r]] = cum[r, ab_i[r]]
+                    self.open[t, r] = False
+        stopped = hit if self.to_the_end else hit | ~self.open.any(axis=0)
+        self.carry = cum[:, -1:]
+        if stopped.any():
+            (r,) = np.nonzero(hit)
+            self.hit_q[self.ids[r]] = lo + hit_i[r] + 1
+            self.hit_cum[self.ids[r]] = cum[r, hit_i[r]]
+            self._keep(~stopped)
+
+    def _keep(self, live):
+        """Drop the rows that stopped searching from the per-row arrays."""
+        for name in ("ids", "base", "target", "carry"):
+            setattr(self, name, getattr(self, name)[live])
+        self.open = self.open[:, live]
+        if len(self.l) > 1:
+            self.l = self.l[live]
+        if len(self.cols) > 1:
+            self.cols = self.cols[live]
+
+    def rows(self):
+        """One scan per searching row, each recording into these results."""
+        for k in range(len(self.ids)):
+            one = copy.copy(self)
+            one._keep(np.arange(len(self.ids)) == k)
+            yield one
+
+    def results(self):
+        """(status, q, log-mass) per threshold and block row, once all stopped.
+
+        A threshold that abandoned keeps its abandonment; the others take the
+        row's hit, or the cap if the search found none.
+        """
+        end_q = min(self.cap, self.table.count) if self.table.exhausted else self.cap
+        ab, hit = self.ab_q > 0, self.hit_q > 0
+        status = np.where(ab, BELOW_TAU, np.where(hit, HIT, AT_CAP))
+        q = np.where(ab, self.ab_q, np.where(hit, self.hit_q, end_q))
+        cum = np.where(ab, self.ab_cum, np.where(hit, self.hit_cum, self.end_cum))
+        return status, q, cum
+
+    def words(self, hard):
+        """Each block row's hard decision with its first hit's pattern flipped."""
+        words = hard.copy()
+        (rows,) = np.nonzero(self.hit_q > 1)  # query 1 is the empty pattern
+        if len(rows):
+            offsets = self.table.offsets
+            ends = offsets[self.hit_q[rows]]
+            lens = ends - offsets[self.hit_q[rows] - 1]
+            at = np.repeat(rows, lens)
+            pos = self.table.flat[np.arange(len(at)) + np.repeat(ends - np.cumsum(lens), lens)] - 1
+            words[at, pos if self.frame is None else self.frame[at, pos]] ^= 1
+        return words
+
+
 def decode(code, obs, policy, accounting=None):
     """Decode one observation under a policy; deterministic given inputs.
 
-    ``accounting`` optionally supplies the observation whose flip
-    probabilities feed the confidence ledger (defaults to ``obs`` itself,
-    the matched case).
+    ``accounting`` optionally supplies the observation (or its
+    ``Accounting``) whose flip probabilities feed the confidence ledger
+    (defaults to ``obs`` itself, the matched case).
     """
     (out,) = decode_ladder(code, obs, (policy.tau,), policy.order_kind,
                            policy.max_queries, accounting)
@@ -169,86 +385,46 @@ def decode_ladder(code, obs, taus, order_kind="logistic", max_queries=None,
     equal to what ``decode`` returns for a policy with that tau and the given
     order and cap.
     """
-    for tau in taus:
-        _check_tau(tau)
-    _check_search(max_queries, order_kind)
-    if obs.n != code.n:
-        raise ValueError(f"observation length {obs.n} != code length {code.n}")
-    acct = obs if accounting is None else accounting
-    if acct.n != code.n:
-        raise ValueError(f"accounting length {acct.n} != code length {code.n}")
-
-    n = code.n
-    redundancy = code.redundancy
-    cap = _resolve_cap(max_queries, code)
-
-    table = order_table(QueryOrder(kind=order_kind, n=n))
-    if order_kind == "logistic":
-        frame_map = np.asarray(obs.ranks, dtype=np.int64)
-    else:
-        frame_map = np.arange(n, dtype=np.int64)
-
-    cols_frame = packed_parity_columns(code)[frame_map]
-    l_frame = np.asarray(acct.reliab, dtype=float)[frame_map]
-    base = -float(np.sum(np.log1p(np.exp(-np.asarray(acct.reliab, dtype=float)))))
-    target = np.bitwise_xor.reduce(packed_parity_columns(code)[obs.hard.astype(bool)])
-
-    hard = obs.hard
-    carry = -math.inf
-    outcomes = [None] * len(taus)
-    live = [j for j, tau in enumerate(taus) if tau is not None]
-    # A tau of None never abandons: the scan then runs to a hit or the cap.
-    to_the_end = len(live) < len(taus)
-
-    for lo, hi in _chunk_bounds(cap):
-        vals, off, hi = table.slice_arrays(lo, hi)
-        m = hi - lo
-        if m <= 0:
-            break
-        idx = off[:-1]
-        if vals.size:
-            flips = np.add.reduceat(l_frame[vals - 1], idx)
-            syn = np.bitwise_xor.reduceat(cols_frame[vals - 1], idx)
+    hard = obs.hard[np.newaxis]
+    scan = _Scan(code, hard, obs.reliab[np.newaxis],
+                 np.asarray(obs.ranks, dtype=np.int64)[np.newaxis],
+                 taus, order_kind, max_queries, accounting)
+    scan.run()
+    word = scan.words(hard)[0]
+    outcomes = []
+    for status, q, cum in zip(*(a[:, 0].tolist() for a in scan.results())):
+        report = llr_report(scan.redundancy, q, cum)
+        if status == HIT:
+            outcomes.append(DecodeOutcome(decoded=True, q=q, word=word, report=report))
         else:
-            flips = np.zeros(m)
-            syn = np.zeros(m, dtype=np.uint64)
-        if lo == 0:
-            # reduceat yields arr[i] for the empty leading segment; the
-            # empty pattern flips nothing and leaves the syndrome alone.
-            flips[0] = 0.0
-            syn[0] = 0
-        logp = base - flips
-        cum = np.logaddexp.accumulate(np.concatenate(([carry], logp)))[1:]
-        hit_i = _first_true(syn == target)
-        # Grown here even without a threshold: the report at a hit reads it.
-        log_u = softout.log_p_incorrect_prefix(redundancy, hi)
+            outcomes.append(DecodeOutcome(decoded=False, q=q, report=report,
+                                          reason=_REASONS[status]))
+    return outcomes
 
-        if live:
-            llr = (cum - log_u[lo:]) / _LN2
-            for j in live:
-                ab_i = _first_true(llr < taus[j])
-                if ab_i is not None and (hit_i is None or ab_i <= hit_i):
-                    q = lo + ab_i + 1
-                    outcomes[j] = DecodeOutcome(
-                        decoded=False, q=q, reason=ABANDON_LLR,
-                        report=llr_report(redundancy, q, float(cum[ab_i])))
-            live = [j for j in live if outcomes[j] is None]
-        if hit_i is not None:
-            q = lo + hit_i + 1
-            seg = vals[off[hit_i]:off[hit_i + 1]]
-            word = hard.copy()
-            word[frame_map[seg - 1]] ^= 1
-            hit = DecodeOutcome(decoded=True, q=q, word=word,
-                                report=llr_report(redundancy, q, float(cum[hit_i])))
-            return [hit if out is None else out for out in outcomes]
-        if not (live or to_the_end):
-            return outcomes
-        carry = float(cum[-1])
 
-    q = min(cap, table.count) if table.exhausted else cap
-    end = DecodeOutcome(decoded=False, q=q, reason=ABANDON_CAP,
-                        report=llr_report(redundancy, q, carry) if q >= 1 else None)
-    return [end if out is None else out for out in outcomes]
+def decode_batch(code, hard, reliab, ranks, taus, order_kind="logistic",
+                 max_queries=None, accounting=None):
+    """Decode every row of a (rows, n) block under every threshold in ``taus``.
+
+    ``hard``, ``reliab`` and ``ranks`` hold one observation per row, as
+    ``channel.transmit_arrays`` returns them; ``accounting``, if given, is
+    shared by all rows.  The first 64 queries run for the whole block as
+    2-D arrays, and a row leaves the block once every threshold is settled;
+    rows still searching then continue one at a time.  Row i under tau j
+    gets the outcome of ``decode_ladder`` on observation i.
+    """
+    hard = np.asarray(hard, dtype=np.uint8)
+    scan = _Scan(code, hard, np.asarray(reliab, dtype=float),
+                 np.asarray(ranks, dtype=np.int64), taus, order_kind, max_queries,
+                 accounting)
+    scan.run(stop=_BLOCK_QUERIES)
+    for one in scan.rows():
+        one.run(lo=_BLOCK_QUERIES)
+    status, q, cum = scan.results()
+    # The same (cum - log_u[q - 1]) / ln 2 that llr_report evaluates.
+    log_u = softout.log_p_incorrect_prefix(scan.redundancy, int(q.max(initial=1)))
+    return BatchOutcome(status=status, q=q, llr_bits=(cum - log_u[q - 1]) / _LN2,
+                        words=scan.words(hard))
 
 
 def extract_message(code, word):

@@ -8,10 +8,12 @@ bit pattern of the Eb/N0 value, making any cell reproducible from its
 (master_seed, point, trial range) alone, independent of sweep layout.
 
 Sweeps run trials in lockstep batches: each trial's message and noise are
-drawn from its own seed, then the batch is encoded and transmitted as whole
-arrays, and each trial is decoded with one ``decode_ladder`` scan per group
-of policies sharing a pattern order and query cap.  Results do not depend
-on the batch size or the worker count.
+drawn from its own seed, then the batch is encoded, transmitted and decoded
+as whole arrays.  Each group of policies sharing a pattern order and query
+cap gets one ``decode_batch`` call per batch, which runs the first 64
+queries of every trial as (trials, queries) arrays and the few deeper
+searches one trial at a time.  Results do not depend on the batch size or
+the worker count.
 
 Points where a thresholded policy abandons almost everything escalate
 their trial count (up to a cap) until conditional statistics have enough
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -32,9 +35,10 @@ from . import softout
 # transmit is not called here, but it stays a module name, like encode and
 # decode: perfbench/spans.py wraps these three to trace a run.
 from .channel import (ChannelParams, SoftObservation, bsc_crossover, transmit,
-                      transmit_batch)
+                      transmit_arrays)
 from .codes import encode, is_codeword
-from .decoder import DecodePolicy, decode, decode_ladder, resolve_max_queries
+from .decoder import (Accounting, DecodePolicy, decode, decode_batch,
+                      resolve_max_queries)
 from .patterns import (QueryOrder, pattern_log_probability, query_patterns,
                        realized_positions)
 
@@ -57,6 +61,8 @@ __all__ = [
 
 CORRECT, INCORRECT, ABANDONED = 0, 1, 2
 _OUTCOME_NAMES = ("correct", "incorrect", "abandoned")
+# true_noise_found column of trials.csv, by outcome code
+_FOUND = ("true", "false", "false")
 
 # Trials per lockstep batch.  Fixed, so that the memory a block holds does
 # not grow with the block: escalation blocks reach thousands of trials.
@@ -72,6 +78,14 @@ class GuardError(RuntimeError):
 def _point_key(ebn0_db):
     # Bit pattern of the float, so the key identifies the point by value.
     return int(np.float64(ebn0_db).view(np.uint64))
+
+
+def _cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
 
 
 def _check_accounting(accounting):
@@ -176,7 +190,7 @@ def _stats_from_batch(label, ebn0_db, batch):
 
 
 def _trial_batch(code, params, master_seed, point_key, lo, hi):
-    """Code words and observations of trials [lo, hi) at one point.
+    """Code words and (hard, reliab, ranks) arrays of trials [lo, hi) at one point.
 
     Each trial draws its message, then its noise, from its own seed; the
     rest is whole-array work, so a trial's bits do not depend on the batch.
@@ -188,19 +202,20 @@ def _trial_batch(code, params, master_seed, point_key, lo, hi):
         msgs[i] = rng.integers(0, 2, size=code.k, dtype=np.uint8)
         noise[i] = rng.standard_normal(code.n)
     cws = encode(code, msgs)
-    return cws, transmit_batch(cws, noise, params)
+    return cws, transmit_arrays(cws, noise, params)
 
 
-def _accounting_observation(code, params, accounting):
-    """None for soft accounting; for BSC, the constant-crossover observation.
+def _accounting(code, params, accounting):
+    """None for soft accounting; for BSC, the constant-crossover ledger input.
 
     The ledger reads only an accounting observation's flip probabilities,
-    which under BSC accounting are the same for every trial at a point.
+    which under BSC accounting are the same for every trial at a point, so
+    it is built once per block or fig1 run.
     """
     if accounting == "soft":
         return None
-    return SoftObservation.from_flip_probs(np.zeros(code.n, dtype=np.uint8),
-                                           bsc_crossover(params))
+    return Accounting.of(SoftObservation.from_flip_probs(
+        np.zeros(code.n, dtype=np.uint8), bsc_crossover(params)))
 
 
 def _decode_block(code, params, policies, accounting, master_seed, point_key, lo, hi):
@@ -211,7 +226,7 @@ def _decode_block(code, params, policies, accounting, master_seed, point_key, lo
     m = hi - lo
     out = [(np.zeros(m, dtype=np.int8), np.zeros(m, dtype=np.int64), np.full(m, math.nan))
            for _ in policies]
-    acct = _accounting_observation(code, params, accounting)
+    acct = _accounting(code, params, accounting)
     groups = {}
     for j, policy in enumerate(policies):
         key = (policy.order_kind, resolve_max_queries(policy, code))
@@ -219,18 +234,18 @@ def _decode_block(code, params, policies, accounting, master_seed, point_key, lo
     ladders = [(kind, cap, js, [policies[j].tau for j in js])
                for (kind, cap), js in groups.items()]
     for b_lo in range(lo, hi, _BATCH):
-        cws, observations = _trial_batch(code, params, master_seed, point_key,
-                                         b_lo, min(b_lo + _BATCH, hi))
-        for i, cw, obs in zip(range(b_lo - lo, m), cws, observations):
-            for kind, cap, js, taus in ladders:
-                for j, res in zip(js, decode_ladder(code, obs, taus, kind, cap, acct)):
-                    if res.decoded:
-                        out[j][0][i] = CORRECT if np.array_equal(res.word, cw) else INCORRECT
-                    else:
-                        out[j][0][i] = ABANDONED
-                    out[j][1][i] = res.q
-                    if res.report is not None:
-                        out[j][2][i] = res.report.llr_bits
+        b_hi = min(b_lo + _BATCH, hi)
+        cws, (hard, reliab, ranks) = _trial_batch(code, params, master_seed,
+                                                  point_key, b_lo, b_hi)
+        rows = slice(b_lo - lo, b_hi - lo)
+        for kind, cap, js, taus in ladders:
+            res = decode_batch(code, hard, reliab, ranks, taus, kind, cap, acct)
+            correct = (res.words == cws).all(axis=1)
+            tags = np.where(res.decoded, np.where(correct, CORRECT, INCORRECT), ABANDONED)
+            for t, j in enumerate(js):
+                out[j][0][rows] = tags[t]
+                out[j][1][rows] = res.q[t]
+                out[j][2][rows] = res.llr_bits[t]
     return out
 
 
@@ -272,7 +287,8 @@ def run_sweep(code, policies, ebn0_points, trials_per_point, master_seed,
     batches = {(lbl, pi): TrialBatch() for lbl in labels for pi in range(len(points))}
     stats = []
     # One pool serves every block of the sweep, so each worker builds its
-    # order table once; it starts with the first block large enough to split.
+    # order table once; it starts with the first block large enough to split,
+    # with no more workers than the CPUs this process may use.
     pool = None
     try:
         for pi, ebn0_db in enumerate(points):
@@ -286,7 +302,7 @@ def run_sweep(code, policies, ebn0_points, trials_per_point, master_seed,
                     parts = [_decode_block(*args, lo, hi)]
                 else:
                     if pool is None:
-                        pool = ProcessPoolExecutor(max_workers=workers)
+                        pool = ProcessPoolExecutor(max_workers=min(workers, _cpus()))
                     edges = list(range(lo, hi, _TASK)) + [hi]
                     parts = pool.map(_block_task, [args + (a, b) for a, b
                                                    in zip(edges[:-1], edges[1:])])
@@ -389,12 +405,13 @@ def collect_error_query_distribution(code, ebn0_db, target_errors, seed,
             f"crossover {crossover:.3g} at {ebn0_db} dB is below the floor "
             f"{min_crossover:g}; incorrect decodings would be too rare")
     policy = DecodePolicy(tau=None, max_queries=max_queries, order_kind=order_kind)
-    acct = _accounting_observation(code, params, accounting)
+    acct = _accounting(code, params, accounting)
     key = _point_key(ebn0_db)
     qs = []
     trials = 0
     while len(qs) < target_errors:
-        (cw,), (obs,) = _trial_batch(code, params, seed, key, trials, trials + 1)
+        (cw,), arrays = _trial_batch(code, params, seed, key, trials, trials + 1)
+        obs = SoftObservation(*(a[0] for a in arrays))
         res = decode(code, obs, policy, accounting=acct)
         trials += 1
         if res.decoded and not np.array_equal(res.word, cw):
@@ -523,10 +540,8 @@ def write_trials_csv(path, result):
         for pi, ebn0_db in enumerate(result.points):
             for lbl in result.policy_labels:
                 b = result.batches[(lbl, pi)]
-                for t in range(len(b)):
-                    fh.write(",".join([
-                        lbl, _fmt(float(ebn0_db)), str(t),
-                        _OUTCOME_NAMES[b.outcome[t]], str(int(b.q[t])),
-                        _fmt(float(b.llr_bits[t])),
-                        str(bool(b.outcome[t] == CORRECT)).lower(),
-                    ]) + "\n")
+                cell = f"{lbl},{_fmt(float(ebn0_db))},"
+                fh.write("".join(
+                    f"{cell}{t},{_OUTCOME_NAMES[o]},{q},{llr:.12g},{_FOUND[o]}\n"
+                    for t, (o, q, llr) in enumerate(zip(
+                        b.outcome.tolist(), b.q.tolist(), b.llr_bits.tolist()))))

@@ -13,11 +13,12 @@ directly, "logistic" indexes the ascending-reliability permutation of the
 bits (index 0 = least reliable).  Each (kind, n) has one cached table fed
 by one pattern generator; the table holds exactly the patterns asked for so
 far, and a sequence can be resumed from any global index without
-recomputing the prefix.
+recomputing the prefix.  The cache keeps the few most recently used tables.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 
@@ -151,16 +152,27 @@ class _OrderTable:
         return vals, (off - off[0]).astype(np.int64), stop
 
 
-_TABLE_CACHE = {}
+# (kind, n) -> table, least recently used first.  A run uses one or two
+# orders; the bound only stops a process that decodes many block lengths
+# from holding every table it ever built.
+_TABLE_CACHE = collections.OrderedDict()
+_TABLE_CACHE_SIZE = 8
 
 
 def order_table(order):
-    """Shared cached table for this order (grown lazily, never shrunk)."""
+    """Shared cached table for this order (grown lazily, never shrunk).
+
+    At most ``_TABLE_CACHE_SIZE`` tables are kept; the least recently used
+    one is dropped first, and a dropped table is rebuilt on its next use.
+    """
     key = (order.kind, order.n)
     table = _TABLE_CACHE.get(key)
     if table is None:
-        table = _OrderTable(order.kind, order.n)
-        _TABLE_CACHE[key] = table
+        table = _TABLE_CACHE[key] = _OrderTable(order.kind, order.n)
+        if len(_TABLE_CACHE) > _TABLE_CACHE_SIZE:
+            _TABLE_CACHE.popitem(last=False)
+    else:
+        _TABLE_CACHE.move_to_end(key)
     return table
 
 

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softgrand import patterns, softout
-from softgrand.channel import ChannelParams, SoftObservation, bsc_crossover
+from softgrand.channel import (ChannelParams, SoftObservation, bsc_crossover,
+                               transmit_arrays)
 from softgrand.codes import encode, is_codeword, make_rlc
-from softgrand.decoder import (ABANDON_CAP, ABANDON_LLR, DecodePolicy,
-                               decode, decode_ladder, extract_message,
+from softgrand.decoder import (ABANDON_CAP, ABANDON_LLR, AT_CAP, BELOW_TAU, HIT,
+                               Accounting, DecodePolicy, decode, decode_batch,
+                               decode_ladder, extract_message,
                                resolve_max_queries)
 from softgrand.softout import p_incorrect_cum
 
@@ -259,6 +261,104 @@ class TestThresholdLadder:
                 if res.decoded:
                     assert res.q == base.q
                     assert np.array_equal(res.word, base.word)
+
+
+def _block(code, ebn0, rows, rng):
+    """Code words and the (hard, reliab, ranks) arrays of ``rows`` transmissions."""
+    msgs = rng.integers(0, 2, size=(rows, code.k), dtype=np.uint8)
+    cws = encode(code, msgs)
+    params = ChannelParams(ebn0_db=ebn0, rate=code.rate)
+    return cws, transmit_arrays(cws, rng.standard_normal(cws.shape), params)
+
+
+_STATUS_TAGS = {HIT: "decoded", BELOW_TAU: "abandon_llr", AT_CAP: "abandon_cap"}
+
+
+def _assert_batch_equals_ladders(code, arrays, taus, kind, max_queries, acct, batch_acct):
+    got = decode_batch(code, *arrays, taus, kind, max_queries, batch_acct)
+    assert got.status.shape == got.q.shape == got.llr_bits.shape == (len(taus), len(arrays[0]))
+    for i, row in enumerate(zip(*arrays)):
+        ladder = decode_ladder(code, SoftObservation(*row), taus, kind, max_queries,
+                               accounting=acct)
+        for j, want in enumerate(ladder):
+            assert (_STATUS_TAGS[got.status[j, i]], got.q[j, i]) == (outcome_tag(want), want.q)
+            assert got.decoded[j, i] == want.decoded
+            if want.decoded:
+                assert np.array_equal(got.words[i], want.word)
+            # bit for bit
+            assert got.llr_bits[j, i].tobytes() == np.float64(want.report.llr_bits).tobytes()
+
+
+class TestBatchDecode:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_batch_equals_per_row_ladders(self, data):
+        # n <= 6 lets the order table run dry inside the 64-query block
+        n = data.draw(st.integers(4, 12), label="n")
+        rmin = max(2, math.ceil(math.log2(n + 1)))
+        k = data.draw(st.integers(1, n - rmin), label="k")
+        code = make_rlc(n, k, seed=data.draw(st.integers(1, 10_000), label="code_seed"))
+        ebn0 = data.draw(st.floats(-3.0, 8.0), label="ebn0")
+        rows = data.draw(st.integers(1, 12), label="rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32), label="seed"))
+        _, arrays = _block(code, ebn0, rows, rng)
+        taus = data.draw(st.lists(st.none() | st.floats(-20.0, 60.0), min_size=1,
+                                  max_size=5), label="taus")
+        taus += data.draw(st.lists(st.sampled_from(taus), max_size=2), label="duplicates")
+        # below the first chunk edge, inside the 64-query block, beyond it
+        caps = st.none() | st.integers(1, 15) | st.integers(16, 64) | st.integers(65, 300)
+        max_queries = data.draw(caps, label="max_queries")
+        kind = data.draw(st.sampled_from(["logistic", "hamming"]), label="kind")
+        acct = batch_acct = None
+        if data.draw(st.booleans(), label="bsc"):
+            crossover = bsc_crossover(ChannelParams(ebn0_db=ebn0, rate=code.rate))
+            acct = SoftObservation.from_flip_probs(np.zeros(n, dtype=np.uint8), crossover)
+            batch_acct = Accounting.of(acct) if data.draw(st.booleans(), label="of") else acct
+        patterns._TABLE_CACHE.clear()
+        softout._LOG_U.clear()
+        _assert_batch_equals_ladders(code, arrays, taus, kind, max_queries, acct, batch_acct)
+
+    @pytest.mark.parametrize("kind, accounting", [("logistic", "soft"), ("hamming", "bsc")])
+    def test_deep_rows_resume_after_the_block(self, kind, accounting):
+        code = make_rlc(128, 116, seed=1)
+        _, arrays = _block(code, 1.5, 24, np.random.default_rng(8))
+        acct = None
+        if accounting == "bsc":
+            crossover = bsc_crossover(ChannelParams(ebn0_db=1.5, rate=code.rate))
+            acct = SoftObservation.from_flip_probs(np.zeros(128, dtype=np.uint8), crossover)
+        taus = [None, 2.0, -5.0, 2.0]
+        got = decode_batch(code, *arrays, taus, kind, 3000, acct)
+        assert (got.q[0] > 64).sum() >= 5  # rows that went on one at a time
+        _assert_batch_equals_ladders(code, arrays, taus, kind, 3000, acct, acct)
+
+    def test_validation(self):
+        code = make_rlc(16, 8, seed=2)
+        _, (hard, reliab, ranks) = _block(code, 3.0, 4, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="finite"):
+            decode_batch(code, hard, reliab, ranks, [math.nan])
+        with pytest.raises(ValueError, match="length"):
+            decode_batch(code, hard[:, :10], reliab[:, :10], ranks[:, :10], [None])
+        with pytest.raises(ValueError, match="accounting length"):
+            decode_batch(code, hard, reliab, ranks, [None],
+                         accounting=SoftObservation.from_flip_probs(np.zeros(10), 0.1))
+
+
+class TestAccounting:
+    def test_precomputed_accounting_decodes_identically(self):
+        code = make_rlc(32, 20, seed=5)
+        rng = np.random.default_rng(3)
+        acct = SoftObservation.from_flip_probs(np.zeros(32, dtype=np.uint8), 0.04)
+        terms = Accounting.of(acct)
+        assert terms.base == -float(np.sum(np.log1p(np.exp(-acct.reliab))))
+        for _ in range(50):
+            _, obs = random_observation(code, 2.0, rng)
+            for kind in ("logistic", "hamming"):
+                a = decode_ladder(code, obs, [None, 1.0], kind, accounting=acct)
+                b = decode_ladder(code, obs, [None, 1.0], kind, accounting=terms)
+                for x, y in zip(a, b):
+                    assert (x.decoded, x.q, x.reason) == (y.decoded, y.q, y.reason)
+                    assert np.array_equal(x.word, y.word)
+                    assert x.report == y.report
 
 
 class TestMessageExtraction:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -124,6 +125,36 @@ class TestLockstepBatches:
         assert len(pooled.batches[("tau=1000", 1)]) == 384
         assert (self._csv_bytes(serial, tmp_path, "serial")
                 == self._csv_bytes(pooled, tmp_path, "pooled"))
+
+    def test_pool_size_bounded_by_available_cpus(self, small_code, tmp_path, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records its requested size and runs every task in this process."""
+
+            def __init__(self, max_workers=None):
+                sizes.append(max_workers)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+            def shutdown(self, wait=True):
+                pass
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        kwargs = dict(code=small_code, policies=self.POLICIES, ebn0_points=[1.0],
+                      trials_per_point=96, master_seed=11, max_trials_factor=4)
+        assert 1 <= harness._cpus() <= os.cpu_count()
+        huge = run_sweep(workers=10**9, **kwargs)
+        assert sizes == [harness._cpus()]
+        monkeypatch.setattr(harness, "_cpus", lambda: 3)
+        run_sweep(workers=10**9, **kwargs)
+        run_sweep(workers=2, **kwargs)
+        assert sizes[1:] == [3, 2]
+        serial = run_sweep(workers=1, **kwargs)
+        assert len(sizes) == 3
+        assert (self._csv_bytes(serial, tmp_path, "serial")
+                == self._csv_bytes(huge, tmp_path, "huge"))
 
     def test_mixed_orders_match_per_policy_decoding(self, small_code):
         policies = [DecodePolicy(tau=None),
@@ -365,6 +396,24 @@ class TestCsvOutputs:
             assert found == ("true" if outcome == "correct" else "false")
             float(llr)  # parses
         assert "correct" in seen
+
+    def test_trials_csv_field_formats(self, tmp_path):
+        """Every field as ``str`` / ``format(.12g)`` writes it, NaN included."""
+        llrs = [math.nan, -0.0, 1e-300, 12345678.901234567, -3.25, math.nan]
+        batch = TrialBatch()
+        batch.extend(np.array([0, 1, 2, 2, 0, 1], dtype=np.int8),
+                     np.array([1, 7, 1, 65536, 12, 3]), np.array(llrs))
+        result = harness.SweepResult(stats=[], batches={("tau=-1.5", 0): batch},
+                                     points=[-0.1], policy_labels=["tau=-1.5"],
+                                     base_trials=6)
+        write_trials_csv(tmp_path / "t.csv", result)
+        names = ("correct", "incorrect", "abandoned")
+        want = ["policy,ebn0_db,trial,outcome,q,llr_bits,true_noise_found"] + [
+            ",".join(["tau=-1.5", format(-0.1, ".12g"), str(t), names[o], str(q),
+                      format(llr, ".12g"), "true" if o == 0 else "false"])
+            for t, (o, q, llr) in enumerate(zip(batch.outcome, batch.q, llrs))]
+        assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
+        assert "tau=-1.5,-0.1,0,correct,1,nan,true" in want
 
 
 class TestTrialBatch:

@@ -138,6 +138,30 @@ class TestTableInternals:
     def test_cache_shared(self):
         assert order_table(QueryOrder("hamming", 6)) is order_table(QueryOrder("hamming", 6))
 
+    def test_cache_keeps_the_most_recently_used_tables(self):
+        bound = patterns._TABLE_CACHE_SIZE
+        kept = order_table(QueryOrder("logistic", 7))
+        for n in range(20, 20 + 3 * bound):
+            order_table(QueryOrder("hamming", n))
+            assert len(patterns._TABLE_CACHE) <= bound
+            # each use makes a table the most recently used again
+            assert order_table(QueryOrder("logistic", 7)) is kept
+        assert list(patterns._TABLE_CACHE)[-bound:-1] == [
+            ("hamming", n) for n in range(20 + 3 * bound - bound + 1, 20 + 3 * bound)]
+
+    @pytest.mark.parametrize("kind", ["hamming", "logistic"])
+    def test_evicted_table_rebuilds_identically(self, kind):
+        first = order_table(QueryOrder(kind, 11))
+        first.extend_to(700)
+        for n in range(30, 30 + patterns._TABLE_CACHE_SIZE):
+            order_table(QueryOrder(kind, n))
+        assert (kind, 11) not in patterns._TABLE_CACHE
+        again = order_table(QueryOrder(kind, 11))
+        assert again is not first
+        again.extend_to(700)
+        assert np.array_equal(again.flat, first.flat)
+        assert np.array_equal(again.offsets, first.offsets)
+
 
 class TestPatternProbability:
     def test_matches_direct_product(self):
