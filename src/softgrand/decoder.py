@@ -206,9 +206,10 @@ class _Scan:
     columns (a single row where all rows share them), the no-flip
     log-probability ``base``, the syndrome to hit, the running log-mass
     ``carry`` and which thresholds are still ``open``; a row leaves these
-    arrays once it has stopped.  Per block row it records the query and
-    log-mass of the first hit (q 0 for none) and of the search's end at the
-    cap, and per threshold and row those of an abandonment (q 0 for none).
+    arrays once it has stopped.  Per block row it records how the search
+    ended (HIT or AT_CAP, 0 if every threshold abandoned first) with the
+    query and log-mass there, and per threshold and row those of an
+    abandonment (q 0 for none).
     """
 
     def __init__(self, code, hard, reliab, ranks, taus, order_kind, max_queries,
@@ -248,13 +249,12 @@ class _Scan:
                       else accounting.reliab[ranks])
             self.base = np.full((rows, 1), accounting.base)
         self.cols = packed[np.newaxis] if self.frame is None else packed[ranks]
-        self.target = np.bitwise_xor.reduce(
-            np.where(hard.astype(bool), packed, np.uint64(0)), axis=1, keepdims=True)
+        self.target = np.bitwise_xor.reduce(packed * hard, axis=1, keepdims=True)
         self.carry = np.full((rows, 1), -math.inf)
         self.open = np.full((len(self.taus), rows), True)
 
-        self.hit_q = np.zeros(rows, dtype=np.int64)
-        self.hit_cum = np.zeros(rows)
+        self.end = np.zeros(rows, dtype=np.int8)
+        self.end_q = np.zeros(rows, dtype=np.int64)
         self.end_cum = np.zeros(rows)
         self.ab_q = np.zeros((len(taus), rows), dtype=np.int64)
         self.ab_cum = np.zeros((len(taus), rows))
@@ -274,8 +274,12 @@ class _Scan:
             if hi <= c_lo:
                 break
             self._chunk(c_lo, hi, vals, off)
-        self.end_cum[self.ids] = self.carry[:, 0]
-        self.ids = self.ids[:0]
+        if len(self.ids):
+            self.end[self.ids] = AT_CAP
+            self.end_q[self.ids] = (min(self.cap, self.table.count) if self.table.exhausted
+                                    else self.cap)
+            self.end_cum[self.ids] = self.carry[:, 0]
+            self.ids = self.ids[:0]
 
     def _chunk(self, lo, hi, vals, off):
         """Queries [lo, hi) for every searching row."""
@@ -317,12 +321,18 @@ class _Scan:
         self.carry = cum[:, -1:]
         if stopped.any():
             (r,) = np.nonzero(hit)
-            self.hit_q[self.ids[r]] = lo + hit_i[r] + 1
-            self.hit_cum[self.ids[r]] = cum[r, hit_i[r]]
+            ids, h = self.ids[r], hit_i[r]
+            self.end[ids] = HIT
+            self.end_q[ids] = lo + h + 1
+            self.end_cum[ids] = cum[r, h]
             self._keep(~stopped)
 
     def _keep(self, live):
         """Drop the rows that stopped searching from the per-row arrays."""
+        if not live.any():
+            # Once no row is searching nothing reads the other arrays again.
+            self.ids = self.ids[:0]
+            return
         for name in ("ids", "base", "target", "carry"):
             setattr(self, name, getattr(self, name)[live])
         self.open = self.open[:, live]
@@ -342,25 +352,24 @@ class _Scan:
         """(status, q, log-mass) per threshold and block row, once all stopped.
 
         A threshold that abandoned keeps its abandonment; the others take the
-        row's hit, or the cap if the search found none.
+        end of the row's search: its first hit or the cap.
         """
-        end_q = min(self.cap, self.table.count) if self.table.exhausted else self.cap
-        ab, hit = self.ab_q > 0, self.hit_q > 0
-        status = np.where(ab, BELOW_TAU, np.where(hit, HIT, AT_CAP))
-        q = np.where(ab, self.ab_q, np.where(hit, self.hit_q, end_q))
-        cum = np.where(ab, self.ab_cum, np.where(hit, self.hit_cum, self.end_cum))
-        return status, q, cum
+        ab = self.ab_q > 0
+        return (np.where(ab, BELOW_TAU, self.end), np.where(ab, self.ab_q, self.end_q),
+                np.where(ab, self.ab_cum, self.end_cum))
 
     def words(self, hard):
         """Each block row's hard decision with its first hit's pattern flipped."""
         words = hard.copy()
-        (rows,) = np.nonzero(self.hit_q > 1)  # query 1 is the empty pattern
+        # query 1 is the empty pattern
+        (rows,) = np.nonzero((self.end == HIT) & (self.end_q > 1))
         if len(rows):
             offsets = self.table.offsets
-            ends = offsets[self.hit_q[rows]]
-            lens = ends - offsets[self.hit_q[rows] - 1]
+            ends = offsets[self.end_q[rows]]
+            lens = ends - offsets[self.end_q[rows] - 1]
             at = np.repeat(rows, lens)
-            pos = self.table.flat[np.arange(len(at)) + np.repeat(ends - np.cumsum(lens), lens)] - 1
+            flat = np.arange(len(at)) + np.repeat(ends - np.cumsum(lens), lens)
+            pos = self.table.flat[flat] - 1
             words[at, pos if self.frame is None else self.frame[at, pos]] ^= 1
         return words
 

@@ -276,12 +276,14 @@ _STATUS_TAGS = {HIT: "decoded", BELOW_TAU: "abandon_llr", AT_CAP: "abandon_cap"}
 
 def _assert_batch_equals_ladders(code, arrays, taus, kind, max_queries, acct, batch_acct):
     got = decode_batch(code, *arrays, taus, kind, max_queries, batch_acct)
-    assert got.status.shape == got.q.shape == got.llr_bits.shape == (len(taus), len(arrays[0]))
+    shape = (len(taus), len(arrays[0]))
+    assert got.status.shape == got.q.shape == got.llr_bits.shape == shape
     for i, row in enumerate(zip(*arrays)):
         ladder = decode_ladder(code, SoftObservation(*row), taus, kind, max_queries,
                                accounting=acct)
         for j, want in enumerate(ladder):
-            assert (_STATUS_TAGS[got.status[j, i]], got.q[j, i]) == (outcome_tag(want), want.q)
+            tag = _STATUS_TAGS[got.status[j, i]]
+            assert (tag, got.q[j, i]) == (outcome_tag(want), want.q)
             assert got.decoded[j, i] == want.decoded
             if want.decoded:
                 assert np.array_equal(got.words[i], want.word)
