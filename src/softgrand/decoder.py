@@ -363,14 +363,10 @@ class _Scan:
         words = hard.copy()
         # query 1 is the empty pattern
         (rows,) = np.nonzero((self.end == HIT) & (self.end_q > 1))
-        if len(rows):
-            offsets = self.table.offsets
-            ends = offsets[self.end_q[rows]]
-            lens = ends - offsets[self.end_q[rows] - 1]
-            at = np.repeat(rows, lens)
-            flat = np.arange(len(at)) + np.repeat(ends - np.cumsum(lens), lens)
-            pos = self.table.flat[flat] - 1
-            words[at, pos if self.frame is None else self.frame[at, pos]] ^= 1
+        offsets, flat = self.table.offsets, self.table.flat
+        for i, q in zip(rows.tolist(), self.end_q[rows].tolist()):
+            pos = flat[offsets[q - 1]:offsets[q]] - 1
+            words[i, pos if self.frame is None else self.frame[i, pos]] ^= 1
         return words
 
 
