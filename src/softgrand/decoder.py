@@ -301,7 +301,7 @@ class _Scan:
             np.concatenate((self.carry, self.base - flips), axis=1), axis=1)[:, 1:]
         eq = syn == self.target
         hit_i = eq.argmax(axis=1)
-        hit = eq.any(axis=1)
+        hit = np.logical_or.reduce(eq, axis=1)
         # Grown here even without a threshold: the report at a hit reads it.
         log_u = softout.log_p_incorrect_prefix(self.redundancy, hi)
 
@@ -319,17 +319,16 @@ class _Scan:
                     self.open[t, r] = False
         stopped = hit if self.to_the_end else hit | ~self.open.any(axis=0)
         self.carry = cum[:, -1:]
-        if stopped.any():
-            (r,) = np.nonzero(hit)
-            ids, h = self.ids[r], hit_i[r]
+        if np.count_nonzero(stopped):
+            ids, h = self.ids[hit], hit_i[hit]
             self.end[ids] = HIT
-            self.end_q[ids] = lo + h + 1
-            self.end_cum[ids] = cum[r, h]
+            self.end_q[ids] = h + (lo + 1)
+            self.end_cum[ids] = cum[hit, h]
             self._keep(~stopped)
 
     def _keep(self, live):
         """Drop the rows that stopped searching from the per-row arrays."""
-        if not live.any():
+        if not np.count_nonzero(live):
             # Once no row is searching nothing reads the other arrays again.
             self.ids = self.ids[:0]
             return
