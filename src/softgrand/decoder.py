@@ -285,28 +285,35 @@ class _Scan:
         """Queries [lo, hi) for every searching row."""
         m = hi - lo
         idx = off[:-1]
+        at = vals - 1
         if vals.size:
-            at = vals - 1
-            flips = np.add.reduceat(self.l.take(at, axis=1), idx, axis=1)
             syn = np.bitwise_xor.reduceat(self.cols.take(at, axis=1), idx, axis=1)
         else:
-            flips = np.zeros((len(self.l), m))
             syn = np.zeros((len(self.cols), m), dtype=np.uint64)
+        # reduceat yields arr[i] for the empty leading segment; the empty
+        # pattern leaves the syndrome alone and flips nothing.
         if lo == 0:
-            # reduceat yields arr[i] for the empty leading segment; the
-            # empty pattern flips nothing and leaves the syndrome alone.
-            flips[:, 0] = 0.0
             syn[:, 0] = 0
-        cum = np.logaddexp.accumulate(
-            np.concatenate((self.carry, self.base - flips), axis=1), axis=1)[:, 1:]
         eq = syn == self.target
         hit_i = eq.argmax(axis=1)
         hit = np.logical_or.reduce(eq, axis=1)
+        # No outcome reads the running sum past a row's first hit, so when
+        # every row hits, the sum stops at the last of those hits.
+        if hit.all():
+            m = int(hit_i.max()) + 1
+        if off[m]:
+            flips = np.add.reduceat(self.l.take(at[:off[m]], axis=1), idx[:m], axis=1)
+        else:
+            flips = np.zeros((len(self.l), m))
+        if lo == 0:
+            flips[:, 0] = 0.0
+        cum = np.logaddexp.accumulate(
+            np.concatenate((self.carry, self.base - flips), axis=1), axis=1)[:, 1:]
         # Grown here even without a threshold: the report at a hit reads it.
         log_u = softout.log_p_incorrect_prefix(self.redundancy, hi)
 
         if self.taus and self.open.any():
-            llr = (cum - log_u[lo:]) / _LN2
+            llr = (cum - log_u[lo:lo + m]) / _LN2
             # A threshold abandons at its first crossing no later than the hit.
             last = np.where(hit, hit_i, m)
             for t, (j, tau) in enumerate(zip(self.thresholds, self.taus)):
