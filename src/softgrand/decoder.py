@@ -25,8 +25,9 @@ searching after them continue one at a time through the same body from
 where they stopped.  ``decode_ladder`` is the one-row case and ``decode``
 its one-tau case, so the outcomes of every entry point are those of one
 ``decode`` call per observation and tau.  The running sum is accumulated in
-query order along each row, as a one-query-at-a-time loop would, and the
-wrong-hit term is the value ``softout`` reports.  The tests check that
+query order along each row, as a one-query-at-a-time loop would, and stops
+at the first hit, past which no outcome reads it; the wrong-hit term is the
+value ``softout`` reports.  The tests check that
 outcome, query count and word match the scalar reference decoder in
 ``tests/conftest.py``.  A pattern's flipped reliabilities are summed in
 frame order here and in bit order there, so a reported confidence can differ
