@@ -27,9 +27,8 @@ its one-tau case, so the outcomes of every entry point are those of one
 ``decode`` call per observation and tau.  The running sum is accumulated in
 query order along each row, as a one-query-at-a-time loop would, and stops
 at the first hit, past which no outcome reads it; the wrong-hit term is the
-value ``softout`` reports.  The tests check that
-outcome, query count and word match the scalar reference decoder in
-``tests/conftest.py``.  A pattern's flipped reliabilities are summed in
+value ``softout`` reports.  The tests check that outcome, query count and
+word match the scalar reference decoder in ``tests/conftest.py``.  A pattern's flipped reliabilities are summed in
 frame order here and in bit order there, so a reported confidence can differ
 from the reference in its last bits; the tests hold it to a relative 1e-12.
 
@@ -70,7 +69,7 @@ _LN2 = math.log(2.0)
 ABANDON_LLR = "llr_below_tau"
 ABANDON_CAP = "query_cap_reached"
 
-# Per-threshold status of a row; 0 while the row's search has not settled it.
+# How a threshold's decode of a row ended, in BatchOutcome.status.
 HIT, BELOW_TAU, AT_CAP = 1, 2, 3
 _REASONS = {BELOW_TAU: ABANDON_LLR, AT_CAP: ABANDON_CAP}
 
