@@ -53,7 +53,6 @@ from .patterns import QueryOrder, order_table
 from .softout import LlrReport, llr_report
 
 __all__ = [
-    "Accounting",
     "BatchOutcome",
     "DecodePolicy",
     "DecodeOutcome",
@@ -153,25 +152,6 @@ class BatchOutcome:
         return self.status == HIT
 
 
-@dataclass(frozen=True)
-class Accounting:
-    """What the confidence ledger reads from an accounting observation.
-
-    ``reliab`` are its reliabilities and ``base`` is the natural-log
-    probability that no bit flipped, -sum(log1p(e^-l)).  Build it once with
-    ``of`` when many decodes share the observation, as every trial at a
-    point does under hard-detection (BSC) accounting.
-    """
-
-    reliab: np.ndarray
-    base: float
-
-    @classmethod
-    def of(cls, obs):
-        reliab = np.asarray(obs.reliab, dtype=float)
-        return cls(reliab, -float(np.sum(np.log1p(np.exp(-reliab)))))
-
-
 def _resolve_cap(max_queries, code):
     if max_queries is not None:
         return int(max_queries)
@@ -221,11 +201,9 @@ class _Scan:
         if hard.ndim != 2 or hard.shape[1] != n:
             raise ValueError(f"observation length {hard.shape[-1]} != code length {n}")
         if accounting is not None:
-            if not isinstance(accounting, Accounting):
-                accounting = Accounting.of(accounting)
-            if len(accounting.reliab) != n:
-                raise ValueError(f"accounting length {len(accounting.reliab)} "
-                                 f"!= code length {n}")
+            acct = np.asarray(accounting.reliab, dtype=float)
+            if len(acct) != n:
+                raise ValueError(f"accounting length {len(acct)} != code length {n}")
         rows = len(hard)
         self.redundancy = code.redundancy
         self.cap = _resolve_cap(max_queries, code)
@@ -245,9 +223,8 @@ class _Scan:
                       else reliab[self.ids[:, np.newaxis], ranks])
             self.base = -np.sum(np.log1p(np.exp(-reliab)), axis=1, keepdims=True)
         else:
-            self.l = (accounting.reliab[np.newaxis] if self.frame is None
-                      else accounting.reliab[ranks])
-            self.base = np.full((rows, 1), accounting.base)
+            self.l = acct[np.newaxis] if self.frame is None else acct[ranks]
+            self.base = np.full((rows, 1), -float(np.sum(np.log1p(np.exp(-acct)))))
         self.cols = packed[np.newaxis] if self.frame is None else packed[ranks]
         self.target = np.bitwise_xor.reduce(packed * hard, axis=1, keepdims=True)
         self.carry = np.full((rows, 1), -math.inf)
@@ -379,9 +356,9 @@ class _Scan:
 def decode(code, obs, policy, accounting=None):
     """Decode one observation under a policy; deterministic given inputs.
 
-    ``accounting`` optionally supplies the observation (or its
-    ``Accounting``) whose flip probabilities feed the confidence ledger
-    (defaults to ``obs`` itself, the matched case).
+    ``accounting`` optionally supplies the observation whose flip
+    probabilities feed the confidence ledger (defaults to ``obs`` itself,
+    the matched case).
     """
     (out,) = decode_ladder(code, obs, (policy.tau,), policy.order_kind,
                            policy.max_queries, accounting)

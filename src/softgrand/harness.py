@@ -7,13 +7,14 @@ SeedSequence((master_seed, point_key, trial_index)) where point_key is the
 bit pattern of the Eb/N0 value, making any cell reproducible from its
 (master_seed, point, trial range) alone, independent of sweep layout.
 
-Sweeps run trials in lockstep batches: each trial's message and noise are
-drawn from its own seed, then the batch is encoded, transmitted and decoded
-as whole arrays.  Each group of policies sharing a pattern order and query
-cap gets one ``decode_batch`` call per batch, which runs the first 64
-queries of every trial as (trials, queries) arrays and the few deeper
-searches one trial at a time.  Results do not depend on the batch size or
-the worker count.
+Sweeps and fig1 run trials in lockstep batches: each trial's message and
+noise are drawn from its own seed, then the batch is encoded, transmitted
+and decoded as whole arrays.  Each group of policies sharing a pattern
+order and query cap gets one ``decode_batch`` call per batch, which runs
+the first 64 queries of every trial as (trials, queries) arrays and the few
+deeper searches one trial at a time.  fig1 decodes the trials of a tau=None
+sweep at its point.  Results do not depend on the batch size or the worker
+count.
 
 Points where a thresholded policy abandons almost everything escalate
 their trial count (up to a cap) until conditional statistics have enough
@@ -32,13 +33,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import softout
-# transmit is not called here, but it stays a module name, like encode and
-# decode: perfbench/spans.py wraps these three to trace a run.
+# transmit and decode are not called here; they stay module names only
+# because perfbench/spans.py wraps them, with encode, to trace a run.
 from .channel import (ChannelParams, SoftObservation, bsc_crossover, transmit,
                       transmit_arrays)
 from .codes import encode, is_codeword
-from .decoder import (Accounting, DecodePolicy, decode, decode_batch,
-                      resolve_max_queries)
+from .decoder import DecodePolicy, decode, decode_batch, resolve_max_queries
 from .patterns import (QueryOrder, pattern_log_probability, query_patterns,
                        realized_positions)
 
@@ -69,6 +69,13 @@ _FOUND = ("true", "false", "false")
 _BATCH = 256
 # Trials per pool task.
 _TASK = 512
+# A sweep point escalates while a policy abandons more than this share of
+# its trials and has fewer than _MIN_CONDITIONAL_EVENTS non-abandoned ones.
+_ESCALATE_ABANDON_FRAC = 0.98
+_MIN_CONDITIONAL_EVENTS = 100
+# fig1 refuses points whose hard-decision crossover is below this: a clean
+# channel produces almost no incorrect decodings.
+_MIN_CROSSOVER = 1e-3
 
 
 class GuardError(RuntimeError):
@@ -206,16 +213,16 @@ def _trial_batch(code, params, master_seed, point_key, lo, hi):
 
 
 def _accounting(code, params, accounting):
-    """None for soft accounting; for BSC, the constant-crossover ledger input.
+    """None for soft accounting; for BSC, the constant-crossover observation.
 
     The ledger reads only an accounting observation's flip probabilities,
     which under BSC accounting are the same for every trial at a point, so
-    it is built once per block or fig1 run.
+    one observation serves a whole block.
     """
     if accounting == "soft":
         return None
-    return Accounting.of(SoftObservation.from_flip_probs(
-        np.zeros(code.n, dtype=np.uint8), bsc_crossover(params)))
+    return SoftObservation.from_flip_probs(np.zeros(code.n, dtype=np.uint8),
+                                           bsc_crossover(params))
 
 
 def _decode_block(code, params, policies, accounting, master_seed, point_key, lo, hi):
@@ -271,8 +278,7 @@ class SweepResult:
 
 
 def run_sweep(code, policies, ebn0_points, trials_per_point, master_seed,
-              workers=1, accounting="soft", min_conditional_events=100,
-              max_trials_factor=8, escalate_abandon_frac=0.98):
+              workers=1, accounting="soft", max_trials_factor=8):
     """Decode seeded trials at every (policy, Eb/N0) cell and aggregate."""
     if trials_per_point < 1:
         raise ValueError("trials_per_point must be >= 1")
@@ -319,7 +325,7 @@ def run_sweep(code, policies, ebn0_points, trials_per_point, master_seed,
                     b = batches[(policy.label(), pi)]
                     nonab = int(np.count_nonzero(b.outcome != ABANDONED))
                     frac_ab = int(np.count_nonzero(b.outcome == ABANDONED)) / len(b)
-                    if frac_ab > escalate_abandon_frac and nonab < min_conditional_events:
+                    if frac_ab > _ESCALATE_ABANDON_FRAC and nonab < _MIN_CONDITIONAL_EVENTS:
                         deficits.append(policy)
                 if not deficits:
                     break
@@ -386,40 +392,46 @@ class ErrorQueryDistribution:
 
 def collect_error_query_distribution(code, ebn0_db, target_errors, seed,
                                      order_kind="logistic", accounting="soft",
-                                     min_crossover=1e-3, min_error_rate=1e-4,
-                                     check_after=20000, max_queries=None):
+                                     min_error_rate=1e-4, check_after=20000):
     """Collect the query index of incorrect decodings under tau=None.
 
-    Guards: the hard-decision crossover probability must clear
-    ``min_crossover`` (a clean channel produces almost no errors), and if
-    the realised error rate falls below ``min_error_rate`` after
-    ``check_after`` trials the run aborts rather than spin forever.
+    Trials are those of a tau=None sweep at the same point and seed, decoded
+    in blocks no longer than the errors still missing, so a block reaches
+    ``target_errors`` only at its last trial.  Guards: the hard-decision
+    crossover probability must clear ``_MIN_CROSSOVER`` (a clean channel
+    produces almost no errors), and if the realised error rate falls below
+    ``min_error_rate`` at any trial from ``check_after`` on the run aborts
+    rather than spin forever.
     """
     if target_errors < 1:
         raise ValueError("target_errors must be >= 1")
     _check_accounting(accounting)
     params = ChannelParams(ebn0_db=ebn0_db, rate=code.rate)
     crossover = bsc_crossover(params)
-    if crossover < min_crossover:
+    if crossover < _MIN_CROSSOVER:
         raise GuardError(
             f"crossover {crossover:.3g} at {ebn0_db} dB is below the floor "
-            f"{min_crossover:g}; incorrect decodings would be too rare")
-    policy = DecodePolicy(tau=None, max_queries=max_queries, order_kind=order_kind)
-    acct = _accounting(code, params, accounting)
+            f"{_MIN_CROSSOVER:g}; incorrect decodings would be too rare")
+    policies = [DecodePolicy(tau=None, order_kind=order_kind)]
     key = _point_key(ebn0_db)
     qs = []
     trials = 0
     while len(qs) < target_errors:
-        (cw,), arrays = _trial_batch(code, params, seed, key, trials, trials + 1)
-        obs = SoftObservation(*(a[0] for a in arrays))
-        res = decode(code, obs, policy, accounting=acct)
-        trials += 1
-        if res.decoded and not np.array_equal(res.word, cw):
-            qs.append(res.q)
-        if trials >= check_after and len(qs) / trials < min_error_rate:
+        hi = trials + min(_BATCH, target_errors - len(qs))
+        ((outcome, q, _),) = _decode_block(code, params, policies, accounting,
+                                           seed, key, trials, hi)
+        wrong = outcome == INCORRECT
+        # Errors and trials so far after each trial of the block.
+        errors = len(qs) + np.cumsum(wrong)
+        done = np.arange(trials + 1, hi + 1)
+        (low,) = np.nonzero((done >= check_after) & (errors / done < min_error_rate))
+        if len(low):
+            i = low[0]
             raise GuardError(
-                f"error rate {len(qs) / trials:.2e} after {trials} trials is "
+                f"error rate {errors[i] / done[i]:.2e} after {done[i]} trials is "
                 f"below {min_error_rate:g}; pick a noisier operating point")
+        qs.extend(q[wrong].tolist())
+        trials = hi
     return ErrorQueryDistribution(queries=np.asarray(qs, dtype=np.int64),
                                   trials=trials, redundancy=code.redundancy,
                                   ebn0_db=float(ebn0_db), seed=seed)

@@ -14,9 +14,8 @@ from softgrand.channel import (ChannelParams, SoftObservation, bsc_crossover,
                                transmit_arrays)
 from softgrand.codes import encode, is_codeword, make_rlc
 from softgrand.decoder import (ABANDON_CAP, ABANDON_LLR, AT_CAP, BELOW_TAU, HIT,
-                               Accounting, DecodePolicy, decode, decode_batch,
-                               decode_ladder, extract_message,
-                               resolve_max_queries)
+                               DecodePolicy, decode, decode_batch, decode_ladder,
+                               extract_message, resolve_max_queries)
 from softgrand.softout import p_incorrect_cum
 
 
@@ -274,8 +273,8 @@ def _block(code, ebn0, rows, rng):
 _STATUS_TAGS = {HIT: "decoded", BELOW_TAU: "abandon_llr", AT_CAP: "abandon_cap"}
 
 
-def _assert_batch_equals_ladders(code, arrays, taus, kind, max_queries, acct, batch_acct):
-    got = decode_batch(code, *arrays, taus, kind, max_queries, batch_acct)
+def _assert_batch_equals_ladders(code, arrays, taus, kind, max_queries, acct):
+    got = decode_batch(code, *arrays, taus, kind, max_queries, acct)
     shape = (len(taus), len(arrays[0]))
     assert got.status.shape == got.q.shape == got.llr_bits.shape == shape
     for i, row in enumerate(zip(*arrays)):
@@ -311,14 +310,13 @@ class TestBatchDecode:
         caps = st.none() | st.integers(1, 15) | st.integers(16, 64) | st.integers(65, 300)
         max_queries = data.draw(caps, label="max_queries")
         kind = data.draw(st.sampled_from(["logistic", "hamming"]), label="kind")
-        acct = batch_acct = None
+        acct = None
         if data.draw(st.booleans(), label="bsc"):
             crossover = bsc_crossover(ChannelParams(ebn0_db=ebn0, rate=code.rate))
             acct = SoftObservation.from_flip_probs(np.zeros(n, dtype=np.uint8), crossover)
-            batch_acct = Accounting.of(acct) if data.draw(st.booleans(), label="of") else acct
         patterns._TABLE_CACHE.clear()
         softout._LOG_U.clear()
-        _assert_batch_equals_ladders(code, arrays, taus, kind, max_queries, acct, batch_acct)
+        _assert_batch_equals_ladders(code, arrays, taus, kind, max_queries, acct)
 
     @pytest.mark.parametrize("kind, accounting", [("logistic", "soft"), ("hamming", "bsc")])
     def test_deep_rows_resume_after_the_block(self, kind, accounting):
@@ -331,7 +329,7 @@ class TestBatchDecode:
         taus = [None, 2.0, -5.0, 2.0]
         got = decode_batch(code, *arrays, taus, kind, 3000, acct)
         assert (got.q[0] > 64).sum() >= 5  # rows that went on one at a time
-        _assert_batch_equals_ladders(code, arrays, taus, kind, 3000, acct, acct)
+        _assert_batch_equals_ladders(code, arrays, taus, kind, 3000, acct)
 
     def test_validation(self):
         code = make_rlc(16, 8, seed=2)
@@ -343,24 +341,6 @@ class TestBatchDecode:
         with pytest.raises(ValueError, match="accounting length"):
             decode_batch(code, hard, reliab, ranks, [None],
                          accounting=SoftObservation.from_flip_probs(np.zeros(10), 0.1))
-
-
-class TestAccounting:
-    def test_precomputed_accounting_decodes_identically(self):
-        code = make_rlc(32, 20, seed=5)
-        rng = np.random.default_rng(3)
-        acct = SoftObservation.from_flip_probs(np.zeros(32, dtype=np.uint8), 0.04)
-        terms = Accounting.of(acct)
-        assert terms.base == -float(np.sum(np.log1p(np.exp(-acct.reliab))))
-        for _ in range(50):
-            _, obs = random_observation(code, 2.0, rng)
-            for kind in ("logistic", "hamming"):
-                a = decode_ladder(code, obs, [None, 1.0], kind, accounting=acct)
-                b = decode_ladder(code, obs, [None, 1.0], kind, accounting=terms)
-                for x, y in zip(a, b):
-                    assert (x.decoded, x.q, x.reason) == (y.decoded, y.q, y.reason)
-                    assert np.array_equal(x.word, y.word)
-                    assert x.report == y.report
 
 
 class TestMessageExtraction:

@@ -58,8 +58,8 @@ def test_wiretap_run_escalates(tmp_path):
 
 
 def test_bsc_fig1_is_golden(tmp_path):
-    """Hamming order with BSC accounting in fig1 mode, which decodes one
-    trial at a time under tau=None."""
+    """Hamming order with BSC accounting in fig1 mode, which decodes its
+    trials in blocks under tau=None, as a sweep does."""
     argv = ["--mode", "fig1", "--code", "rlc:64:54:1", "--decoder", "grand",
             "--ebn0", "1", "--trials", "200", "--seed", "3", "--out", str(tmp_path)]
     assert main(argv) == 0

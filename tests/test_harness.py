@@ -288,6 +288,39 @@ class TestErrorQueryDistribution:
         assert np.array_equal(b.q[b.outcome == harness.INCORRECT], d.queries)
         assert b.outcome[-1] == harness.INCORRECT
 
+    @pytest.mark.parametrize("accounting", ["soft", "bsc"])
+    def test_batch_size_invariance(self, small_code, monkeypatch, accounting):
+        # 300 errors take about a thousand trials: several full 256-trial
+        # blocks, then blocks shrinking to the errors still missing.
+        outputs = []
+        for size in (1, 7, 256):
+            monkeypatch.setattr(harness, "_BATCH", size)
+            d = collect_error_query_distribution(small_code, 0.0, 300, seed=2,
+                                                 accounting=accounting)
+            outputs.append((d.queries.tolist(), d.trials))
+        assert len(outputs[0][0]) == 300 and outputs[0][1] > 512
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    # The rate first drops below the floor at trial 55 inside the first
+    # block, and at trial 345 inside the second: with 300 errors to collect
+    # the first two blocks hold 256 trials each.
+    @pytest.mark.parametrize("check_after, min_error_rate", [(50, 0.055), (300, 0.09)])
+    def test_error_rate_guard_trips_at_the_same_trial(self, small_code, check_after,
+                                                      min_error_rate):
+        res = run_sweep(small_code, [DecodePolicy(tau=None)], [2.0], 1000, master_seed=1)
+        wrong = res.batches[("tau=none", 0)].outcome == harness.INCORRECT
+        errors, done = np.cumsum(wrong), np.arange(1, len(wrong) + 1)
+        trial = int(np.argmax((done >= check_after) & (errors / done < min_error_rate))) + 1
+        rate = errors[trial - 1] / trial
+        assert check_after < trial < 512 and trial != 256 and errors[255] <= 44
+        want = (f"error rate {rate:.2e} after {trial} trials is below "
+                f"{min_error_rate:g}; pick a noisier operating point")
+        with pytest.raises(GuardError) as err:
+            collect_error_query_distribution(small_code, 2.0, 300, seed=1,
+                                             min_error_rate=min_error_rate,
+                                             check_after=check_after)
+        assert str(err.value) == want
+
     def test_histogram_partitions_samples(self):
         code = make_rlc(24, 16, seed=4)
         d = collect_error_query_distribution(code, -4.0, 120, seed=11)
