@@ -19,18 +19,21 @@ thresholds.
 For speed the loop is evaluated in growing chunks of queries with numpy
 (reduceat over the concatenated pattern table, packed parity columns XORed
 as uint64 words, logaddexp.accumulate for the running sum).  The chunk body
-works on a (rows, queries) block: ``decode_batch`` runs the first chunks,
-up to query 64, for a whole block of observations at once, and rows still
-searching after them continue one at a time through the same body from
-where they stopped.  ``decode_ladder`` is the one-row case and ``decode``
-its one-tau case, so the outcomes of every entry point are those of one
-``decode`` call per observation and tau.  The running sum is accumulated in
-query order along each row, as a one-query-at-a-time loop would, and stops
-at the first hit, past which no outcome reads it; the wrong-hit term is the
-value ``softout`` reports.  The tests check that outcome, query count and
-word match the scalar reference decoder in ``tests/conftest.py``.  A pattern's flipped reliabilities are summed in
-frame order here and in bit order there, so a reported confidence can differ
-from the reference in its last bits; the tests hold it to a relative 1e-12.
+works on a (rows, queries) block, and ``decode_batch`` is its only driver:
+it runs the first chunks, up to query 64, for a whole block of
+observations at once, and rows still searching after them continue one at
+a time through the same body from where they stopped (a lone such row in
+the block's own state, uncopied).  ``decode_ladder`` is a one-row
+``decode_batch`` and ``decode`` its one-tau case.  The running sum is
+accumulated in query order along each row, as a one-query-at-a-time loop
+would, so a row's outcome does not depend on the other rows of its block;
+it stops at the first hit, past which no outcome reads it.
+``softout.llr_bits`` turns the log-mass at a row's final query into the
+reported confidence.  The tests check that outcome, query count and word
+match the scalar reference decoder in ``tests/conftest.py``.  A pattern's
+flipped reliabilities are summed in frame order here and in bit order
+there, so a reported confidence can differ from the reference in its last
+bits; the tests hold it to a relative 1e-12.
 
 Ordering inputs and accounting inputs are deliberately separable: the
 decoders take an optional accounting observation whose flip probabilities
@@ -48,9 +51,9 @@ from typing import Optional
 import numpy as np
 
 from . import softout
-from .codes import is_codeword, packed_parity_columns
+from .codes import packed_parity_columns
 from .patterns import QueryOrder, order_table
-from .softout import LlrReport, llr_report
+from .softout import LlrReport
 
 __all__ = [
     "BatchOutcome",
@@ -59,7 +62,6 @@ __all__ = [
     "decode",
     "decode_batch",
     "decode_ladder",
-    "extract_message",
     "resolve_max_queries",
 ]
 
@@ -185,11 +187,11 @@ class _Scan:
     same order, the scan holds the frame-ordered reliabilities and parity
     columns (a single row where all rows share them), the no-flip
     log-probability ``base``, the syndrome to hit, the running log-mass
-    ``carry`` and which thresholds are still ``open``; a row leaves these
-    arrays once it has stopped.  Per block row it records how the search
-    ended (HIT or AT_CAP, 0 if every threshold abandoned first) with the
-    query and log-mass there, and per threshold and row those of an
-    abandonment (q 0 for none).
+    ``carry`` after the last chunk and which thresholds are still ``open``;
+    a row leaves these arrays once it has stopped.  Per block row it
+    records how the search ended (HIT or AT_CAP, 0 if every threshold
+    abandoned first) with the query and log-mass there, and per threshold
+    and row those of an abandonment (q 0 for none).
     """
 
     def __init__(self, code, hard, reliab, ranks, taus, order_kind, max_queries,
@@ -221,13 +223,13 @@ class _Scan:
         if accounting is None:
             self.l = (reliab if self.frame is None
                       else reliab[self.ids[:, np.newaxis], ranks])
-            self.base = -np.sum(np.log1p(np.exp(-reliab)), axis=1, keepdims=True)
+            self.base = -np.add.reduce(np.log1p(np.exp(-reliab)), axis=1, keepdims=True)
         else:
             self.l = acct[np.newaxis] if self.frame is None else acct[ranks]
             self.base = np.full((rows, 1), -float(np.sum(np.log1p(np.exp(-acct)))))
         self.cols = packed[np.newaxis] if self.frame is None else packed[ranks]
         self.target = np.bitwise_xor.reduce(packed * hard, axis=1, keepdims=True)
-        self.carry = np.full((rows, 1), -math.inf)
+        self.carry = None  # set by the first chunk
         self.open = np.full((len(self.taus), rows), True)
 
         self.end = np.zeros(rows, dtype=np.int8)
@@ -284,12 +286,15 @@ class _Scan:
             flips = np.zeros((len(self.l), m))
         if lo == 0:
             flips[:, 0] = 0.0
-        cum = np.logaddexp.accumulate(
-            np.concatenate((self.carry, self.base - flips), axis=1), axis=1)[:, 1:]
+        terms = self.base - flips
+        if lo:
+            # The running sum goes on from where the previous chunk left it.
+            terms = np.concatenate((self.carry, terms), axis=1)
+        cum = np.logaddexp.accumulate(terms, axis=1)[:, 1 if lo else 0:]
         # Grown here even without a threshold: the report at a hit reads it.
         log_u = softout.log_p_incorrect_prefix(self.redundancy, hi)
 
-        if self.taus and self.open.any():
+        if self.taus and np.count_nonzero(self.open):
             llr = (cum - log_u[lo:lo + m]) / _LN2
             # A threshold abandons at its first crossing no later than the hit.
             last = np.where(hit, hit_i, m)
@@ -316,16 +321,21 @@ class _Scan:
             # Once no row is searching nothing reads the other arrays again.
             self.ids = self.ids[:0]
             return
-        for name in ("ids", "base", "target", "carry"):
-            setattr(self, name, getattr(self, name)[live])
+        # A one-row array is shared by every row, or this is the only row.
+        for name in ("ids", "base", "target", "carry", "l", "cols"):
+            arr = getattr(self, name)
+            if len(arr) > 1:
+                setattr(self, name, arr[live])
         self.open = self.open[:, live]
-        if len(self.l) > 1:
-            self.l = self.l[live]
-        if len(self.cols) > 1:
-            self.cols = self.cols[live]
 
     def rows(self):
-        """One scan per searching row, each recording into these results."""
+        """One scan per searching row, each recording into these results.
+
+        A lone searching row is this scan itself, so it continues uncopied.
+        """
+        if len(self.ids) == 1:
+            yield self
+            return
         for k in range(len(self.ids)):
             one = copy.copy(self)
             one._keep(np.arange(len(self.ids)) == k)
@@ -371,17 +381,16 @@ def decode_ladder(code, obs, taus, order_kind="logistic", max_queries=None,
 
     Returns one DecodeOutcome per entry of ``taus`` (None = never abandon),
     equal to what ``decode`` returns for a policy with that tau and the given
-    order and cap.
+    order and cap: column 0 of a one-row ``decode_batch``.
     """
-    hard = obs.hard[np.newaxis]
-    scan = _Scan(code, hard, obs.reliab[np.newaxis],
-                 np.asarray(obs.ranks, dtype=np.int64)[np.newaxis],
-                 taus, order_kind, max_queries, accounting)
-    scan.run()
-    word = scan.words(hard)[0]
+    got = decode_batch(code, obs.hard[np.newaxis], obs.reliab[np.newaxis],
+                       np.asarray(obs.ranks)[np.newaxis], taus, order_kind, max_queries,
+                       accounting)
+    word = got.words[0]
     outcomes = []
-    for status, q, cum in zip(*(a[:, 0].tolist() for a in scan.results())):
-        report = llr_report(scan.redundancy, q, cum)
+    for status, q, llr in zip(got.status[:, 0].tolist(), got.q[:, 0].tolist(),
+                              got.llr_bits[:, 0].tolist()):
+        report = LlrReport(llr_bits=llr, q=q)
         if status == HIT:
             outcomes.append(DecodeOutcome(decoded=True, q=q, word=word, report=report))
         else:
@@ -399,7 +408,8 @@ def decode_batch(code, hard, reliab, ranks, taus, order_kind="logistic",
     shared by all rows.  The first 64 queries run for the whole block as
     2-D arrays, and a row leaves the block once every threshold is settled;
     rows still searching then continue one at a time.  Row i under tau j
-    gets the outcome of ``decode_ladder`` on observation i.
+    gets the outcome that a block holding observation i alone gives it, and
+    ``softout.llr_bits`` gives the confidence at that outcome's query.
     """
     hard = np.asarray(hard, dtype=np.uint8)
     scan = _Scan(code, hard, np.asarray(reliab, dtype=float),
@@ -409,15 +419,5 @@ def decode_batch(code, hard, reliab, ranks, taus, order_kind="logistic",
     for one in scan.rows():
         one.run(lo=_BLOCK_QUERIES)
     status, q, cum = scan.results()
-    # The same (cum - log_u[q - 1]) / ln 2 that llr_report evaluates.
-    log_u = softout.log_p_incorrect_prefix(scan.redundancy, int(q.max(initial=1)))
-    return BatchOutcome(status=status, q=q, llr_bits=(cum - log_u[q - 1]) / _LN2,
+    return BatchOutcome(status=status, q=q, llr_bits=softout.llr_bits(scan.redundancy, q, cum),
                         words=scan.words(hard))
-
-
-def extract_message(code, word):
-    """Recover the k message bits from a (systematic) code word."""
-    word = np.asarray(word, dtype=np.uint8)
-    if not is_codeword(code, word):
-        raise ValueError("word is not in the code book")
-    return word[:code.k].copy()

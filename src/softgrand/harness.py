@@ -28,7 +28,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -514,14 +514,6 @@ def oracle_exact_accounting(code, obs, order_kind="logistic"):
                         p_incorrect_model=model)
 
 
-_SWEEP_COLUMNS = (
-    "policy", "ebn0_db", "trials", "n_correct", "n_incorrect", "n_abandoned",
-    "bler", "bler_half", "bler_cond", "bler_cond_half", "success",
-    "success_cond", "success_cond_half", "abandon_frac", "abandon_frac_half",
-    "nonabandon_frac", "avg_queries_to_decision", "avg_queries_per_success",
-)
-
-
 def _fmt(v):
     if isinstance(v, float):
         return format(v, ".12g")
@@ -535,10 +527,9 @@ def write_sweep_csv(path, stats, meta=None):
     sidecar <path>.json carries everything needed to regenerate it.
     """
     with open(path, "w") as fh:
-        fh.write(",".join(_SWEEP_COLUMNS) + "\n")
+        fh.write(",".join(f.name for f in fields(SweepStats)) + "\n")
         for s in stats:
-            row = asdict(s)
-            fh.write(",".join(_fmt(row[c]) for c in _SWEEP_COLUMNS) + "\n")
+            fh.write(",".join(map(_fmt, astuple(s))) + "\n")
     if meta is not None:
         with open(str(path) + ".json", "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)

@@ -29,7 +29,7 @@ __all__ = [
     "p_incorrect_cum",
     "log_p_incorrect_cum",
     "log_p_incorrect_prefix",
-    "llr_report",
+    "llr_bits",
     "confidence_llr",
 ]
 
@@ -115,40 +115,32 @@ def log_p_incorrect_prefix(redundancy, stop):
 
 @dataclass(frozen=True)
 class LlrReport:
-    """Confidence snapshot at query q.
-
-    ``llr_bits`` is computed in the log domain; the linear-domain
-    ``p_correct_cum`` and ``p_incorrect_cum`` fields are informational and
-    may underflow to 0 in extreme conditions.
-    """
+    """Confidence snapshot at query q, computed in the log domain."""
 
     llr_bits: float
-    p_correct_cum: float
-    p_incorrect_cum: float
     q: int
 
 
-def llr_report(redundancy, q, cum_log):
-    """Report at query q >= 1 given the natural-log correct mass ``cum_log``.
+def llr_bits(redundancy, q, cum_log):
+    """Confidence in bits at query q >= 1 given the natural-log correct mass.
 
-    Reads the wrong-hit term from the prefix table when it reaches q and
-    evaluates the same expression otherwise, so the value is the same.
+    ``q`` and ``cum_log`` are numbers or arrays of one shape, and give a
+    float or an array.  The wrong-hit term comes from the prefix table when
+    it reaches every q and from the same expression otherwise, so the value
+    does not depend on how far the table has grown.
     """
-    if q < 1:
-        raise ValueError("no queries recorded yet")
-    table = _LOG_U.get(redundancy, ())
-    if q <= len(table):
-        log_u = float(table[q - 1])
+    q = np.asarray(q)
+    table = _LOG_U.get(redundancy, np.zeros(0))
+    if q.max(initial=0) <= len(table):
+        log_u = table[q - 1]
     else:
         log_u = log_p_incorrect_cum(redundancy, q)
-    return LlrReport(
-        llr_bits=(cum_log - log_u) / _LN2,
-        p_correct_cum=math.exp(cum_log),
-        p_incorrect_cum=p_incorrect_cum(redundancy, q),
-        q=q,
-    )
+    return (cum_log - log_u) / _LN2
 
 
 def confidence_llr(ledger):
     """Base-2 log ratio of correct- to incorrect-decoding probability at q."""
-    return llr_report(ledger.redundancy, ledger.q, ledger.cum_correct_log)
+    if ledger.q < 1:
+        raise ValueError("no queries recorded yet")
+    llr = llr_bits(ledger.redundancy, ledger.q, ledger.cum_correct_log)
+    return LlrReport(llr_bits=float(llr), q=ledger.q)

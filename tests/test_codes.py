@@ -76,6 +76,13 @@ class TestRlc:
         assert np.array_equal(code.generator[:, :7], np.eye(7, dtype=np.uint8))
         assert np.array_equal(code.parity_check[:, 7:], np.eye(5, dtype=np.uint8))
 
+    def test_systematic_encoding_at_production_size(self):
+        code = make_rlc(128, 116, seed=1)
+        rng = np.random.default_rng(6)
+        for _ in range(2000):
+            msg = rng.integers(0, 2, size=116, dtype=np.uint8)
+            assert np.array_equal(encode(code, msg)[:116], msg)
+
     def test_shape_guards(self):
         with pytest.raises(ValueError):
             make_rlc(8, 0, seed=1)

@@ -15,7 +15,7 @@ from softgrand.channel import (ChannelParams, SoftObservation, bsc_crossover,
 from softgrand.codes import encode, is_codeword, make_rlc
 from softgrand.decoder import (ABANDON_CAP, ABANDON_LLR, AT_CAP, BELOW_TAU, HIT,
                                DecodePolicy, decode, decode_batch, decode_ladder,
-                               extract_message, resolve_max_queries)
+                               resolve_max_queries)
 from softgrand.softout import p_incorrect_cum
 
 
@@ -236,6 +236,20 @@ class TestThresholdLadder:
         assert np.array_equal(ladder[0].word, ref_word)
         assert ladder[0].report.llr_bits == pytest.approx(ref_llr, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["logistic", "hamming"])
+    def test_deep_ladder_matches_reference(self, kind):
+        code = make_rlc(128, 116, seed=1)
+        _, obs = random_observation(code, 1.0, np.random.default_rng(31))
+        taus = [None, -5.0, -3.0, 3.0]  # hits and abandonments past query 64
+        ladder = decode_ladder(code, obs, taus, kind, 4000)
+        assert ladder[0].q > 64
+        for tau, got in zip(taus, ladder):
+            policy = DecodePolicy(tau=tau, max_queries=4000, order_kind=kind)
+            tag, q, ref_word, ref_llr = reference_decode(code, obs, policy)
+            assert (outcome_tag(got), got.q) == (tag, q)
+            assert np.array_equal(got.word, ref_word)
+            assert got.report.llr_bits == pytest.approx(ref_llr, rel=1e-12, abs=1e-12)
+
     @pytest.mark.parametrize("taus", [[math.nan], [0.0, math.inf]])
     def test_ladder_rejects_non_finite_tau(self, taus):
         code = make_rlc(16, 8, seed=2)
@@ -278,8 +292,8 @@ def _assert_batch_equals_ladders(code, arrays, taus, kind, max_queries, acct):
     shape = (len(taus), len(arrays[0]))
     assert got.status.shape == got.q.shape == got.llr_bits.shape == shape
     for i, row in enumerate(zip(*arrays)):
-        ladder = decode_ladder(code, SoftObservation(*row), taus, kind, max_queries,
-                               accounting=acct)
+        obs = SoftObservation(*row)
+        ladder = decode_ladder(code, obs, taus, kind, max_queries, accounting=acct)
         for j, want in enumerate(ladder):
             tag = _STATUS_TAGS[got.status[j, i]]
             assert (tag, got.q[j, i]) == (outcome_tag(want), want.q)
@@ -288,6 +302,14 @@ def _assert_batch_equals_ladders(code, arrays, taus, kind, max_queries, acct):
                 assert np.array_equal(got.words[i], want.word)
             # bit for bit
             assert got.llr_bits[j, i].tobytes() == np.float64(want.report.llr_bits).tobytes()
+        # decode_ladder is a one-row decode_batch, so the first threshold of
+        # every row is also held against the scalar reference
+        policy = DecodePolicy(tau=taus[0], max_queries=max_queries, order_kind=kind)
+        tag, q, ref_word, ref_llr = reference_decode(code, obs, policy, accounting=acct)
+        assert (_STATUS_TAGS[got.status[0, i]], got.q[0, i]) == (tag, q)
+        if tag == "decoded":
+            assert np.array_equal(got.words[i], ref_word)
+        assert got.llr_bits[0, i] == pytest.approx(ref_llr, rel=1e-12, abs=1e-12)
 
 
 class TestBatchDecode:
@@ -331,6 +353,28 @@ class TestBatchDecode:
         assert (got.q[0] > 64).sum() >= 5  # rows that went on one at a time
         _assert_batch_equals_ladders(code, arrays, taus, kind, 3000, acct)
 
+    @pytest.mark.parametrize("kind", ["logistic", "hamming"])
+    def test_lone_deep_row_continues_in_place(self, kind):
+        # clean rows stop inside the block; the one noisy row searches on
+        # past query 64 as the only row left, in the block's own scan
+        code = make_rlc(128, 116, seed=1)
+        _, (hard, reliab, ranks) = _block(code, 8.0, 6, np.random.default_rng(3))
+        _, deep = _block(code, 1.0, 1, np.random.default_rng(12))
+        for block, row in zip((hard, reliab, ranks), deep):
+            block[4] = row[0]
+        taus = [None, 2.0, -5.0]
+        got = decode_batch(code, hard, reliab, ranks, taus, kind, 3000)
+        assert (got.q[0] > 64).tolist() == [False] * 4 + [True, False]
+        _assert_batch_equals_ladders(code, (hard, reliab, ranks), taus, kind, 3000, None)
+
+    def test_empty_block(self):
+        code = make_rlc(16, 8, seed=2)
+        _, (hard, reliab, ranks) = _block(code, 3.0, 2, np.random.default_rng(1))
+        softout._LOG_U.clear()  # no chunk runs, so no wrong-hit table is grown
+        got = decode_batch(code, hard[:0], reliab[:0], ranks[:0], [None, 1.0])
+        assert got.status.shape == got.q.shape == got.llr_bits.shape == (2, 0)
+        assert got.words.shape == (0, 16)
+
     def test_validation(self):
         code = make_rlc(16, 8, seed=2)
         _, (hard, reliab, ranks) = _block(code, 3.0, 4, np.random.default_rng(1))
@@ -341,34 +385,6 @@ class TestBatchDecode:
         with pytest.raises(ValueError, match="accounting length"):
             decode_batch(code, hard, reliab, ranks, [None],
                          accounting=SoftObservation.from_flip_probs(np.zeros(10), 0.1))
-
-
-class TestMessageExtraction:
-    def test_roundtrip_exhaustive_small(self):
-        code = make_rlc(8, 4, seed=3)
-        for m in range(16):
-            msg = np.array([(m >> i) & 1 for i in range(4)], dtype=np.uint8)
-            assert np.array_equal(extract_message(code, encode(code, msg)), msg)
-
-    def test_zero_word(self):
-        code = make_rlc(12, 7, seed=1)
-        assert not extract_message(code, np.zeros(12, dtype=np.uint8)).any()
-
-    def test_rejects_non_codeword(self):
-        code = make_rlc(12, 7, seed=1)
-        bad = np.zeros(12, dtype=np.uint8)
-        bad[0] = 1
-        if is_codeword(code, bad):  # pragma: no cover - shape guard
-            pytest.skip("degenerate draw")
-        with pytest.raises(ValueError):
-            extract_message(code, bad)
-
-    def test_roundtrip_production_size(self):
-        code = make_rlc(128, 116, seed=1)
-        rng = np.random.default_rng(6)
-        for _ in range(2000):
-            msg = rng.integers(0, 2, size=116, dtype=np.uint8)
-            assert np.array_equal(extract_message(code, encode(code, msg)), msg)
 
 
 class TestPolicyAndGuards:

@@ -8,7 +8,7 @@ import pytest
 from softgrand.channel import SoftObservation
 from softgrand.patterns import QueryOrder, pattern_log_probability, query_patterns
 from softgrand import softout
-from softgrand.softout import (ConfidenceLedger, confidence_llr, llr_report,
+from softgrand.softout import (ConfidenceLedger, confidence_llr, llr_bits,
                                log_p_incorrect_cum, log_p_incorrect_prefix,
                                p_incorrect_cum, record_query)
 
@@ -157,9 +157,23 @@ class TestPrefixTable:
     def test_report_is_the_same_with_or_without_the_table(self):
         r = 19
         softout._LOG_U.pop(r, None)
-        before = [llr_report(r, q, -0.25) for q in (1, 5, 64)]
+        before = [llr_bits(r, q, -0.25) for q in (1, 5, 64)]
         log_p_incorrect_prefix(r, 64)
-        assert [llr_report(r, q, -0.25) for q in (1, 5, 64)] == before
+        assert [llr_bits(r, q, -0.25) for q in (1, 5, 64)] == before
+
+    @pytest.mark.parametrize("grown", [0, 40, 300])
+    def test_llr_bits_array_matches_scalar_calls(self, grown):
+        # q past the table's end in the 0 and 40 cases, within it at 300
+        r = 23
+        softout._LOG_U.pop(r, None)
+        log_p_incorrect_prefix(r, grown)
+        qs = np.array([[1, 2, 17], [64, 200, 41]])
+        cums = np.array([[-0.25, -3.0, -1e-9], [-40.5, -0.0, -7.125]])
+        got = llr_bits(r, qs, cums)
+        assert got.shape == qs.shape
+        want = [llr_bits(r, int(q), float(c)) for q, c in zip(qs.flat, cums.flat)]
+        assert got.ravel().tobytes() == np.array(want).tobytes()
+        assert len(softout._LOG_U.get(r, ())) == grown  # reading never grows it
 
 
 class TestConfidenceLlr:
@@ -180,7 +194,7 @@ class TestConfidenceLlr:
         rep = confidence_llr(ledger)
         assert rep.q == 2
         assert rep.llr_bits == pytest.approx(
-            math.log2(rep.p_correct_cum) - math.log2(rep.p_incorrect_cum),
+            math.log2(math.exp(-3.0) + math.exp(-4.0)) - math.log2(p_incorrect_cum(5, 2)),
             abs=1e-9)
 
     def test_first_query_high_snr_is_large_positive(self):
