@@ -277,6 +277,8 @@ def _sidecar_meta(config, code):
         "code": code.descriptor,
         "parity_check_sha256": code.parity_check_sha256(),
         "markers": capacity_markers(code.rate),
+        # The trials' seeding reads numpy internals (see harness._array_draws).
+        "numpy": np.__version__,
     }
 
 

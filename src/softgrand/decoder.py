@@ -356,10 +356,15 @@ class _Scan:
         words = hard.copy()
         # query 1 is the empty pattern
         (rows,) = np.nonzero((self.end == HIT) & (self.end_q > 1))
-        offsets, flat = self.table.offsets, self.table.flat
-        for i, q in zip(rows.tolist(), self.end_q[rows].tolist()):
-            pos = flat[offsets[q - 1]:offsets[q]] - 1
-            words[i, pos if self.frame is None else self.frame[i, pos]] ^= 1
+        offsets = self.table.offsets
+        starts, stops = offsets[self.end_q[rows] - 1], offsets[self.end_q[rows]]
+        sizes = stops - starts
+        # Row r's segment of flat, for every hit row at once.
+        at = np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+        pos = self.table.flat[at] - 1
+        row = np.repeat(rows, sizes)
+        # A pattern flips distinct positions, so no (row, position) pair repeats.
+        words[row, pos if self.frame is None else self.frame[row, pos]] ^= 1
         return words
 
 

@@ -4,17 +4,21 @@ Each trial draws a uniform message, encodes, transmits, and decodes the
 identical observation under every policy (common random numbers), so
 policy comparisons are paired.  Trial seeds derive from
 SeedSequence((master_seed, point_key, trial_index)) where point_key is the
-bit pattern of the Eb/N0 value, making any cell reproducible from its
-(master_seed, point, trial range) alone, independent of sweep layout.
+bit pattern of the Eb/N0 value (-0.0 counts as 0.0), making any cell
+reproducible from its (master_seed, point, trial range) alone, independent
+of sweep layout.
 
 Sweeps and fig1 run trials in lockstep batches: each trial's message and
 noise are drawn from its own seed, then the batch is encoded, transmitted
-and decoded as whole arrays.  Each group of policies sharing a pattern
-order and query cap gets one ``decode_batch`` call per batch, which runs
-the first 64 queries of every trial as (trials, queries) arrays and the few
-deeper searches one trial at a time.  fig1 decodes the trials of a tau=None
-sweep at its point.  Results do not depend on the batch size or the worker
-count.
+and decoded as whole arrays.  The draws are default_rng's bits, but
+SeedSequence's hash-mix runs over the whole batch as uint32 arrays and one
+reused PCG64 takes each trial's state in turn; a first-use check against
+default_rng falls back to one generator per trial if numpy's internals
+differ.  Each group of policies sharing a pattern order and query cap gets
+one ``decode_batch`` call per batch, which runs the first 64 queries of
+every trial as (trials, queries) arrays and the few deeper searches one
+trial at a time.  fig1 decodes the trials of a tau=None sweep at its point.
+Results do not depend on the batch size or the worker count.
 
 Points where a thresholded policy abandons almost everything escalate
 their trial count (up to a cap) until conditional statistics have enough
@@ -83,8 +87,9 @@ class GuardError(RuntimeError):
 
 
 def _point_key(ebn0_db):
-    # Bit pattern of the float, so the key identifies the point by value.
-    return int(np.float64(ebn0_db).view(np.uint64))
+    # Bit pattern of the float, so the key identifies the point by value;
+    # adding 0.0 turns -0.0 into 0.0.
+    return int((np.float64(ebn0_db) + 0.0).view(np.uint64))
 
 
 def _cpus():
@@ -196,18 +201,155 @@ def _stats_from_batch(label, ebn0_db, batch):
     )
 
 
+# SeedSequence's hash-mix constants, pool size and PCG64's multiplier, as
+# numpy's bit_generator.pyx and pcg64.h define them.
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = 16
+_POOL = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# Whether _array_draws gives _loop_draws' bits with this numpy; None until
+# the first batch of the process checks.
+_fast_seeding = None
+
+
+def _words(value):
+    """A nonnegative int as SeedSequence splits it: little-endian 32-bit words."""
+    words = [value & _M32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _M32)
+    return words
+
+
+def _hash_consts(init, mult, count):
+    """The hash constant before each of ``count`` hashes, and after the last."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _M32)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _seed_states(entropy):
+    """``SeedSequence(row).generate_state(4, uint64)`` of each row of entropy words.
+
+    ``entropy`` is a (rows, words) uint32 array.  The hash-mix runs down its
+    columns in uint32 arithmetic, which wraps as numpy's C code does.  The
+    hash constant advances once per hashed word whatever the data, so one
+    sequence of constants serves every row.
+    """
+    rows, width = entropy.shape
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * max(width - _POOL, 0))
+    used = 0
+
+    def hashmix(value, count):
+        # Hash ``value`` under the next ``count`` constants, one per column.
+        nonlocal used
+        value = (value ^ consts[used:used + count]) * consts[used + 1:used + count + 1]
+        used += count
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        out = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return out ^ (out >> _XSHIFT)
+
+    # Entropy shorter than the pool is padded with hashes of 0.
+    pool = np.zeros((rows, _POOL), dtype=np.uint32)
+    pool[:, :width] = entropy[:, :_POOL]
+    pool = hashmix(pool, _POOL)
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src, np.newaxis], _POOL - 1))
+    for src in range(_POOL, width):
+        pool = mix(pool, hashmix(entropy[:, src, np.newaxis], _POOL))
+    consts = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+    state = (np.concatenate((pool, pool), axis=1) ^ consts[:-1]) * consts[1:]
+    state ^= state >> _XSHIFT
+    return state.astype("<u4", copy=False).view("<u8")
+
+
+def _array_draws(k, n, master_seed, point_key, lo, hi):
+    """``_loop_draws``' messages and noise from one hash-mix per batch.
+
+    Each trial's PCG64 state follows from its seed words with 128-bit
+    arithmetic and is set on one reused bit generator.  ``integers(0, 2,
+    k, uint8)`` returns the top bit of each little-endian byte of the raw
+    output, so the messages come from ``random_raw`` words in one shift;
+    the noise is the generator's ``standard_normal``, which reads whole
+    uint64s.
+    """
+    prefix = _words(master_seed) + _words(point_key)
+    nraw = -(-k // 8)
+    raw = np.empty((hi - lo, nraw), dtype=np.uint64)
+    noise = np.empty((hi - lo, n))
+    bitgen = np.random.PCG64(0)
+    normal = np.random.Generator(bitgen).standard_normal
+    pcg = {}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    a = lo
+    while a < hi:
+        # Trials of one word count share an entropy width; a trial of
+        # 2^32 or more adds a word.
+        width = len(_words(a))
+        b = min(hi, 1 << 32 * width)
+        entropy = np.empty((b - a, len(prefix) + width), dtype=np.uint32)
+        entropy[:, :len(prefix)] = prefix
+        for j in range(width):
+            entropy[:, len(prefix) + j] = [t >> 32 * j & _M32 for t in range(a, b)]
+        for i, (s0, s1, s2, s3) in enumerate(_seed_states(entropy).tolist(), a - lo):
+            # PCG64's seeding: from state 0, step, add the seed, step.
+            inc = ((s2 << 64 | s3) << 1 | 1) & _M128
+            pcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
+            pcg["inc"] = inc
+            bitgen.state = state
+            raw[i] = bitgen.random_raw(nraw)
+            normal(out=noise[i])
+        a = b
+    msgs = raw.astype("<u8", copy=False).view(np.uint8)[:, :k] >> 7
+    return msgs, noise
+
+
+def _loop_draws(k, n, master_seed, point_key, lo, hi):
+    """Messages (trials, k) and noise (trials, n), one default_rng per trial."""
+    msgs = np.empty((hi - lo, k), dtype=np.uint8)
+    noise = np.empty((hi - lo, n))
+    for i, trial in enumerate(range(lo, hi)):
+        rng = np.random.default_rng(np.random.SeedSequence((master_seed, point_key, trial)))
+        msgs[i] = rng.integers(0, 2, size=k, dtype=np.uint8)
+        noise[i] = rng.standard_normal(n)
+    return msgs, noise
+
+
+def _array_draws_match():
+    """Whether ``_array_draws`` gives ``_loop_draws``' bits with this numpy.
+
+    Two trials: one with entropy shorter than the pool and one longer.
+    """
+    probes = [(113, 128, 0, 0, 0, 1),
+              (113, 128, 2**64 + 5, _point_key(1.115278), 2**32 + 1, 2**32 + 2)]
+    return all(np.array_equal(x, y) for args in probes
+               for x, y in zip(_array_draws(*args), _loop_draws(*args)))
+
+
 def _trial_batch(code, params, master_seed, point_key, lo, hi):
     """Code words and (hard, reliab, ranks) arrays of trials [lo, hi) at one point.
 
-    Each trial draws its message, then its noise, from its own seed; the
-    rest is whole-array work, so a trial's bits do not depend on the batch.
+    Each trial draws its message, then its noise, from its own seed, as
+    ``default_rng(SeedSequence((master_seed, point_key, trial)))`` would:
+    ``_array_draws`` seeds the whole batch with array operations, and
+    ``_loop_draws`` builds one generator per trial where the first-use check
+    finds that numpy's internals differ.  The rest is whole-array work, so a
+    trial's bits do not depend on the batch.
     """
-    msgs = np.empty((hi - lo, code.k), dtype=np.uint8)
-    noise = np.empty((hi - lo, code.n))
-    for i, trial in enumerate(range(lo, hi)):
-        rng = np.random.default_rng(np.random.SeedSequence((master_seed, point_key, trial)))
-        msgs[i] = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-        noise[i] = rng.standard_normal(code.n)
+    global _fast_seeding
+    if _fast_seeding is None:
+        _fast_seeding = _array_draws_match()
+    draws = _array_draws if _fast_seeding else _loop_draws
+    msgs, noise = draws(code.k, code.n, master_seed, point_key, lo, hi)
     cws = encode(code, msgs)
     return cws, transmit_arrays(cws, noise, params)
 
@@ -537,14 +679,26 @@ def write_sweep_csv(path, stats, meta=None):
 
 
 def write_trials_csv(path, result):
-    """Per-trial dump: one row per (policy, point, trial)."""
+    """Per-trial dump: one row per (policy, point, trial).
+
+    The policies at a point mostly share their ``llr_bits`` values, so each
+    distinct float64 bit pattern is formatted once per point; 0.0 and -0.0
+    stay apart.
+    """
     with open(path, "w") as fh:
         fh.write("policy,ebn0_db,trial,outcome,q,llr_bits,true_noise_found\n")
         for pi, ebn0_db in enumerate(result.points):
-            for lbl in result.policy_labels:
-                b = result.batches[(lbl, pi)]
+            cells = [result.batches[(lbl, pi)] for lbl in result.policy_labels]
+            bits = np.concatenate([b.llr_bits for b in cells] or [np.zeros(0)])
+            values, inverse = np.unique(bits.view(np.uint64), return_inverse=True)
+            text = np.array([format(v, ".12g") for v in values.view(np.float64).tolist()],
+                            dtype=object)
+            llrs = text[inverse].tolist()
+            start = 0
+            for lbl, b in zip(result.policy_labels, cells):
                 cell = f"{lbl},{_fmt(float(ebn0_db))},"
                 fh.write("".join(
-                    f"{cell}{t},{_OUTCOME_NAMES[o]},{q},{llr:.12g},{_FOUND[o]}\n"
+                    f"{cell}{t},{_OUTCOME_NAMES[o]},{q},{llr},{_FOUND[o]}\n"
                     for t, (o, q, llr) in enumerate(zip(
-                        b.outcome.tolist(), b.q.tolist(), b.llr_bits.tolist()))))
+                        b.outcome.tolist(), b.q.tolist(), llrs[start:start + len(b)]))))
+                start += len(b)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from softgrand.channel import capacity_markers
@@ -264,6 +265,7 @@ class TestSweepMode:
         assert "version" in side["config"]
         assert set(side["markers"]) == {"shannon_ebn0_db", "mincap_ebn0_db"}
         assert len(side["parity_check_sha256"]) == 64
+        assert side["numpy"] == np.__version__
 
         trials = (tmp_path / "run1" / "trials.csv").read_text().splitlines()
         assert trials[0].startswith("policy,ebn0_db,trial")

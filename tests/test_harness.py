@@ -84,15 +84,80 @@ def _reference_trial(code, ebn0_db, master_seed, trial):
     return cw, transmit(cw, ChannelParams(ebn0_db=ebn0_db, rate=code.rate), rng)
 
 
+def _csv_bytes(result, tmp_path, name):
+    """The bytes of the sweep.csv and trials.csv a result writes."""
+    write_sweep_csv(tmp_path / f"{name}.csv", result.stats)
+    write_trials_csv(tmp_path / f"{name}-trials.csv", result)
+    return ((tmp_path / f"{name}.csv").read_bytes(),
+            (tmp_path / f"{name}-trials.csv").read_bytes())
+
+
+def _default_rng_draws(k, n, master_seed, point_key, trials):
+    """Messages and noise drawn by one default_rng per trial."""
+    rngs = [np.random.default_rng(np.random.SeedSequence((master_seed, point_key, t)))
+            for t in trials]
+    return (np.array([rng.integers(0, 2, size=k, dtype=np.uint8) for rng in rngs]),
+            np.array([rng.standard_normal(n) for rng in rngs]))
+
+
+class TestSeeding:
+    """The array seeder gives default_rng's bits, and its fallback the same."""
+
+    @pytest.mark.parametrize("k", [1, 5, 113, 116])
+    @pytest.mark.parametrize("ebn0_db", [0.0, 6.0])
+    @pytest.mark.parametrize("master_seed", [0, 2**31 + 17, 2**32 + 3, 2**64 + 5])
+    def test_array_draws_equal_default_rng(self, master_seed, ebn0_db, k):
+        # Eb/N0 0.0 is a one-word key: with a one-word master seed the
+        # entropy is shorter than SeedSequence's pool.
+        key = harness._point_key(ebn0_db)
+        msgs, noise = harness._array_draws(k, 128, master_seed, key, 5, 9)
+        want_msgs, want_noise = _default_rng_draws(k, 128, master_seed, key, range(5, 9))
+        assert msgs.dtype == np.uint8 and msgs.shape == (4, k)
+        assert np.array_equal(msgs, want_msgs)
+        assert np.array_equal(noise, want_noise)
+
+    @pytest.mark.parametrize("master_seed", [7, 2**64 + 5])
+    def test_batch_across_trial_two_to_the_32(self, master_seed):
+        # Trials from 2^32 on have a second word, so one batch mixes two
+        # entropy widths.
+        key = harness._point_key(6.0)
+        lo = 2**32 - 2
+        msgs, noise = harness._array_draws(113, 128, master_seed, key, lo, lo + 4)
+        want_msgs, want_noise = _default_rng_draws(113, 128, master_seed, key,
+                                                   range(lo, lo + 4))
+        assert np.array_equal(msgs, want_msgs)
+        assert np.array_equal(noise, want_noise)
+
+    def test_fallback_writes_the_same_bytes(self, small_code, tmp_path, monkeypatch):
+        def sweep_bytes(name):
+            res = run_sweep(small_code, TestLockstepBatches.POLICIES, [1.0, 4.0], 40,
+                            master_seed=8, max_trials_factor=4)
+            return _csv_bytes(res, tmp_path, name)
+
+        monkeypatch.setattr(harness, "_fast_seeding", None)
+        fast = sweep_bytes("fast")
+        assert harness._fast_seeding is True
+
+        def unused(*args):
+            raise AssertionError("the array seeder ran after a failed check")
+
+        monkeypatch.setattr(harness, "_fast_seeding", None)
+        monkeypatch.setattr(harness, "_array_draws_match", lambda: False)
+        monkeypatch.setattr(harness, "_array_draws", unused)
+        assert sweep_bytes("fallback") == fast
+        assert harness._fast_seeding is False
+
+    def test_negative_zero_is_the_point_zero(self, small_code):
+        assert harness._point_key(-0.0) == harness._point_key(0.0) == 0
+        policies = [DecodePolicy(tau=None), DecodePolicy(tau=1.0)]
+        neg = run_sweep(small_code, policies, [-0.0], 50, master_seed=2)
+        pos = run_sweep(small_code, policies, [0.0], 50, master_seed=2)
+        _batches_match(neg.batches, pos.batches)
+
+
 class TestLockstepBatches:
     # tau=1000 abandons every trial, so both points escalate to 4x.
     POLICIES = [DecodePolicy(tau=None), DecodePolicy(tau=1.0), DecodePolicy(tau=1000.0)]
-
-    def _csv_bytes(self, result, tmp_path, name):
-        write_sweep_csv(tmp_path / f"{name}.csv", result.stats)
-        write_trials_csv(tmp_path / f"{name}-trials.csv", result)
-        return ((tmp_path / f"{name}.csv").read_bytes(),
-                (tmp_path / f"{name}-trials.csv").read_bytes())
 
     @pytest.mark.parametrize("accounting", ["soft", "bsc"])
     def test_batch_size_invariance(self, small_code, tmp_path, monkeypatch, accounting):
@@ -102,7 +167,7 @@ class TestLockstepBatches:
             res = run_sweep(small_code, self.POLICIES, [1.0, 4.0], 40, master_seed=6,
                             accounting=accounting, max_trials_factor=4)
             assert len(res.batches[("tau=1000", 0)]) == 160
-            outputs.append(self._csv_bytes(res, tmp_path, f"b{size}"))
+            outputs.append(_csv_bytes(res, tmp_path, f"b{size}"))
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_workers_byte_identity_with_one_pool(self, small_code, tmp_path, monkeypatch):
@@ -123,8 +188,8 @@ class TestLockstepBatches:
         # two points, each a base block and two escalation rounds, one pool
         assert len(starts) == 1
         assert len(pooled.batches[("tau=1000", 1)]) == 384
-        assert (self._csv_bytes(serial, tmp_path, "serial")
-                == self._csv_bytes(pooled, tmp_path, "pooled"))
+        assert (_csv_bytes(serial, tmp_path, "serial")
+                == _csv_bytes(pooled, tmp_path, "pooled"))
 
     def test_pool_size_bounded_by_available_cpus(self, small_code, tmp_path, monkeypatch):
         sizes = []
@@ -153,8 +218,8 @@ class TestLockstepBatches:
         assert sizes[1:] == [3, 2]
         serial = run_sweep(workers=1, **kwargs)
         assert len(sizes) == 3
-        assert (self._csv_bytes(serial, tmp_path, "serial")
-                == self._csv_bytes(huge, tmp_path, "huge"))
+        assert (_csv_bytes(serial, tmp_path, "serial")
+                == _csv_bytes(huge, tmp_path, "huge"))
 
     def test_mixed_orders_match_per_policy_decoding(self, small_code):
         policies = [DecodePolicy(tau=None),
@@ -447,6 +512,29 @@ class TestCsvOutputs:
             for t, (o, q, llr) in enumerate(zip(batch.outcome, batch.q, llrs))]
         assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
         assert "tau=-1.5,-0.1,0,correct,1,nan,true" in want
+
+    def test_trials_csv_shared_values_format_per_row(self, tmp_path):
+        """Values shared across policies and points format as each row's own."""
+        neg_nan = np.array([0xFFF8000000000001], dtype=np.uint64).view(np.float64)[0]
+        cells = {
+            ("tau=none", 0): [0.0, -0.0, math.nan, 2.5, 0.0, -0.0],
+            ("tau=1", 0): [-0.0, 0.0, 2.5, neg_nan, 1 / 3, 0.0],
+            ("tau=none", 1): [1 / 3, -0.0, -7.125e-12, math.nan, 0.0, 2.5],
+            ("tau=1", 1): [],
+        }
+        batches = {}
+        for key, llrs in cells.items():
+            batches[key] = TrialBatch()
+            batches[key].extend(np.zeros(len(llrs), dtype=np.int8),
+                                np.ones(len(llrs), dtype=np.int64), np.array(llrs))
+        result = harness.SweepResult(stats=[], batches=batches, points=[0.5, 2.0],
+                                     policy_labels=["tau=none", "tau=1"], base_trials=6)
+        write_trials_csv(tmp_path / "t.csv", result)
+        got = (tmp_path / "t.csv").read_text().splitlines()[1:]
+        want = [format(x, ".12g") for pi in range(2) for lbl in ("tau=none", "tau=1")
+                for x in cells[(lbl, pi)]]
+        assert [line.split(",")[5] for line in got] == want
+        assert {"0", "-0", "nan"} <= set(want)
 
 
 class TestTrialBatch:
