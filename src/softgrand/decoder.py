@@ -16,18 +16,21 @@ cap.  The scan stops at the first hit, or once every tau has abandoned when
 no tau is None, so it goes only as deep as the deepest search among the
 thresholds.
 
-For speed the loop is evaluated in growing chunks of queries with numpy
-(reduceat over the concatenated pattern table, packed parity columns XORed
-as uint64 words, logaddexp.accumulate for the running sum).  The chunk body
-works on a (rows, queries) block, and ``decode_batch`` is its only driver:
-it runs the first chunks, up to query 64, for a whole block of
-observations at once, and rows still searching after them continue one at
-a time through the same body from where they stopped (a lone such row in
-the block's own state, uncopied).  ``decode_ladder`` is a one-row
-``decode_batch`` and ``decode`` its one-tau case.  The running sum is
-accumulated in query order along each row, as a one-query-at-a-time loop
-would, so a row's outcome does not depend on the other rows of its block;
-it stops at the first hit, past which no outcome reads it.
+For speed the loop is evaluated in growing chunks of queries with numpy.
+Each query's syndrome (packed parity columns XORed as uint64 words) and
+flip sum come from those of an earlier query through the order table's
+parent pointers, as in the syndrome reuse of hardware ORBGRAND decoders,
+and logaddexp.accumulate gives the running sum.  The chunk body works on a
+(rows, queries) block, and only ``decode_batch`` runs it: it runs the
+first chunks, up to query 64, for a whole block of observations at once,
+and rows still searching after them continue one at a time through the
+same body from where they stopped (a lone such row, or rows that share
+everything but the syndrome to hit, in the block's own state, uncopied).
+``decode_ladder`` is a one-row ``decode_batch`` and ``decode`` its one-tau
+case.  The running sum is accumulated in query order along each row, as a
+one-query-at-a-time loop would, so a row's outcome does not depend on the
+other rows of its block; it stops at the first hit, past which no outcome
+reads it.
 ``softout.llr_bits`` turns the log-mass at a row's final query into the
 reported confidence.  The tests check that outcome, query count and word
 match the scalar reference decoder in ``tests/conftest.py``.  A pattern's
@@ -180,18 +183,31 @@ def _chunk_bounds(cap):
         lo = min(lo + _CHUNK_STEP, cap)
 
 
+def _runs(starts, sizes):
+    """Indices of the segments [starts[i], starts[i] + sizes[i]), concatenated."""
+    return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+
+
+# The per-row search state; a one-row array is shared by every row.
+_ROW_STATE = ("ids", "base", "target", "carry", "l", "cols", "syn", "fold")
+
+
 class _Scan:
     """Search state of a block of observations, one row each.
 
     ``ids`` lists the block rows still searching.  For each of them, in the
     same order, the scan holds the frame-ordered reliabilities and parity
-    columns (a single row where all rows share them), the no-flip
-    log-probability ``base``, the syndrome to hit, the running log-mass
-    ``carry`` after the last chunk and which thresholds are still ``open``;
-    a row leaves these arrays once it has stopped.  Per block row it
-    records how the search ended (HIT or AT_CAP, 0 if every threshold
-    abandoned first) with the query and log-mass there, and per threshold
-    and row those of an abandonment (q 0 for none).
+    columns, the no-flip log-probability ``base``, the syndrome to hit, the
+    running log-mass ``carry`` after the last chunk, which thresholds are
+    still ``open``, and the syndrome ``syn`` and left-folded flip sum
+    ``fold`` of every query so far; a row leaves these arrays once it has
+    stopped.  An array with a single row is shared by every row: in the
+    hamming order the parity columns and ``syn``, under an accounting
+    observation ``base``, and under both the reliabilities, ``fold`` and
+    ``carry``.  Per block row it records how the search ended (HIT or
+    AT_CAP, 0 if every threshold abandoned first) with the query and
+    log-mass there, and per threshold and row those of an abandonment (q 0
+    for none).
     """
 
     def __init__(self, code, hard, reliab, ranks, taus, order_kind, max_queries,
@@ -226,11 +242,13 @@ class _Scan:
             self.base = -np.add.reduce(np.log1p(np.exp(-reliab)), axis=1, keepdims=True)
         else:
             self.l = acct[np.newaxis] if self.frame is None else acct[ranks]
-            self.base = np.full((rows, 1), -float(np.sum(np.log1p(np.exp(-acct)))))
+            self.base = np.array([[-float(np.sum(np.log1p(np.exp(-acct))))]])
         self.cols = packed[np.newaxis] if self.frame is None else packed[ranks]
         self.target = np.bitwise_xor.reduce(packed * hard, axis=1, keepdims=True)
         self.carry = None  # set by the first chunk
         self.open = np.full((len(self.taus), rows), True)
+        self.syn = np.zeros((len(self.cols), 0), dtype=np.uint64)
+        self.fold = np.zeros((len(self.l), 0))
 
         self.end = np.zeros(rows, dtype=np.int8)
         self.end_q = np.zeros(rows, dtype=np.int64)
@@ -260,37 +278,53 @@ class _Scan:
             self.end_cum[self.ids] = self.carry[:, 0]
             self.ids = self.ids[:0]
 
+    def _reserve(self, hi):
+        """Room in ``syn`` and ``fold`` for the queries before ``hi``."""
+        have = self.syn.shape[1]
+        if have >= hi:
+            return
+        # Ahead of the chunks, so a deep row moves its histories a few times.
+        size = min(self.cap, max(4 * hi, 2 * have))
+        for name in ("syn", "fold"):
+            old = getattr(self, name)
+            new = np.empty((len(old), size), dtype=old.dtype)
+            new[:, :have] = old
+            setattr(self, name, new)
+
     def _chunk(self, lo, hi, vals, off):
-        """Queries [lo, hi) for every searching row."""
+        """Queries [lo, hi) for every searching row.
+
+        ``vals`` and ``off`` are the chunk's from ``slice_arrays``.  A
+        query's syndrome is its parent's XOR the parity column of its last
+        index, and its ``fold`` its parent's plus the reliability there.
+        """
         m = hi - lo
-        idx = off[:-1]
-        at = vals - 1
-        if vals.size:
-            syn = np.bitwise_xor.reduceat(self.cols.take(at, axis=1), idx, axis=1)
-        else:
-            syn = np.zeros((len(self.cols), m), dtype=np.uint64)
-        # reduceat yields arr[i] for the empty leading segment; the empty
-        # pattern leaves the syndrome alone and flips nothing.
+        table, cols, l = self.table, self.cols, self.l
+        self._reserve(hi)
+        syn, fold = self.syn, self.fold
         if lo == 0:
+            # The empty pattern leaves the syndrome alone and flips nothing.
             syn[:, 0] = 0
-        eq = syn == self.target
+            fold[:, 0] = 0.0
+        for g in table.waves(lo, hi):
+            par, col = table.parent[g], table.last[g]
+            syn[:, g] = syn.take(par, axis=1) ^ cols.take(col, axis=1)
+            fold[:, g] = fold.take(par, axis=1) + l.take(col, axis=1)
+        eq = syn[:, lo:hi] == self.target
         hit_i = eq.argmax(axis=1)
         hit = np.logical_or.reduce(eq, axis=1)
         # No outcome reads the running sum past a row's first hit, so when
         # every row hits, the sum stops at the last of those hits.
         if hit.all():
             m = int(hit_i.max()) + 1
-        if off[m]:
-            flips = np.add.reduceat(self.l.take(at[:off[m]], axis=1), idx[:m], axis=1)
-        else:
-            flips = np.zeros((len(self.l), m))
-        if lo == 0:
-            flips[:, 0] = 0.0
+        flips = self._flips(lo, lo + m, vals, off)
         terms = self.base - flips
         if lo:
             # The running sum goes on from where the previous chunk left it.
             terms = np.concatenate((self.carry, terms), axis=1)
         cum = np.logaddexp.accumulate(terms, axis=1)[:, 1 if lo else 0:]
+        # Rows that share their search share one running sum.
+        cum_rows = cum if len(cum) == len(self.ids) else np.broadcast_to(cum, (len(self.ids), m))
         # Grown here even without a threshold: the report at a hit reads it.
         log_u = softout.log_p_incorrect_prefix(self.redundancy, hi)
 
@@ -301,10 +335,12 @@ class _Scan:
             for t, (j, tau) in enumerate(zip(self.thresholds, self.taus)):
                 below = llr < tau
                 ab_i = below.argmax(axis=1)
+                if len(ab_i) != len(last):
+                    ab_i = np.broadcast_to(ab_i, last.shape)
                 (r,) = np.nonzero(self.open[t] & below.any(axis=1) & (ab_i <= last))
                 if len(r):
                     self.ab_q[j, self.ids[r]] = lo + ab_i[r] + 1
-                    self.ab_cum[j, self.ids[r]] = cum[r, ab_i[r]]
+                    self.ab_cum[j, self.ids[r]] = cum_rows[r, ab_i[r]]
                     self.open[t, r] = False
         stopped = hit if self.to_the_end else hit | ~self.open.any(axis=0)
         self.carry = cum[:, -1:]
@@ -312,8 +348,27 @@ class _Scan:
             ids, h = self.ids[hit], hit_i[hit]
             self.end[ids] = HIT
             self.end_q[ids] = h + (lo + 1)
-            self.end_cum[ids] = cum[hit, h]
+            self.end_cum[ids] = cum_rows[hit, h]
             self._keep(~stopped)
+
+    def _flips(self, lo, stop, vals, off):
+        """Flip sums of queries [lo, stop), bit for bit as np.add.reduceat sums them.
+
+        reduceat adds a segment's later terms from the left and then its
+        first, which is ``l[first] + fold[tail]``, while they number at most
+        eight; from nine flips up it sums them pairwise, and so does this.
+        """
+        table, l = self.table, self.l
+        q = slice(lo, stop)
+        flips = l.take(table.first[q], axis=1) + self.fold.take(table.tail[q], axis=1)
+        if lo == 0:
+            flips[:, 0] = 0.0
+        sizes = off[1:stop - lo + 1] - off[:stop - lo]
+        (big,) = np.nonzero(sizes >= 9)
+        if len(big):
+            flips[:, big] = np.add.reduceat(l.take(vals[_runs(off[big], sizes[big])] - 1, axis=1),
+                                            np.cumsum(sizes[big]) - sizes[big], axis=1)
+        return flips
 
     def _keep(self, live):
         """Drop the rows that stopped searching from the per-row arrays."""
@@ -321,8 +376,7 @@ class _Scan:
             # Once no row is searching nothing reads the other arrays again.
             self.ids = self.ids[:0]
             return
-        # A one-row array is shared by every row, or this is the only row.
-        for name in ("ids", "base", "target", "carry", "l", "cols"):
+        for name in _ROW_STATE:
             arr = getattr(self, name)
             if len(arr) > 1:
                 setattr(self, name, arr[live])
@@ -331,14 +385,20 @@ class _Scan:
     def rows(self):
         """One scan per searching row, each recording into these results.
 
-        A lone searching row is this scan itself, so it continues uncopied.
+        A lone searching row, or rows that share all their state but the
+        syndrome to hit, continue in this scan itself.  Otherwise each row's
+        scan views its row of this one's arrays, until its histories grow.
         """
-        if len(self.ids) == 1:
+        if len(self.ids) == 1 or max(len(self.l), len(self.cols), len(self.base)) == 1:
             yield self
             return
         for k in range(len(self.ids)):
             one = copy.copy(self)
-            one._keep(np.arange(len(self.ids)) == k)
+            for name in _ROW_STATE:
+                arr = getattr(self, name)
+                if len(arr) > 1:
+                    setattr(one, name, arr[k:k + 1])
+            one.open = self.open[:, k:k + 1]
             yield one
 
     def results(self):
@@ -357,11 +417,9 @@ class _Scan:
         # query 1 is the empty pattern
         (rows,) = np.nonzero((self.end == HIT) & (self.end_q > 1))
         offsets = self.table.offsets
-        starts, stops = offsets[self.end_q[rows] - 1], offsets[self.end_q[rows]]
-        sizes = stops - starts
-        # Row r's segment of flat, for every hit row at once.
-        at = np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-        pos = self.table.flat[at] - 1
+        starts = offsets[self.end_q[rows] - 1]
+        sizes = offsets[self.end_q[rows]] - starts
+        pos = self.table.flat[_runs(starts, sizes)] - 1
         row = np.repeat(rows, sizes)
         # A pattern flips distinct positions, so no (row, position) pair repeats.
         words[row, pos if self.frame is None else self.frame[row, pos]] ^= 1

@@ -9,7 +9,7 @@ from conftest import (outcome_tag, random_observation, random_small_code,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from softgrand import patterns, softout
+from softgrand import decoder, patterns, softout
 from softgrand.channel import (ChannelParams, SoftObservation, bsc_crossover,
                                transmit_arrays)
 from softgrand.codes import encode, is_codeword, make_rlc
@@ -385,6 +385,34 @@ class TestBatchDecode:
         with pytest.raises(ValueError, match="accounting length"):
             decode_batch(code, hard, reliab, ranks, [None],
                          accounting=SoftObservation.from_flip_probs(np.zeros(10), 0.1))
+
+
+class TestIncrementalSums:
+    """Syndromes and flip sums built from parent pointers are reduceat's, bit for bit."""
+
+    @pytest.mark.parametrize("rows", [1, 6])
+    def test_match_reduceat_over_the_table(self, rows):
+        code = make_rlc(128, 116, seed=1)
+        rng = np.random.default_rng(40 + rows)
+        reliab = rng.exponential(2.0, size=(rows, 128))
+        ranks = np.argsort(reliab, axis=1, kind="stable")
+        hard = rng.integers(0, 2, size=(rows, 128), dtype=np.uint8)
+        scan = decoder._Scan(code, hard, reliab, ranks, [None], "logistic", 32768, None)
+        # No parity column sets bit 63: nothing hits, every row runs to the cap.
+        scan.target[:] = np.uint64(1 << 63)
+        scan.run()
+        vals, off, _ = scan.table.slice_arrays(0, 32768)
+        # The nine-flip patterns, which numpy sums pairwise, are in range.
+        assert np.diff(off).max() == 9 and (np.diff(off) == 9).sum() == 19
+        syn = np.bitwise_xor.reduceat(scan.cols.take(vals - 1, axis=1), off[:-1], axis=1)
+        syn[:, 0] = 0
+        assert scan.syn.shape == (rows, 32768)
+        assert np.array_equal(scan.syn, syn)
+        flips = np.add.reduceat(scan.l.take(vals - 1, axis=1), off[:-1], axis=1)
+        flips[:, 0] = 0.0
+        for lo, hi in decoder._chunk_bounds(32768):
+            got = scan._flips(lo, hi, *scan.table.slice_arrays(lo, hi)[:2])
+            assert got.tobytes() == flips[:, lo:hi].tobytes(), (lo, hi)
 
 
 class TestPolicyAndGuards:

@@ -5,16 +5,41 @@ import math
 
 import numpy as np
 import pytest
+from reference_order import partitions_fixed, reference_arrays
 
 from softgrand import patterns
 from softgrand.channel import SoftObservation
-from softgrand.patterns import (QueryOrder, QueryPattern, _partitions_fixed,
-                                order_table, pattern_log_probability,
-                                query_patterns, realized_positions)
+from softgrand.patterns import (QueryOrder, QueryPattern, order_table,
+                                pattern_log_probability, query_patterns,
+                                realized_positions)
+
+
+TABLE_ARRAYS = ("flat", "offsets", "parent", "tail", "first", "last")
 
 
 def take(order, count, start=0):
     return list(itertools.islice(query_patterns(order, start=start), count))
+
+
+def assert_pointers(table):
+    """parent/tail index the pattern without its last/first index; first/last are those."""
+    q = np.arange(1, table.count)
+    sizes = np.diff(table.offsets)
+    assert (table.parent[q] < q).all() and (table.tail[q] < q).all()
+    assert (sizes[table.parent[q]] == sizes[q] - 1).all()
+    assert (sizes[table.tail[q]] == sizes[q] - 1).all()
+    sizes = sizes[q]
+    # each flat entry of patterns 1.., with its place within its pattern
+    within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    own = table.flat[np.repeat(table.offsets[q], sizes) + within]
+    head = within < np.repeat(sizes - 1, sizes)
+    at_parent = np.repeat(table.offsets[table.parent[q]], sizes) + within
+    assert np.array_equal(own[head], table.flat[at_parent[head]])
+    at_tail = np.repeat(table.offsets[table.tail[q]], sizes) + within - 1
+    assert np.array_equal(own[within > 0], table.flat[at_tail[within > 0]])
+    assert np.array_equal(table.first[q], table.flat[table.offsets[q]] - 1)
+    assert np.array_equal(table.last[q], table.flat[table.offsets[q + 1] - 1] - 1)
+    assert table.parent[0] == table.tail[0] == table.first[0] == table.last[0] == 0
 
 
 class TestOrdering:
@@ -88,11 +113,48 @@ class TestResumability:
             assert take(order, 10, start=start) == full[start:start + 10]
 
 
+class TestTableBuild:
+    """The numpy build gives the reference generators' order and pointers."""
+
+    @pytest.mark.parametrize("kind", ["hamming", "logistic"])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_pattern_matches_the_generator(self, kind, n):
+        table = patterns._OrderTable(kind, n)
+        table.extend_to(1 << n)
+        flat, offsets = reference_arrays(kind, n, 1 << n)
+        assert np.array_equal(table.flat, flat)
+        assert np.array_equal(table.offsets, offsets)
+        assert not table.exhausted
+        table.extend_to((1 << n) + 1)
+        assert table.exhausted and table.count == 1 << n
+        assert_pointers(table)
+
+    @pytest.mark.parametrize("kind", ["hamming", "logistic"])
+    def test_n128_prefix_matches_the_generator(self, kind):
+        table = patterns._OrderTable(kind, 128)
+        table.extend_to(32768)
+        flat, offsets = reference_arrays(kind, 128, 32768)
+        assert np.array_equal(table.flat, flat)
+        assert np.array_equal(table.offsets, offsets)
+        assert_pointers(table)
+
+    @pytest.mark.parametrize("kind", ["hamming", "logistic"])
+    def test_uneven_growth_equals_one_build(self, kind):
+        once = patterns._OrderTable(kind, 128)
+        once.extend_to(32768)
+        steps = patterns._OrderTable(kind, 128)
+        for count in (1, 17, 300, 4096, 32768):
+            steps.extend_to(count)
+            assert steps.count == count
+        for name in TABLE_ARRAYS:
+            assert np.array_equal(getattr(steps, name), getattr(once, name)), name
+
+
 class TestPartitions:
     def test_distinct_ascending_and_sum(self):
         for total in range(0, 25):
             for m in range(0, 6):
-                for tup in _partitions_fixed(total, m, 1, 9):
+                for tup in partitions_fixed(total, m, 1, 9):
                     assert len(tup) == m
                     assert sum(tup) == total
                     assert all(a < b for a, b in zip(tup, tup[1:]))
@@ -101,7 +163,7 @@ class TestPartitions:
     def test_counts_against_brute_force(self):
         for total in range(0, 20):
             got = sum(1 for m in range(0, 7)
-                      for _ in _partitions_fixed(total, m, 1, 6))
+                      for _ in partitions_fixed(total, m, 1, 6))
             brute = 0
             for size in range(0, 7):
                 for combo in itertools.combinations(range(1, 7), size):
@@ -159,8 +221,9 @@ class TestTableInternals:
         again = order_table(QueryOrder(kind, 11))
         assert again is not first
         again.extend_to(700)
-        assert np.array_equal(again.flat, first.flat)
-        assert np.array_equal(again.offsets, first.offsets)
+        for name in TABLE_ARRAYS:
+            assert np.array_equal(getattr(again, name), getattr(first, name)), name
+        assert_pointers(again)
 
 
 class TestPatternProbability:
