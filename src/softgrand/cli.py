@@ -228,6 +228,9 @@ def parse_and_validate(argv=None):
     if decoder not in _DECODER_SETUP:
         raise ConfigError(f"unknown decoder {decoder!r}")
     taus = _parse_taus(merged.get("tau", "none"))
+    if mode in ("fig1", "oracle") and taus != (None,):
+        raise ConfigError(f"mode {mode} decodes under tau=none only, got --tau "
+                          f"{merged['tau']!r}")
 
     if "ebn0" in merged:
         points = _parse_ebn0(merged["ebn0"])

@@ -20,7 +20,10 @@ For speed the loop is evaluated in growing chunks of queries with numpy.
 Each query's syndrome (packed parity columns XORed as uint64 words) and
 flip sum come from those of an earlier query through the order table's
 parent pointers, as in the syndrome reuse of hardware ORBGRAND decoders,
-and logaddexp.accumulate gives the running sum.  The chunk body works on a
+and logaddexp.accumulate gives the running sum.  The scan keeps that sum
+only when something reads it: a finite tau, whose abandonment test needs
+it, or a caller that wants the confidence; otherwise a chunk is the
+syndromes and the hit test alone.  The chunk body works on a
 (rows, queries) block, and only ``decode_batch`` runs it: it runs the
 first chunks, up to query 64, for a whole block of observations at once,
 and rows still searching after them continue one at a time through the
@@ -143,13 +146,14 @@ class BatchOutcome:
 
     ``status[j, i]`` is HIT, BELOW_TAU or AT_CAP for threshold j on row i;
     ``q`` and ``llr_bits`` are what the DecodeOutcome and its report would
-    hold.  ``words[i]`` is row i's first hit, shared by every threshold that
+    hold, ``llr_bits`` None when the caller asked for no confidence.
+    ``words[i]`` is row i's first hit, shared by every threshold that
     decoded it (the row's hard decision when its search found none).
     """
 
     status: np.ndarray
     q: np.ndarray
-    llr_bits: np.ndarray
+    llr_bits: Optional[np.ndarray]
     words: np.ndarray
 
     @property
@@ -189,7 +193,9 @@ def _runs(starts, sizes):
 
 
 # The per-row search state; a one-row array is shared by every row.
-_ROW_STATE = ("ids", "base", "target", "carry", "l", "cols", "syn", "fold")
+_ROW_STATE = ("ids", "target", "cols", "syn")
+# ... and that of the running log-mass, kept only when something reads it.
+_LEDGER_STATE = ("base", "carry", "l", "fold")
 
 
 class _Scan:
@@ -201,17 +207,19 @@ class _Scan:
     running log-mass ``carry`` after the last chunk, which thresholds are
     still ``open``, and the syndrome ``syn`` and left-folded flip sum
     ``fold`` of every query so far; a row leaves these arrays once it has
-    stopped.  An array with a single row is shared by every row: in the
-    hamming order the parity columns and ``syn``, under an accounting
-    observation ``base``, and under both the reliabilities, ``fold`` and
-    ``carry``.  Per block row it records how the search ended (HIT or
-    AT_CAP, 0 if every threshold abandoned first) with the query and
-    log-mass there, and per threshold and row those of an abandonment (q 0
-    for none).
+    stopped.  Without a finite threshold or ``confidence`` the scan keeps
+    none of the running log-mass state (``base``, ``carry``, ``l``,
+    ``fold``), and its log-masses read 0.  An array with a single row is
+    shared by every row: in the hamming order the parity columns and
+    ``syn``, under an accounting observation ``base``, and under both the
+    reliabilities, ``fold`` and ``carry``.  Per block row it records how the
+    search ended (HIT or AT_CAP, 0 if every threshold abandoned first) with
+    the query and log-mass there, and per threshold and row those of an
+    abandonment (q 0 for none).
     """
 
     def __init__(self, code, hard, reliab, ranks, taus, order_kind, max_queries,
-                 accounting):
+                 accounting, confidence=True):
         for tau in taus:
             _check_tau(tau)
         _check_search(max_queries, order_kind)
@@ -236,19 +244,24 @@ class _Scan:
         # identity frame of the hamming order.
         self.frame = ranks if order_kind == "logistic" else None
         self.ids = np.arange(rows)
-        if accounting is None:
-            self.l = (reliab if self.frame is None
-                      else reliab[self.ids[:, np.newaxis], ranks])
-            self.base = -np.add.reduce(np.log1p(np.exp(-reliab)), axis=1, keepdims=True)
-        else:
-            self.l = acct[np.newaxis] if self.frame is None else acct[ranks]
-            self.base = np.array([[-float(np.sum(np.log1p(np.exp(-acct))))]])
         self.cols = packed[np.newaxis] if self.frame is None else packed[ranks]
         self.target = np.bitwise_xor.reduce(packed * hard, axis=1, keepdims=True)
-        self.carry = None  # set by the first chunk
         self.open = np.full((len(self.taus), rows), True)
         self.syn = np.zeros((len(self.cols), 0), dtype=np.uint64)
-        self.fold = np.zeros((len(self.l), 0))
+        # Thresholds test the running log-mass; without one only the
+        # caller's confidence would read it.
+        self.ledger = confidence or bool(self.taus)
+        self.row_state = _ROW_STATE + (_LEDGER_STATE if self.ledger else ())
+        if self.ledger:
+            if accounting is None:
+                self.l = (reliab if self.frame is None
+                          else reliab[self.ids[:, np.newaxis], ranks])
+                self.base = -np.add.reduce(np.log1p(np.exp(-reliab)), axis=1, keepdims=True)
+            else:
+                self.l = acct[np.newaxis] if self.frame is None else acct[ranks]
+                self.base = np.array([[-float(np.sum(np.log1p(np.exp(-acct))))]])
+            self.carry = None  # set by the first chunk
+            self.fold = np.zeros((len(self.l), 0))
 
         self.end = np.zeros(rows, dtype=np.int8)
         self.end_q = np.zeros(rows, dtype=np.int64)
@@ -267,15 +280,17 @@ class _Scan:
                 continue
             if not len(self.ids) or (stop is not None and c_lo >= stop):
                 return
-            vals, off, hi = self.table.slice_arrays(c_lo, c_hi)
+            self.table.extend_to(c_hi)
+            hi = min(c_hi, self.table.count)
             if hi <= c_lo:
                 break
-            self._chunk(c_lo, hi, vals, off)
+            self._chunk(c_lo, hi)
         if len(self.ids):
             self.end[self.ids] = AT_CAP
             self.end_q[self.ids] = (min(self.cap, self.table.count) if self.table.exhausted
                                     else self.cap)
-            self.end_cum[self.ids] = self.carry[:, 0]
+            if self.ledger:
+                self.end_cum[self.ids] = self.carry[:, 0]
             self.ids = self.ids[:0]
 
     def _reserve(self, hi):
@@ -285,39 +300,59 @@ class _Scan:
             return
         # Ahead of the chunks, so a deep row moves its histories a few times.
         size = min(self.cap, max(4 * hi, 2 * have))
-        for name in ("syn", "fold"):
+        for name in ("syn", "fold") if self.ledger else ("syn",):
             old = getattr(self, name)
             new = np.empty((len(old), size), dtype=old.dtype)
             new[:, :have] = old
             setattr(self, name, new)
 
-    def _chunk(self, lo, hi, vals, off):
+    def _chunk(self, lo, hi):
         """Queries [lo, hi) for every searching row.
 
-        ``vals`` and ``off`` are the chunk's from ``slice_arrays``.  A
-        query's syndrome is its parent's XOR the parity column of its last
-        index, and its ``fold`` its parent's plus the reliability there.
+        A query's syndrome is its parent's XOR the parity column of its last
+        index.
         """
-        m = hi - lo
-        table, cols, l = self.table, self.cols, self.l
+        table, cols = self.table, self.cols
         self._reserve(hi)
-        syn, fold = self.syn, self.fold
+        syn = self.syn
         if lo == 0:
-            # The empty pattern leaves the syndrome alone and flips nothing.
+            # The empty pattern leaves the syndrome alone ...
             syn[:, 0] = 0
-            fold[:, 0] = 0.0
         for g in table.waves(lo, hi):
-            par, col = table.parent[g], table.last[g]
-            syn[:, g] = syn.take(par, axis=1) ^ cols.take(col, axis=1)
-            fold[:, g] = fold.take(par, axis=1) + l.take(col, axis=1)
+            syn[:, g] = syn.take(table.parent[g], axis=1) ^ cols.take(table.last[g], axis=1)
         eq = syn[:, lo:hi] == self.target
         hit_i = eq.argmax(axis=1)
         hit = np.logical_or.reduce(eq, axis=1)
+        if self.ledger:
+            cum_rows = self._running_sum(lo, hi, hit, hit_i)
+        stopped = hit if self.to_the_end else hit | ~self.open.any(axis=0)
+        if np.count_nonzero(stopped):
+            ids, h = self.ids[hit], hit_i[hit]
+            self.end[ids] = HIT
+            self.end_q[ids] = h + (lo + 1)
+            if self.ledger:
+                self.end_cum[ids] = cum_rows[hit, h]
+            self._keep(~stopped)
+
+    def _running_sum(self, lo, hi, hit, hit_i):
+        """Fold queries [lo, hi) into the running log-mass and test the taus.
+
+        A query's ``fold`` is its parent's plus the reliability at its last
+        index.  Returns the running log-mass per searching row and query of
+        the chunk, up to the last first hit when every row hits.
+        """
+        m = hi - lo
+        table, l, fold = self.table, self.l, self.fold
+        if lo == 0:
+            # ... and flips nothing.
+            fold[:, 0] = 0.0
+        for g in table.waves(lo, hi):
+            fold[:, g] = fold.take(table.parent[g], axis=1) + l.take(table.last[g], axis=1)
         # No outcome reads the running sum past a row's first hit, so when
         # every row hits, the sum stops at the last of those hits.
         if hit.all():
             m = int(hit_i.max()) + 1
-        flips = self._flips(lo, lo + m, vals, off)
+        flips = self._flips(lo, lo + m)
         terms = self.base - flips
         if lo:
             # The running sum goes on from where the previous chunk left it.
@@ -342,16 +377,10 @@ class _Scan:
                     self.ab_q[j, self.ids[r]] = lo + ab_i[r] + 1
                     self.ab_cum[j, self.ids[r]] = cum_rows[r, ab_i[r]]
                     self.open[t, r] = False
-        stopped = hit if self.to_the_end else hit | ~self.open.any(axis=0)
         self.carry = cum[:, -1:]
-        if np.count_nonzero(stopped):
-            ids, h = self.ids[hit], hit_i[hit]
-            self.end[ids] = HIT
-            self.end_q[ids] = h + (lo + 1)
-            self.end_cum[ids] = cum_rows[hit, h]
-            self._keep(~stopped)
+        return cum_rows
 
-    def _flips(self, lo, stop, vals, off):
+    def _flips(self, lo, stop):
         """Flip sums of queries [lo, stop), bit for bit as np.add.reduceat sums them.
 
         reduceat adds a segment's later terms from the left and then its
@@ -359,6 +388,7 @@ class _Scan:
         eight; from nine flips up it sums them pairwise, and so does this.
         """
         table, l = self.table, self.l
+        vals, off, _ = table.slice_arrays(lo, stop)
         q = slice(lo, stop)
         flips = l.take(table.first[q], axis=1) + self.fold.take(table.tail[q], axis=1)
         if lo == 0:
@@ -376,7 +406,7 @@ class _Scan:
             # Once no row is searching nothing reads the other arrays again.
             self.ids = self.ids[:0]
             return
-        for name in _ROW_STATE:
+        for name in self.row_state:
             arr = getattr(self, name)
             if len(arr) > 1:
                 setattr(self, name, arr[live])
@@ -389,12 +419,13 @@ class _Scan:
         syndrome to hit, continue in this scan itself.  Otherwise each row's
         scan views its row of this one's arrays, until its histories grow.
         """
-        if len(self.ids) == 1 or max(len(self.l), len(self.cols), len(self.base)) == 1:
+        shared = ("cols", "l", "base") if self.ledger else ("cols",)
+        if len(self.ids) == 1 or max(len(getattr(self, name)) for name in shared) == 1:
             yield self
             return
         for k in range(len(self.ids)):
             one = copy.copy(self)
-            for name in _ROW_STATE:
+            for name in self.row_state:
                 arr = getattr(self, name)
                 if len(arr) > 1:
                     setattr(one, name, arr[k:k + 1])
@@ -463,7 +494,7 @@ def decode_ladder(code, obs, taus, order_kind="logistic", max_queries=None,
 
 
 def decode_batch(code, hard, reliab, ranks, taus, order_kind="logistic",
-                 max_queries=None, accounting=None):
+                 max_queries=None, accounting=None, confidence=True):
     """Decode every row of a (rows, n) block under every threshold in ``taus``.
 
     ``hard``, ``reliab`` and ``ranks`` hold one observation per row, as
@@ -473,14 +504,17 @@ def decode_batch(code, hard, reliab, ranks, taus, order_kind="logistic",
     rows still searching then continue one at a time.  Row i under tau j
     gets the outcome that a block holding observation i alone gives it, and
     ``softout.llr_bits`` gives the confidence at that outcome's query.
+    With ``confidence=False`` the result has no ``llr_bits`` (None), and when
+    every tau is None the scan keeps no running log-mass at all; status, q
+    and words are the same either way.
     """
     hard = np.asarray(hard, dtype=np.uint8)
     scan = _Scan(code, hard, np.asarray(reliab, dtype=float),
                  np.asarray(ranks, dtype=np.int64), taus, order_kind, max_queries,
-                 accounting)
+                 accounting, confidence)
     scan.run(stop=_BLOCK_QUERIES)
     for one in scan.rows():
         one.run(lo=_BLOCK_QUERIES)
     status, q, cum = scan.results()
-    return BatchOutcome(status=status, q=q, llr_bits=softout.llr_bits(scan.redundancy, q, cum),
-                        words=scan.words(hard))
+    llr = softout.llr_bits(scan.redundancy, q, cum) if confidence else None
+    return BatchOutcome(status=status, q=q, llr_bits=llr, words=scan.words(hard))

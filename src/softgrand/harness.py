@@ -367,10 +367,14 @@ def _accounting(code, params, accounting):
                                            bsc_crossover(params))
 
 
-def _decode_block(code, params, policies, accounting, master_seed, point_key, lo, hi):
+def _decode_block(code, params, policies, accounting, master_seed, point_key, lo, hi,
+                  confidence=True):
     """Run trials [lo, hi) at one point for the given policies.
 
-    Returns per-policy (outcome, q, llr_bits) arrays in policy order.
+    Returns per-policy (outcome, q, llr_bits) arrays in policy order.  With
+    ``confidence=False`` the decoder reports no confidence and ``llr_bits``
+    stays NaN; policies that all have tau=None then decode on syndromes
+    alone.
     """
     m = hi - lo
     out = [(np.zeros(m, dtype=np.int8), np.zeros(m, dtype=np.int64), np.full(m, math.nan))
@@ -388,13 +392,14 @@ def _decode_block(code, params, policies, accounting, master_seed, point_key, lo
                                                   point_key, b_lo, b_hi)
         rows = slice(b_lo - lo, b_hi - lo)
         for kind, cap, js, taus in ladders:
-            res = decode_batch(code, hard, reliab, ranks, taus, kind, cap, acct)
+            res = decode_batch(code, hard, reliab, ranks, taus, kind, cap, acct, confidence)
             correct = (res.words == cws).all(axis=1)
             tags = np.where(res.decoded, np.where(correct, CORRECT, INCORRECT), ABANDONED)
             for t, j in enumerate(js):
                 out[j][0][rows] = tags[t]
                 out[j][1][rows] = res.q[t]
-                out[j][2][rows] = res.llr_bits[t]
+                if confidence:
+                    out[j][2][rows] = res.llr_bits[t]
     return out
 
 
@@ -560,8 +565,9 @@ def collect_error_query_distribution(code, ebn0_db, target_errors, seed,
     trials = 0
     while len(qs) < target_errors:
         hi = trials + min(_BATCH, target_errors - len(qs))
+        # Only the query counts are kept, so the decoder skips the ledger.
         ((outcome, q, _),) = _decode_block(code, params, policies, accounting,
-                                           seed, key, trials, hi)
+                                           seed, key, trials, hi, confidence=False)
         wrong = outcome == INCORRECT
         # Errors and trials so far after each trial of the block.
         errors = len(qs) + np.cumsum(wrong)

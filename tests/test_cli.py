@@ -83,6 +83,12 @@ class TestFlagParsing:
          "exactly one"),
         (["--mode", "oracle", "--code", "rlc:8:4", "--ebn0", "1,2"],
          "exactly one"),
+        (["--mode", "fig1", "--code", "rlc:16:8", "--ebn0", "1", "--tau", "2"],
+         "tau=none only"),
+        (["--mode", "fig1", "--code", "rlc:16:8", "--ebn0", "1", "--tau", "none,0"],
+         "tau=none only"),
+        (["--mode", "oracle", "--code", "rlc:8:4", "--ebn0", "1", "--tau", "-1.5"],
+         "tau=none only"),
     ])
     def test_rejected_invocations(self, argv, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -128,6 +134,20 @@ class TestConfigFile:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             parse_and_validate(["--config", str(tmp_path / "absent.json")])
+
+    @pytest.mark.parametrize("mode, tau", [("fig1", "1"), ("fig1", 2.5), ("oracle", "none,0")])
+    def test_tau_rejected_where_only_none_decodes(self, tmp_path, capsys, mode, tau):
+        path = self._write(tmp_path, {"mode": mode, "code": "rlc:8:4", "ebn0": "1",
+                                      "tau": tau, "trials": 5})
+        assert main(["--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "tau=none only" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_tau_none_accepted_in_fig1_and_oracle(self, tmp_path):
+        for mode in ("fig1", "oracle"):
+            path = self._write(tmp_path, {"mode": mode, "code": "rlc:8:4", "ebn0": "1",
+                                          "tau": "none"})
+            assert parse_and_validate(["--config", path]).taus == (None,)
 
     def test_trials_csv_via_config(self, tmp_path):
         path = self._write(tmp_path, {"mode": "sweep", "code": "rlc:16:8",

@@ -367,6 +367,52 @@ class TestBatchDecode:
         assert (got.q[0] > 64).tolist() == [False] * 4 + [True, False]
         _assert_batch_equals_ladders(code, (hard, reliab, ranks), taus, kind, 3000, None)
 
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_without_confidence_same_outcomes(self, data):
+        n = data.draw(st.integers(4, 12), label="n")
+        rmin = max(2, math.ceil(math.log2(n + 1)))
+        k = data.draw(st.integers(1, n - rmin), label="k")
+        code = make_rlc(n, k, seed=data.draw(st.integers(1, 10_000), label="code_seed"))
+        ebn0 = data.draw(st.floats(-3.0, 8.0), label="ebn0")
+        rows = data.draw(st.integers(1, 12), label="rows")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32), label="seed"))
+        _, arrays = _block(code, ebn0, rows, rng)
+        # Without a finite tau the scan keeps no running sum; with one it
+        # does, and abandonment must come out the same.
+        taus = [None] + data.draw(st.lists(st.floats(-20.0, 60.0), max_size=1), label="tau")
+        caps = st.none() | st.integers(1, 15) | st.integers(16, 64) | st.integers(65, 300)
+        max_queries = data.draw(caps, label="max_queries")
+        kind = data.draw(st.sampled_from(["logistic", "hamming"]), label="kind")
+        acct = None
+        if data.draw(st.booleans(), label="bsc"):
+            crossover = bsc_crossover(ChannelParams(ebn0_db=ebn0, rate=code.rate))
+            acct = SoftObservation.from_flip_probs(np.zeros(n, dtype=np.uint8), crossover)
+        want = decode_batch(code, *arrays, taus, kind, max_queries, acct)
+        got = decode_batch(code, *arrays, taus, kind, max_queries, acct, confidence=False)
+        assert got.llr_bits is None
+        assert np.array_equal(got.status, want.status)
+        assert np.array_equal(got.q, want.q)
+        assert np.array_equal(got.words, want.words)
+
+    @pytest.mark.parametrize("kind, accounting", [("logistic", "soft"), ("hamming", "bsc"),
+                                                  ("hamming", "soft")])
+    def test_without_confidence_deep_rows(self, kind, accounting):
+        # Rows past the 64-query block, some to the cap, under tau=None only.
+        code = make_rlc(128, 116, seed=1)
+        _, arrays = _block(code, 0.5, 12, np.random.default_rng(5))
+        acct = None
+        if accounting == "bsc":
+            crossover = bsc_crossover(ChannelParams(ebn0_db=0.5, rate=code.rate))
+            acct = SoftObservation.from_flip_probs(np.zeros(128, dtype=np.uint8), crossover)
+        want = decode_batch(code, *arrays, [None], kind, 3000, acct)
+        assert (want.q > 64).sum() >= 3 and (want.status == AT_CAP).any()
+        got = decode_batch(code, *arrays, [None], kind, 3000, acct, confidence=False)
+        assert got.llr_bits is None
+        assert np.array_equal(got.status, want.status)
+        assert np.array_equal(got.q, want.q)
+        assert np.array_equal(got.words, want.words)
+
     def test_empty_block(self):
         code = make_rlc(16, 8, seed=2)
         _, (hard, reliab, ranks) = _block(code, 3.0, 2, np.random.default_rng(1))
@@ -411,7 +457,7 @@ class TestIncrementalSums:
         flips = np.add.reduceat(scan.l.take(vals - 1, axis=1), off[:-1], axis=1)
         flips[:, 0] = 0.0
         for lo, hi in decoder._chunk_bounds(32768):
-            got = scan._flips(lo, hi, *scan.table.slice_arrays(lo, hi)[:2])
+            got = scan._flips(lo, hi)
             assert got.tobytes() == flips[:, lo:hi].tobytes(), (lo, hi)
 
 

@@ -67,3 +67,15 @@ def test_bsc_fig1_is_golden(tmp_path):
         "c1703f0a5a894c1c3d53874cb42a3e2a6fd5fceb2ce43499417aad2697417e9a")
     fig1 = json.loads((tmp_path / "fig1.csv.json").read_text())["fig1"]
     assert (fig1["samples"], fig1["trials"]) == (200, 215)
+
+
+def test_soft_fig1_is_golden(tmp_path):
+    """Logistic order with soft accounting in fig1 mode at 0 dB, where every
+    decode searches about 4000 queries deep."""
+    argv = ["--mode", "fig1", "--code", "rlc:128:116:1", "--ebn0", "0",
+            "--trials", "200", "--seed", "3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert _sha256(tmp_path / "fig1.csv") == (
+        "b2240aa447aa8f3df11ed374e4006c6950e4c6b375afe47b0f8830d59a6d3e29")
+    fig1 = json.loads((tmp_path / "fig1.csv.json").read_text())["fig1"]
+    assert (fig1["samples"], fig1["trials"]) == (200, 201)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from softgrand import harness
+from softgrand import decoder, harness, softout
 from softgrand.channel import ChannelParams, transmit
 from softgrand.codes import encode, make_rlc
 from softgrand.decoder import DecodePolicy, decode
@@ -385,6 +385,20 @@ class TestErrorQueryDistribution:
                                              min_error_rate=min_error_rate,
                                              check_after=check_after)
         assert str(err.value) == want
+
+    @pytest.mark.parametrize("accounting", ["soft", "bsc"])
+    def test_never_builds_the_confidence_ledger(self, monkeypatch, accounting):
+        # fig1 keeps only query counts, so its decodes skip the running sum
+        # and the wrong-hit table that the confidence needs.
+        def ledger(*args):
+            raise AssertionError("fig1 built the confidence ledger")
+
+        monkeypatch.setattr(softout, "log_p_incorrect_prefix", ledger)
+        monkeypatch.setattr(softout, "llr_bits", ledger)
+        monkeypatch.setattr(decoder._Scan, "_running_sum", ledger)
+        code = make_rlc(24, 16, seed=4)
+        d = collect_error_query_distribution(code, -2.0, 20, seed=5, accounting=accounting)
+        assert len(d.queries) == 20
 
     def test_histogram_partitions_samples(self):
         code = make_rlc(24, 16, seed=4)
