@@ -82,9 +82,10 @@ class ChannelParams:
 class SoftObservation:
     """Hard decisions plus per-bit soft information for one received block.
 
-    ``reliab`` holds the natural-log reliability magnitudes l_i = |lambda_i|
-    and ``ranks`` the bit indices sorted by ascending reliability (ties
-    broken by ascending bit index), so ranks[0] is the least reliable bit.
+    ``reliab`` holds the natural-log reliability magnitudes l_i = |lambda_i|,
+    finite and nonnegative, and ``ranks`` the bit indices sorted by
+    ascending reliability (ties broken by ascending bit index), so ranks[0]
+    is the least reliable bit.
     """
 
     hard: np.ndarray
@@ -94,6 +95,9 @@ class SoftObservation:
     def __post_init__(self):
         self.hard = np.asarray(self.hard, dtype=np.uint8)
         self.reliab = np.asarray(self.reliab, dtype=float)
+        # NaN fails both comparisons.
+        if not np.all((self.reliab >= 0) & (self.reliab < np.inf)):
+            raise ValueError("reliability magnitudes must be finite and nonnegative")
         if self.ranks is None:
             self.ranks = np.argsort(self.reliab, kind="stable")
         if not (len(self.hard) == len(self.reliab) == len(self.ranks)):
@@ -125,7 +129,7 @@ class SoftObservation:
         BSC crossover probability on every bit.
         """
         flip_prob = np.broadcast_to(np.asarray(flip_prob, dtype=float), np.shape(hard))
-        if np.any(flip_prob <= 0) or np.any(flip_prob > 0.5):
+        if not np.all((flip_prob > 0) & (flip_prob <= 0.5)):
             raise ValueError("flip probabilities must lie in (0, 0.5]")
         return cls(hard=hard, reliab=np.log1p(-flip_prob) - np.log(flip_prob))
 

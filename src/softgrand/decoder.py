@@ -106,8 +106,9 @@ class DecodePolicy:
 
     ``tau`` is the finite abandonment threshold in bits (None = never
     abandon); ``max_queries`` caps the search, defaulting to
-    min(8 * 2^redundancy, 2^n) which covers eight mean lifetimes of the
-    wrong-hit geometric model; ``order_kind`` picks the pattern enumeration.
+    8 * 2^redundancy which covers eight mean lifetimes of the wrong-hit
+    geometric model; either way the cap is at most 2^n, the number of
+    patterns.  ``order_kind`` picks the pattern enumeration.
     """
 
     tau: Optional[float] = None
@@ -162,12 +163,9 @@ class BatchOutcome:
 
 
 def _resolve_cap(max_queries, code):
-    if max_queries is not None:
-        return int(max_queries)
-    cap = 8 << code.redundancy
-    if code.n < 63:
-        cap = min(cap, 1 << code.n)
-    return cap
+    cap = 8 << code.redundancy if max_queries is None else int(max_queries)
+    # No search goes past the last of the 2^n patterns.
+    return min(cap, 1 << code.n)
 
 
 def resolve_max_queries(policy, code):
@@ -253,13 +251,11 @@ class _Scan:
         self.ledger = confidence or bool(self.taus)
         self.row_state = _ROW_STATE + (_LEDGER_STATE if self.ledger else ())
         if self.ledger:
-            if accounting is None:
-                self.l = (reliab if self.frame is None
-                          else reliab[self.ids[:, np.newaxis], ranks])
-                self.base = -np.add.reduce(np.log1p(np.exp(-reliab)), axis=1, keepdims=True)
-            else:
-                self.l = acct[np.newaxis] if self.frame is None else acct[ranks]
-                self.base = np.array([[-float(np.sum(np.log1p(np.exp(-acct))))]])
+            # One row of accounting reliabilities serves every row.
+            source = reliab if accounting is None else acct[np.newaxis]
+            self.l = (source if self.frame is None
+                      else source[self.ids[:len(source), np.newaxis], ranks])
+            self.base = -np.add.reduce(np.log1p(np.exp(-source)), axis=1, keepdims=True)
             self.carry = None  # set by the first chunk
             self.fold = np.zeros((len(self.l), 0))
 
@@ -281,14 +277,10 @@ class _Scan:
             if not len(self.ids) or (stop is not None and c_lo >= stop):
                 return
             self.table.extend_to(c_hi)
-            hi = min(c_hi, self.table.count)
-            if hi <= c_lo:
-                break
-            self._chunk(c_lo, hi)
+            self._chunk(c_lo, c_hi)
         if len(self.ids):
             self.end[self.ids] = AT_CAP
-            self.end_q[self.ids] = (min(self.cap, self.table.count) if self.table.exhausted
-                                    else self.cap)
+            self.end_q[self.ids] = self.cap
             if self.ledger:
                 self.end_cum[self.ids] = self.carry[:, 0]
             self.ids = self.ids[:0]

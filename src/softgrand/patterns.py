@@ -11,10 +11,11 @@ descending pattern likelihood without using reliability magnitudes.
 Patterns live in the order's reference frame: "hamming" indexes bits
 directly, "logistic" indexes the ascending-reliability permutation of the
 bits (index 0 = least reliable).  Each (kind, n) has one cached table,
-built with numpy level by level over flip counts; the table holds exactly
+built with numpy level by level over flip counts; the table holds at least
 the patterns asked for so far, each with pointers to the patterns without
 its largest and without its smallest index, and a sequence can be resumed
-from any global index without recomputing the prefix.  The cache keeps the
+from any global index without recomputing the prefix.  A table that must
+grow is rebuilt whole, to at least twice its size.  The cache keeps the
 few most recently used tables.
 """
 
@@ -85,17 +86,17 @@ class _OrderTable:
     index of pattern i without its largest frame index and ``tail[i]`` the
     index of pattern i without its smallest; both come before i.
     ``first[i]`` and ``last[i]`` are its smallest and largest 0-based frame
-    indices.  The empty pattern, index 0, has all four 0.  ``exhausted``
-    turns true once more patterns were asked for than exist.
+    indices.  The empty pattern, index 0, has all four 0.
 
     The table is built level by level over flip counts: every m-flip set is
     an (m-1)-flip set extended by a larger index, so extending each level in
     lexicographic order gives the next level in lexicographic order, and
     the query order sorts the levels' patterns by (weight, flips, level
-    position).  Each growth rebuilds the levels up to the weight band that
-    holds the requested count (for "hamming", weight is the flip count and
-    only the lexicographic prefix of that band that is needed) and appends
-    the patterns not yet stored.
+    position).  The levels go up to the weight band that holds the
+    requested count (for "hamming", weight is the flip count and only the
+    lexicographic prefix of that band that is needed).  Each growth
+    rebuilds the table whole, at least doubling it, so a table grown step
+    by step costs about two builds of its final size.
     """
 
     def __init__(self, kind, n):
@@ -108,85 +109,73 @@ class _OrderTable:
         self.first = np.zeros(0, dtype=np.int32)
         self.last = np.zeros(0, dtype=np.int32)
         self.count = 0
-        self.exhausted = False
-        # Per flip count, the table index of each level entry in
-        # lexicographic order (-1 until stored), and the weight bound the
-        # levels were built to.
-        self._stored = []
-        self._bound = -1
-        # _total[w]: how many patterns weigh at most w, up to some weight.
-        self._total = np.ones(1)
         self._waves = {}
 
     def extend_to(self, count):
-        """Grow the table until it holds ``count`` patterns or all of them."""
-        if count <= self.count or self.exhausted:
-            return
-        if count > 1 << self.n:
-            self.exhausted = True
-            count = 1 << self.n
-            if count <= self.count:
-                return
-        stored, fresh = self._levels(count)
-        flips = np.repeat(np.arange(len(fresh)), [len(f[0]) for f in fresh])
-        pos, weight, last, first, par, tail = (np.concatenate(a) for a in zip(*fresh))
-        # The next patterns in query order: by weight, flips, then lex order.
-        take = np.lexsort((pos, flips, weight))[:count - self.count]
-        flips, pos, last, first, par, tail = (
-            a[take] for a in (flips, pos, last, first, par, tail))
-        new = np.arange(self.count, count)
-        parent = np.zeros(len(new), dtype=np.int32)
-        for m in range(len(stored)):
-            (mine,) = np.nonzero(flips == m)
-            stored[m][pos[mine]] = new[mine]
-            if m:
-                # Parent and tail are stored: each weighs less than the pattern.
-                parent[mine] = stored[m - 1][par[mine]]
-                tail[mine] = stored[m - 1][tail[mine]]
+        """Hold at least ``count`` patterns, or all 2^n of them.
 
-        offsets = np.concatenate((self.offsets, self.offsets[-1] + np.cumsum(flips)))
-        flat = np.concatenate((self.flat, np.empty(int(offsets[-1] - self.offsets[-1]),
-                                                   dtype=np.int32)))
-        for m in range(1, len(stored)):
-            (mine,) = np.nonzero(flips == m)
-            # A pattern's indices are its parent's followed by its last.
-            seg = offsets[new[mine]][:, np.newaxis] + np.arange(m)
-            flat[seg[:, :-1]] = flat[offsets[parent[mine]][:, np.newaxis] + np.arange(m - 1)]
-            flat[seg[:, -1]] = last[mine]
+        A growth rebuilds the table to at least twice its size.
+        """
+        if min(count, 1 << self.n) <= self.count:
+            return
+        count = min(max(count, 2 * self.count), 1 << self.n)
+        levels = self._levels(count)
+        sizes = [len(level[0]) for level in levels]
+        flips = np.repeat(np.arange(len(levels), dtype=np.int32), sizes)
+        weight, last, first, par, tail = (np.concatenate(a) for a in zip(*levels))
+        # The levels are concatenated by flips, each in lex order, so a
+        # stable sort by weight gives the query order: weight, flips, lex.
+        take = np.argsort(weight, kind="stable")[:count]
+        index = np.empty(len(weight), dtype=np.int32)
+        index[take] = np.arange(count, dtype=np.int32)
+        flips, last, first, par, tail = (a[take] for a in (flips, last, first, par, tail))
+        # Parent and tail are at level m-1, and taken: each weighs less.
+        up = np.concatenate(([0], np.cumsum(sizes)))[np.maximum(flips - 1, 0)]
+        parent = index[up + par]
+
+        offsets = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(flips, out=offsets[1:])
+        flat = np.empty(int(offsets[-1]), dtype=np.int32)
+        # A pattern's indices are its parent's followed by its last, so from
+        # its end back they are the last indices along its parent chain,
+        # which ends at the empty pattern 0.
+        pat, end = np.arange(1, count), offsets[2:]
+        while len(pat):
+            end = end - 1
+            flat[end] = last[pat]
+            pat = parent[pat]
+            (more,) = np.nonzero(pat)
+            pat, end = pat[more], end[more]
         self.flat, self.offsets = flat, offsets
-        self.parent = np.concatenate((self.parent, parent))
-        self.tail = np.concatenate((self.tail, tail))
-        self.first = np.concatenate((self.first, np.maximum(first - 1, 0)))
-        self.last = np.concatenate((self.last, np.maximum(last - 1, 0)))
+        self.parent, self.tail = parent, index[up + tail]
+        self.first = np.maximum(first - 1, 0)
+        self.last = np.maximum(last - 1, 0)
         self.count = count
-        self._stored = stored
 
     def _levels(self, count):
-        """Rebuild the levels up to the band that holds pattern ``count``.
+        """Every level up to the band that holds pattern ``count``.
 
-        Returns two lists over flip counts m.  The first holds the table
-        index of each level-m entry in lex order, -1 if not stored yet.  The
-        second holds, for the entries not stored yet, their level positions,
-        weights, last and first 1-based indices, and the level m-1 positions
-        of their parents and tails.
+        Returns per flip count m the level-m entries in lex order: their
+        weights, last and first 1-based indices, and the level m-1
+        positions of their parents and tails.
         """
         n = self.n
         hamming = self.kind == "hamming"
         most = n if hamming else n * (n + 1) // 2
-        while self._total[-1] < count and len(self._total) <= most:
-            self._total = np.cumsum(_band_sizes(self.kind, n, min(2 * len(self._total), most)))
+        # total[w]: how many patterns weigh at most w, up to a weight top
+        # that doubles until they number count.  The first guess suffices
+        # in the hamming order, where at least 2^top patterns weigh <= top.
+        top = int(count).bit_length()
+        while True:
+            total = np.cumsum(_band_sizes(self.kind, n, min(top, most)))
+            if total[-1] >= count or top >= most:
+                break
+            top *= 2
         # The first count patterns: all lighter than bound, band_size weighing bound.
-        bound = int(np.searchsorted(self._total, count))
-        band_size = count - (int(self._total[bound - 1]) if bound else 0)
-        stored, fresh = [], []
-
-        def add(level, *columns):
-            (pos,) = np.nonzero(level < 0)
-            stored.append(level)
-            fresh.append((pos,) + tuple(c[pos] for c in columns))
-
+        bound = int(np.searchsorted(total, count))
+        band_size = count - (int(total[bound - 1]) if bound else 0)
         zero = np.zeros(1, dtype=np.int32)
-        add(np.array([0 if self.count else -1], dtype=np.int32), *[zero] * 5)
+        levels = [(zero,) * 5]
         weight, last, tail, first = zero, zero, zero, zero
         starts_up = None
         for m in range(1, n + 1):
@@ -215,17 +204,9 @@ class _OrderTable:
                 tail_m = starts_up[tail[par]] + idx - tail_last - 1
                 first_m = first[par]
             weight_m = np.full(size, m, dtype=np.int32) if hamming else weight[par] + idx
-            level = np.full(size, -1, dtype=np.int32)
-            if m < len(self._stored):
-                before = self._stored[m]
-                if hamming:
-                    level[:len(before)] = before
-                else:
-                    level[weight_m <= self._bound] = before
-            add(level, weight_m, idx, first_m, par, tail_m)
+            levels.append((weight_m, idx, first_m, par, tail_m))
             weight, last, tail, first, starts_up = weight_m, idx, tail_m, first_m, starts
-        self._bound = bound
-        return stored, fresh
+        return levels
 
     def pattern(self, i):
         if i >= self.count:
@@ -242,7 +223,7 @@ class _OrderTable:
 
         Returns (values, offsets, actual_stop) where ``values`` are 1-based
         frame indices, ``offsets`` has length actual_stop - start + 1 and is
-        relative to ``values``, and actual_stop <= stop if the order ran out.
+        relative to ``values``, and actual_stop is stop capped at 2^n.
         """
         self.extend_to(stop)
         stop = min(stop, self.count)
@@ -311,14 +292,10 @@ def query_patterns(order, start=0):
     resume at any index; nothing about an observation is captured.
     """
     table = order_table(order)
-    i = int(start)
-    while True:
+    for i in range(int(start), 1 << order.n):
         if i >= table.count:
             table.extend_to(i + 1024)
-            if i >= table.count:
-                return
         yield table.pattern(i)
-        i += 1
 
 
 def realized_positions(pattern, order, obs):

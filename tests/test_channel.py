@@ -129,6 +129,12 @@ class TestSoftObservation:
             SoftObservation.from_flip_probs(hard, [0.0, 0.1])
         with pytest.raises(ValueError):
             SoftObservation.from_flip_probs(hard, [0.6, 0.1])
+        with pytest.raises(ValueError, match="flip probabilities"):
+            SoftObservation.from_flip_probs(hard, [math.nan, 0.1])
+        # built directly, an observation checks its reliabilities
+        for bad in (math.nan, -1.0, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                SoftObservation(hard=hard, reliab=[bad, 1.0])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -470,6 +470,9 @@ class TestPolicyAndGuards:
         assert resolve_max_queries(DecodePolicy(), make_rlc(6, 2, seed=1)) == 64
         assert resolve_max_queries(DecodePolicy(max_queries=7),
                                    make_rlc(8, 4, seed=3)) == 7
+        # an explicit cap is held to the pattern space too
+        assert resolve_max_queries(DecodePolicy(max_queries=1000),
+                                   make_rlc(8, 4, seed=3)) == 256
 
     def test_labels(self):
         assert DecodePolicy(tau=None).label() == "tau=none"

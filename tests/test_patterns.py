@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from reference_order import partitions_fixed, reference_arrays
 
-from softgrand import patterns
+from softgrand import decoder, patterns
 from softgrand.channel import SoftObservation
 from softgrand.patterns import (QueryOrder, QueryPattern, order_table,
                                 pattern_log_probability, query_patterns,
@@ -124,9 +124,9 @@ class TestTableBuild:
         flat, offsets = reference_arrays(kind, n, 1 << n)
         assert np.array_equal(table.flat, flat)
         assert np.array_equal(table.offsets, offsets)
-        assert not table.exhausted
+        assert table.count == 1 << n
         table.extend_to((1 << n) + 1)
-        assert table.exhausted and table.count == 1 << n
+        assert table.count == 1 << n
         assert_pointers(table)
 
     @pytest.mark.parametrize("kind", ["hamming", "logistic"])
@@ -146,8 +146,16 @@ class TestTableBuild:
         for count in (1, 17, 300, 4096, 32768):
             steps.extend_to(count)
             assert steps.count == count
-        for name in TABLE_ARRAYS:
-            assert np.array_equal(getattr(steps, name), getattr(once, name)), name
+        # The decoder's own steps: each growth at least doubles the table.
+        grown = patterns._OrderTable(kind, 128)
+        for count in [hi for _, hi in decoder._chunk_bounds(32768)]:
+            before = grown.count
+            grown.extend_to(count)
+            assert grown.count == before or grown.count == max(count, 2 * before)
+            assert grown.count >= count
+        for table in (steps, grown):
+            for name in TABLE_ARRAYS:
+                assert np.array_equal(getattr(table, name), getattr(once, name)), name
 
 
 class TestPartitions:
@@ -185,7 +193,6 @@ class TestTableInternals:
         table = patterns._OrderTable(kind, 128)
         table.extend_to(32768)
         assert table.count == 32768 and len(table.offsets) == 32769
-        assert not table.exhausted
         table.extend_to(100)
         assert table.count == 32768
 
@@ -193,9 +200,9 @@ class TestTableInternals:
     def test_exhausted_when_generator_runs_dry(self, kind):
         table = patterns._OrderTable(kind, 5)
         table.extend_to(32)
-        assert table.count == 32 and not table.exhausted
+        assert table.count == 1 << 5
         vals, off, stop = table.slice_arrays(16, 64)
-        assert stop == 32 and len(off) == 17 and table.exhausted
+        assert stop == 32 and len(off) == 17 and table.count == 1 << 5
 
     def test_cache_shared(self):
         assert order_table(QueryOrder("hamming", 6)) is order_table(QueryOrder("hamming", 6))
