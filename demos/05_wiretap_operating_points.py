@@ -13,7 +13,6 @@ import numpy as np
 
 from softgrand.channel import capacity_markers
 from softgrand.codes import make_rlc
-from softgrand.decoder import DecodePolicy
 from softgrand.harness import run_sweep, write_sweep_csv
 
 code = make_rlc(128, 116, seed=1)
@@ -25,8 +24,7 @@ good_point = 6.0
 eve_a = markers["shannon_ebn0_db"] - 3.0   # deep below the Shannon marker
 eve_b = markers["mincap_ebn0_db"]          # at the min-capacity marker
 
-policies = [DecodePolicy(tau=None), DecodePolicy(tau=0.0), DecodePolicy(tau=2.0)]
-result = run_sweep(code, policies, [good_point, eve_a, eve_b],
+result = run_sweep(code, (None, 0.0, 2.0), [good_point, eve_a, eve_b],
                    trials_per_point=10_000, master_seed=7)
 
 names = {good_point: "receiver @ 6 dB",

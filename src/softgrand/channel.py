@@ -99,7 +99,7 @@ class SoftObservation:
         if not np.all((self.reliab >= 0) & (self.reliab < np.inf)):
             raise ValueError("reliability magnitudes must be finite and nonnegative")
         if self.ranks is None:
-            self.ranks = np.argsort(self.reliab, kind="stable")
+            self.ranks = _ranks(self.reliab)
         if not (len(self.hard) == len(self.reliab) == len(self.ranks)):
             raise ValueError("field lengths disagree")
 
@@ -148,10 +148,15 @@ def flip_probability(l):
     return float(out) if arr.ndim == 0 else out
 
 
+def _ranks(reliab):
+    """Bit indices by ascending reliability along the last axis, ties by index."""
+    return np.argsort(reliab, axis=-1, kind="stable")
+
+
 def _llr_arrays(llrs):
     """Hard decisions, reliabilities and ranks of a 2-D array of channel LLRs."""
     reliab = np.abs(llrs)
-    return (llrs < 0).astype(np.uint8), reliab, np.argsort(reliab, axis=1, kind="stable")
+    return (llrs < 0).astype(np.uint8), reliab, _ranks(reliab)
 
 
 def transmit(code_word, params, rng):

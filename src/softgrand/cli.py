@@ -23,9 +23,8 @@ import numpy as np
 
 from . import __version__
 from .channel import EBN0_LIMIT_DB, ChannelParams, capacity_markers, transmit
-from .codes import encode, make_crc, make_rlc
-from .decoder import DecodePolicy
-from .harness import (GuardError, collect_error_query_distribution,
+from .codes import MAX_REDUNDANCY, encode, make_crc, make_rlc
+from .harness import (DECODERS, GuardError, collect_error_query_distribution,
                       oracle_exact_accounting, run_sweep, write_sweep_csv,
                       write_trials_csv)
 
@@ -33,17 +32,8 @@ __all__ = ["RunConfig", "ConfigError", "parse_and_validate", "run", "main"]
 
 ORACLE_TOLERANCE = 1e-10
 
-# The decoder packs each parity-check column into one uint64 word.
-_MAX_REDUNDANCY = 63
-
 _FLAG_KEYS = ("mode", "code", "decoder", "tau", "ebn0", "trials", "seed",
               "workers", "out", "trials_csv")
-
-_DECODER_SETUP = {
-    # decoder name -> (pattern order, ledger accounting)
-    "orbgrand": ("logistic", "soft"),
-    "grand": ("hamming", "bsc"),
-}
 
 
 class ConfigError(ValueError):
@@ -102,7 +92,7 @@ def _build_parser():
     p.add_argument("--mode", choices=("sweep", "fig1", "oracle", "markers"),
                    help="what to run")
     p.add_argument("--code", help="rlc:N:K[:SEED] or crc:N:K:0xPOLY (Koopman)")
-    p.add_argument("--decoder", choices=tuple(_DECODER_SETUP),
+    p.add_argument("--decoder", choices=tuple(DECODERS),
                    help="orbgrand = rank-order patterns with soft accounting; "
                         "grand = Hamming-order patterns with hard-detection "
                         "accounting (default orbgrand)")
@@ -166,6 +156,9 @@ def _parse_ebn0(value):
     text = str(value)
     is_range = isinstance(value, str) and ":" in value
     items = value if isinstance(value, (list, tuple)) else text.split(":" if is_range else ",")
+    # A JSON list holds numbers; type() keeps out bool, an int subclass.
+    if items is value and not all(type(v) in (int, float) for v in items):
+        raise ConfigError(f"ebn0 list items must be numbers, got {text!r}")
     try:
         points = tuple(float(v) for v in items)
     except (TypeError, ValueError):
@@ -221,11 +214,11 @@ def parse_and_validate(argv=None):
     if "code" not in merged:
         raise ConfigError("--code is required")
     kind, n, k, code_seed, poly = _parse_code(merged["code"])
-    if mode in ("sweep", "fig1") and n - k > _MAX_REDUNDANCY:
-        raise ConfigError(f"mode {mode} needs n-k <= {_MAX_REDUNDANCY}, got {n - k}")
+    if mode in ("sweep", "fig1") and n - k > MAX_REDUNDANCY:
+        raise ConfigError(f"mode {mode} needs n-k <= {MAX_REDUNDANCY}, got {n - k}")
 
     decoder = merged.get("decoder", "orbgrand")
-    if decoder not in _DECODER_SETUP:
+    if decoder not in DECODERS:
         raise ConfigError(f"unknown decoder {decoder!r}")
     taus = _parse_taus(merged.get("tau", "none"))
     if mode in ("fig1", "oracle") and taus != (None,):
@@ -241,28 +234,28 @@ def parse_and_validate(argv=None):
     if mode in ("fig1", "oracle") and len(points) != 1:
         raise ConfigError(f"mode {mode} needs exactly one ebn0 point, got {len(points)}")
 
-    def as_int(key, default):
+    def as_int(key, default, least):
+        # Flags arrive as int; a config file must hold a JSON integer, and
+        # type() keeps out floats, strings and bool, an int subclass.
         v = merged.get(key, default)
-        try:
-            return int(v)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key} must be an integer, got {v!r}") from None
+        if type(v) is not int:
+            raise ConfigError(f"{key} must be an integer, got {v!r}")
+        if v < least:
+            raise ConfigError(f"{key} must be >= {least}, got {v}")
+        return v
 
-    trials = as_int("trials", 1000)
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    seed = as_int("seed", 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    workers = as_int("workers", 1)
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    trials = as_int("trials", 1000, 1)
+    seed = as_int("seed", 0, 0)
+    workers = as_int("workers", 1, 1)
+    trials_csv = merged.get("trials_csv", False)
+    if type(trials_csv) is not bool:
+        raise ConfigError(f"trials_csv must be true or false, got {trials_csv!r}")
 
     return RunConfig(mode=mode, code_kind=kind, n=n, k=k, code_seed=code_seed,
                      poly=poly, decoder=decoder, taus=taus, ebn0_points=points,
                      trials=trials, seed=seed, workers=workers,
                      out=str(merged.get("out", ".")),
-                     trials_csv=bool(merged.get("trials_csv", False)))
+                     trials_csv=trials_csv)
 
 
 def _make_code(config):
@@ -286,11 +279,8 @@ def _sidecar_meta(config, code):
 
 
 def _run_sweep_mode(config, code):
-    policies = [DecodePolicy(tau=t, order_kind=_DECODER_SETUP[config.decoder][0])
-                for t in config.taus]
-    accounting = _DECODER_SETUP[config.decoder][1]
-    result = run_sweep(code, policies, config.ebn0_points, config.trials,
-                       config.seed, workers=config.workers, accounting=accounting)
+    result = run_sweep(code, config.taus, config.ebn0_points, config.trials,
+                       config.seed, workers=config.workers, decoder=config.decoder)
     os.makedirs(config.out, exist_ok=True)
     csv_path = os.path.join(config.out, "sweep.csv")
     write_sweep_csv(csv_path, result.stats, meta=_sidecar_meta(config, code))
@@ -303,10 +293,8 @@ def _run_sweep_mode(config, code):
 
 
 def _run_fig1_mode(config, code):
-    order_kind, accounting = _DECODER_SETUP[config.decoder]
-    dist = collect_error_query_distribution(
-        code, config.ebn0_points[0], target_errors=config.trials,
-        seed=config.seed, order_kind=order_kind, accounting=accounting)
+    dist = collect_error_query_distribution(code, config.ebn0_points[0], config.trials,
+                                            config.seed, decoder=config.decoder)
     os.makedirs(config.out, exist_ok=True)
     csv_path = os.path.join(config.out, "fig1.csv")
     lo, hi, counts = dist.histogram_log2()
@@ -334,7 +322,7 @@ def _run_fig1_mode(config, code):
 def _run_oracle_mode(config, code):
     if code.n > 12:
         raise ConfigError(f"oracle mode needs n <= 12, got n={code.n}")
-    order_kind = _DECODER_SETUP[config.decoder][0]
+    order_kind = DECODERS[config.decoder][0]
     rng = np.random.default_rng(config.seed)
     msg = rng.integers(0, 2, size=code.k, dtype=np.uint8)
     params = ChannelParams(ebn0_db=config.ebn0_points[0], rate=code.rate)

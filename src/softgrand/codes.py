@@ -14,6 +14,7 @@ import hashlib
 import numpy as np
 
 __all__ = [
+    "MAX_REDUNDANCY",
     "LinearCode",
     "make_rlc",
     "make_crc",
@@ -22,6 +23,9 @@ __all__ = [
     "syndrome",
     "packed_parity_columns",
 ]
+
+# Largest n-k the decoder handles: it packs each parity-check column in a uint64.
+MAX_REDUNDANCY = 63
 
 
 class LinearCode:
@@ -78,7 +82,7 @@ class LinearCode:
 
 
 def _pack_column(bits):
-    """Pack a column (length r <= 63) into an int, bit i of the int = row i."""
+    """Pack a column (length r <= MAX_REDUNDANCY) into an int, bit i = row i."""
     value = 0
     for i, b in enumerate(bits):
         if b:
@@ -236,11 +240,11 @@ def packed_parity_columns(code):
     """Columns of H packed into uint64 (bit i = row i), cached on the code.
 
     Lets the decoding loop evaluate syndromes of flip patterns by XORing a
-    few integers instead of multiplying matrices.  Requires n-k <= 63.
+    few integers instead of multiplying matrices.  Requires n-k <= MAX_REDUNDANCY.
     """
     if code._packed_columns is None:
-        if code.redundancy > 63:
-            raise ValueError("packed syndromes support n-k <= 63")
+        if code.redundancy > MAX_REDUNDANCY:
+            raise ValueError(f"packed syndromes support n-k <= {MAX_REDUNDANCY}")
         packed = np.zeros(code.n, dtype=np.uint64)
         for j in range(code.n):
             packed[j] = _pack_column(code.parity_check[:, j])

@@ -119,10 +119,6 @@ class DecodePolicy:
         _check_tau(self.tau)
         _check_search(self.max_queries, self.order_kind)
 
-    def label(self):
-        base = "none" if self.tau is None else f"{self.tau:g}"
-        return f"tau={base}"
-
 
 @dataclass(frozen=True)
 class DecodeOutcome:

@@ -1,8 +1,9 @@
 """Monte Carlo experiment engine: seeded sweeps, statistics, and oracles.
 
-Each trial draws a uniform message, encodes, transmits, and decodes the
-identical observation under every policy (common random numbers), so
-policy comparisons are paired.  Trial seeds derive from
+Each run names one decoder (``DECODERS``) and a list of abandonment
+thresholds tau.  Each trial draws a uniform message, encodes, transmits,
+and decodes the identical observation under every tau (common random
+numbers), so threshold comparisons are paired.  Trial seeds derive from
 SeedSequence((master_seed, point_key, trial_index)) where point_key is the
 bit pattern of the Eb/N0 value (-0.0 counts as 0.0), making any cell
 reproducible from its (master_seed, point, trial range) alone, independent
@@ -14,16 +15,16 @@ and decoded as whole arrays.  The draws are default_rng's bits, but
 SeedSequence's hash-mix runs over the whole batch as uint32 arrays and one
 reused PCG64 takes each trial's state in turn; a first-use check against
 default_rng falls back to one generator per trial if numpy's internals
-differ.  Each group of policies sharing a pattern order and query cap gets
-one ``decode_batch`` call per batch, which runs the first 64 queries of
-every trial as (trials, queries) arrays and the few deeper searches one
-trial at a time.  fig1 decodes the trials of a tau=None sweep at its point.
+differ.  Each batch gets one ``decode_batch`` call under all the taus,
+which runs the first 64 queries of every trial as (trials, queries) arrays
+and the few deeper searches one trial at a time.  fig1 decodes the trials
+of a tau=None sweep at its point.
 Results do not depend on the batch size or the worker count.
 
-Points where a thresholded policy abandons almost everything escalate
-their trial count (up to a cap) until conditional statistics have enough
-non-abandoned events to be meaningful; escalation rounds decode only the
-policies still short of events.
+Points where a threshold abandons almost everything escalate their trial
+count (up to a cap) until conditional statistics have enough non-abandoned
+events to be meaningful; escalation rounds decode only the taus still
+short of events.
 """
 
 from __future__ import annotations
@@ -42,11 +43,12 @@ from . import softout
 from .channel import (ChannelParams, SoftObservation, bsc_crossover, transmit,
                       transmit_arrays)
 from .codes import encode, is_codeword
-from .decoder import DecodePolicy, decode, decode_batch, resolve_max_queries
+from .decoder import _check_tau, decode, decode_batch
 from .patterns import (QueryOrder, pattern_log_probability, query_patterns,
                        realized_positions)
 
 __all__ = [
+    "DECODERS",
     "GuardError",
     "TrialBatch",
     "SweepStats",
@@ -68,18 +70,31 @@ _OUTCOME_NAMES = ("correct", "incorrect", "abandoned")
 # true_noise_found column of trials.csv, by outcome code
 _FOUND = ("true", "false", "false")
 
+# Decoder name -> (pattern order, ledger accounting): ORBGRAND with soft
+# accounting, or GRAND with hard-detection (BSC) accounting.
+DECODERS = {
+    "orbgrand": ("logistic", "soft"),
+    "grand": ("hamming", "bsc"),
+}
+
 # Trials per lockstep batch.  Fixed, so that the memory a block holds does
 # not grow with the block: escalation blocks reach thousands of trials.
 _BATCH = 256
 # Trials per pool task.
 _TASK = 512
-# A sweep point escalates while a policy abandons more than this share of
-# its trials and has fewer than _MIN_CONDITIONAL_EVENTS non-abandoned ones.
+# A sweep point escalates while a tau abandons more than this share of its
+# trials and has fewer than _MIN_CONDITIONAL_EVENTS non-abandoned ones, up
+# to _MAX_TRIALS_FACTOR times the base trial count.
 _ESCALATE_ABANDON_FRAC = 0.98
 _MIN_CONDITIONAL_EVENTS = 100
+_MAX_TRIALS_FACTOR = 8
 # fig1 refuses points whose hard-decision crossover is below this: a clean
 # channel produces almost no incorrect decodings.
 _MIN_CROSSOVER = 1e-3
+# fig1 aborts if, at any trial from _CHECK_AFTER on, the share of incorrect
+# decodings so far is below _MIN_ERROR_RATE.
+_MIN_ERROR_RATE = 1e-4
+_CHECK_AFTER = 20000
 
 
 class GuardError(RuntimeError):
@@ -100,9 +115,9 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _check_accounting(accounting):
-    if accounting not in ("soft", "bsc"):
-        raise ValueError(f"accounting must be 'soft' or 'bsc', got {accounting!r}")
+def _tau_label(tau):
+    """The policy name of a threshold in sweep outputs: tau=none, tau=2, ..."""
+    return "tau=none" if tau is None else f"tau={tau:g}"
 
 
 @dataclass
@@ -354,53 +369,37 @@ def _trial_batch(code, params, master_seed, point_key, lo, hi):
     return cws, transmit_arrays(cws, noise, params)
 
 
-def _accounting(code, params, accounting):
-    """None for soft accounting; for BSC, the constant-crossover observation.
-
-    The ledger reads only an accounting observation's flip probabilities,
-    which under BSC accounting are the same for every trial at a point, so
-    one observation serves a whole block.
-    """
-    if accounting == "soft":
-        return None
-    return SoftObservation.from_flip_probs(np.zeros(code.n, dtype=np.uint8),
-                                           bsc_crossover(params))
-
-
-def _decode_block(code, params, policies, accounting, master_seed, point_key, lo, hi,
+def _decode_block(code, params, taus, decoder, master_seed, point_key, lo, hi,
                   confidence=True):
-    """Run trials [lo, hi) at one point for the given policies.
+    """Run trials [lo, hi) at one point under each of ``taus``.
 
-    Returns per-policy (outcome, q, llr_bits) arrays in policy order.  With
-    ``confidence=False`` the decoder reports no confidence and ``llr_bits``
-    stays NaN; policies that all have tau=None then decode on syndromes
-    alone.
+    Returns (outcome, q, llr_bits) arrays of shape (len(taus), hi - lo).
+    With ``confidence=False`` the decoder reports no confidence and
+    ``llr_bits`` stays NaN; when every tau is None the trials then decode
+    on syndromes alone.
     """
-    m = hi - lo
-    out = [(np.zeros(m, dtype=np.int8), np.zeros(m, dtype=np.int64), np.full(m, math.nan))
-           for _ in policies]
-    acct = _accounting(code, params, accounting)
-    groups = {}
-    for j, policy in enumerate(policies):
-        key = (policy.order_kind, resolve_max_queries(policy, code))
-        groups.setdefault(key, []).append(j)
-    ladders = [(kind, cap, js, [policies[j].tau for j in js])
-               for (kind, cap), js in groups.items()]
+    order_kind, accounting = DECODERS[decoder]
+    # BSC accounting: one constant-crossover observation serves every trial.
+    acct = None if accounting == "soft" else SoftObservation.from_flip_probs(
+        np.zeros(code.n, dtype=np.uint8), bsc_crossover(params))
+    shape = (len(taus), hi - lo)
+    outcome = np.empty(shape, dtype=np.int8)
+    q = np.empty(shape, dtype=np.int64)
+    llr_bits = np.full(shape, math.nan)
     for b_lo in range(lo, hi, _BATCH):
         b_hi = min(b_lo + _BATCH, hi)
         cws, (hard, reliab, ranks) = _trial_batch(code, params, master_seed,
                                                   point_key, b_lo, b_hi)
         rows = slice(b_lo - lo, b_hi - lo)
-        for kind, cap, js, taus in ladders:
-            res = decode_batch(code, hard, reliab, ranks, taus, kind, cap, acct, confidence)
-            correct = (res.words == cws).all(axis=1)
-            tags = np.where(res.decoded, np.where(correct, CORRECT, INCORRECT), ABANDONED)
-            for t, j in enumerate(js):
-                out[j][0][rows] = tags[t]
-                out[j][1][rows] = res.q[t]
-                if confidence:
-                    out[j][2][rows] = res.llr_bits[t]
-    return out
+        res = decode_batch(code, hard, reliab, ranks, taus, order_kind,
+                           accounting=acct, confidence=confidence)
+        correct = (res.words == cws).all(axis=1)
+        outcome[:, rows] = np.where(res.decoded, np.where(correct, CORRECT, INCORRECT),
+                                    ABANDONED)
+        q[:, rows] = res.q
+        if confidence:
+            llr_bits[:, rows] = res.llr_bits
+    return outcome, q, llr_bits
 
 
 def _block_task(args):
@@ -411,10 +410,10 @@ def _block_task(args):
 class SweepResult:
     """Everything a sweep produced: aggregates plus per-trial batches.
 
-    ``stats`` is ordered point-major, policy-minor.  ``batches`` maps
+    ``stats`` is ordered point-major, tau-minor.  ``batches`` maps
     (policy_label, point_index) to a TrialBatch whose first
     ``base_trials`` entries are common-random-number paired across all
-    policies at that point; escalation trials follow.
+    taus at that point; escalation trials follow.
     """
 
     stats: list
@@ -424,15 +423,23 @@ class SweepResult:
     base_trials: int
 
 
-def run_sweep(code, policies, ebn0_points, trials_per_point, master_seed,
-              workers=1, accounting="soft", max_trials_factor=8):
-    """Decode seeded trials at every (policy, Eb/N0) cell and aggregate."""
+def run_sweep(code, taus, ebn0_points, trials_per_point, master_seed, workers=1,
+              decoder="orbgrand"):
+    """Decode seeded trials at every (tau, Eb/N0) cell and aggregate.
+
+    ``taus`` lists abandonment thresholds in bits, None for never abandon.
+    """
     if trials_per_point < 1:
         raise ValueError("trials_per_point must be >= 1")
     if master_seed < 0:
         raise ValueError("master_seed must be a nonnegative integer")
-    _check_accounting(accounting)
-    labels = [p.label() for p in policies]
+    if decoder not in DECODERS:
+        raise ValueError(f"unknown decoder {decoder!r}")
+    if not taus:
+        raise ValueError("taus must not be empty")
+    for tau in taus:
+        _check_tau(tau)
+    labels = [_tau_label(t) for t in taus]
     if len(set(labels)) != len(labels):
         raise ValueError(f"policy labels must be unique, got {labels}")
 
@@ -450,7 +457,7 @@ def run_sweep(code, policies, ebn0_points, trials_per_point, master_seed,
 
             def run_block(lo, hi, active):
                 nonlocal pool
-                args = (code, params, active, accounting, master_seed, key)
+                args = (code, params, [taus[j] for j in active], decoder, master_seed, key)
                 if workers <= 1 or hi - lo < 64:
                     parts = [_decode_block(*args, lo, hi)]
                 else:
@@ -460,20 +467,20 @@ def run_sweep(code, policies, ebn0_points, trials_per_point, master_seed,
                     parts = pool.map(_block_task, [args + (a, b) for a, b
                                                    in zip(edges[:-1], edges[1:])])
                 for part in parts:
-                    for policy, cols in zip(active, part):
-                        batches[(policy.label(), pi)].extend(*cols)
+                    for j, cols in zip(active, zip(*part)):
+                        batches[(labels[j], pi)].extend(*cols)
 
-            run_block(0, trials_per_point, policies)
+            run_block(0, trials_per_point, range(len(taus)))
             total = trials_per_point
-            cap = trials_per_point * max_trials_factor
+            cap = trials_per_point * _MAX_TRIALS_FACTOR
             while total < cap:
                 deficits = []
-                for policy in policies:
-                    b = batches[(policy.label(), pi)]
+                for j, lbl in enumerate(labels):
+                    b = batches[(lbl, pi)]
                     nonab = int(np.count_nonzero(b.outcome != ABANDONED))
                     frac_ab = int(np.count_nonzero(b.outcome == ABANDONED)) / len(b)
                     if frac_ab > _ESCALATE_ABANDON_FRAC and nonab < _MIN_CONDITIONAL_EVENTS:
-                        deficits.append(policy)
+                        deficits.append(j)
                 if not deficits:
                     break
                 nxt = min(2 * total, cap)
@@ -538,8 +545,7 @@ class ErrorQueryDistribution:
 
 
 def collect_error_query_distribution(code, ebn0_db, target_errors, seed,
-                                     order_kind="logistic", accounting="soft",
-                                     min_error_rate=1e-4, check_after=20000):
+                                     decoder="orbgrand"):
     """Collect the query index of incorrect decodings under tau=None.
 
     Trials are those of a tau=None sweep at the same point and seed, decoded
@@ -547,37 +553,37 @@ def collect_error_query_distribution(code, ebn0_db, target_errors, seed,
     ``target_errors`` only at its last trial.  Guards: the hard-decision
     crossover probability must clear ``_MIN_CROSSOVER`` (a clean channel
     produces almost no errors), and if the realised error rate falls below
-    ``min_error_rate`` at any trial from ``check_after`` on the run aborts
+    ``_MIN_ERROR_RATE`` at any trial from ``_CHECK_AFTER`` on the run aborts
     rather than spin forever.
     """
     if target_errors < 1:
         raise ValueError("target_errors must be >= 1")
-    _check_accounting(accounting)
+    if decoder not in DECODERS:
+        raise ValueError(f"unknown decoder {decoder!r}")
     params = ChannelParams(ebn0_db=ebn0_db, rate=code.rate)
     crossover = bsc_crossover(params)
     if crossover < _MIN_CROSSOVER:
         raise GuardError(
             f"crossover {crossover:.3g} at {ebn0_db} dB is below the floor "
             f"{_MIN_CROSSOVER:g}; incorrect decodings would be too rare")
-    policies = [DecodePolicy(tau=None, order_kind=order_kind)]
     key = _point_key(ebn0_db)
     qs = []
     trials = 0
     while len(qs) < target_errors:
         hi = trials + min(_BATCH, target_errors - len(qs))
         # Only the query counts are kept, so the decoder skips the ledger.
-        ((outcome, q, _),) = _decode_block(code, params, policies, accounting,
-                                           seed, key, trials, hi, confidence=False)
+        (outcome,), (q,), _ = _decode_block(code, params, (None,), decoder,
+                                            seed, key, trials, hi, confidence=False)
         wrong = outcome == INCORRECT
         # Errors and trials so far after each trial of the block.
         errors = len(qs) + np.cumsum(wrong)
         done = np.arange(trials + 1, hi + 1)
-        (low,) = np.nonzero((done >= check_after) & (errors / done < min_error_rate))
+        (low,) = np.nonzero((done >= _CHECK_AFTER) & (errors / done < _MIN_ERROR_RATE))
         if len(low):
             i = low[0]
             raise GuardError(
                 f"error rate {errors[i] / done[i]:.2e} after {done[i]} trials is "
-                f"below {min_error_rate:g}; pick a noisier operating point")
+                f"below {_MIN_ERROR_RATE:g}; pick a noisier operating point")
         qs.extend(q[wrong].tolist())
         trials = hi
     return ErrorQueryDistribution(queries=np.asarray(qs, dtype=np.int64),

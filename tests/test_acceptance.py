@@ -48,8 +48,7 @@ def markers(code128):
 
 @pytest.fixture(scope="module")
 def sweep(code128):
-    policies = [DecodePolicy(tau=t) for t in (None, 0.0, 1.0, 2.0)]
-    return run_sweep(code128, policies, SWEEP_POINTS, SWEEP_TRIALS,
+    return run_sweep(code128, (None, 0.0, 1.0, 2.0), SWEEP_POINTS, SWEEP_TRIALS,
                      SWEEP_SEED)
 
 
@@ -115,7 +114,7 @@ def test_criterion_3_confidence_is_calibrated(sweep, capsys):
 
 def test_criterion_4_degraded_point_two_bit_threshold(code128, markers, capsys):
     point = markers["shannon_ebn0_db"] - 3.0
-    res = run_sweep(code128, [DecodePolicy(tau=2.0)], [point], POINT_TRIALS,
+    res = run_sweep(code128, (2.0,), [point], POINT_TRIALS,
                     POINT_SEED)
     st = res.stats[0]
     ok = (0.005 <= st.nonabandon_frac <= 0.02
@@ -130,7 +129,7 @@ def test_criterion_4_degraded_point_two_bit_threshold(code128, markers, capsys):
 def test_criterion_5_min_capacity_point_zero_bit_threshold(code128, markers,
                                                            capsys):
     point = markers["mincap_ebn0_db"]
-    res = run_sweep(code128, [DecodePolicy(tau=0.0)], [point], POINT_TRIALS,
+    res = run_sweep(code128, (0.0,), [point], POINT_TRIALS,
                     POINT_SEED)
     st = res.stats[0]
     ok = (0.005 <= st.nonabandon_frac <= 0.02

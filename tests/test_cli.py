@@ -154,6 +154,19 @@ class TestConfigFile:
                                       "ebn0": "1", "trials_csv": True})
         assert parse_and_validate(["--config", path]).trials_csv is True
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"trials": 2.5}, "trials must be an integer"),
+        ({"workers": True}, "workers must be an integer"),
+        ({"trials_csv": "false"}, "trials_csv must be true or false"),
+        ({"ebn0": [1, True]}, "ebn0 list items must be numbers"),
+    ])
+    def test_wrong_json_types_exit_2(self, tmp_path, capsys, payload, message):
+        path = self._write(tmp_path, {"mode": "sweep", "code": "rlc:16:8:1",
+                                      "ebn0": "1", **payload})
+        assert main(["--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestMainExitCodes:
     def test_no_arguments_prints_usage(self, capsys):

@@ -474,11 +474,6 @@ class TestPolicyAndGuards:
         assert resolve_max_queries(DecodePolicy(max_queries=1000),
                                    make_rlc(8, 4, seed=3)) == 256
 
-    def test_labels(self):
-        assert DecodePolicy(tau=None).label() == "tau=none"
-        assert DecodePolicy(tau=2.0).label() == "tau=2"
-        assert DecodePolicy(tau=0.5).label() == "tau=0.5"
-
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             DecodePolicy(order_kind="likelihood")

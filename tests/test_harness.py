@@ -7,10 +7,10 @@ import os
 import numpy as np
 import pytest
 
-from softgrand import decoder, harness, softout
-from softgrand.channel import ChannelParams, transmit
+from softgrand import harness, softout
+from softgrand.channel import ChannelParams, SoftObservation, bsc_crossover, transmit
 from softgrand.codes import encode, make_rlc
-from softgrand.decoder import DecodePolicy, decode
+from softgrand.decoder import DecodePolicy, _Scan, decode
 from softgrand.harness import (GuardError, OracleReport, TrialBatch,
                                binomial_halfwidth,
                                collect_error_query_distribution, geometric_cdf,
@@ -44,8 +44,7 @@ def small_code():
 
 class TestSweepDeterminism:
     def test_identical_calls_identical_results(self, small_code):
-        kwargs = dict(code=small_code,
-                      policies=[DecodePolicy(tau=None), DecodePolicy(tau=1.0)],
+        kwargs = dict(code=small_code, taus=(None, 1.0),
                       ebn0_points=[1.0, 3.0], trials_per_point=150,
                       master_seed=42)
         r1, r2 = run_sweep(**kwargs), run_sweep(**kwargs)
@@ -53,22 +52,18 @@ class TestSweepDeterminism:
         _batches_match(r1.batches, r2.batches)
 
     def test_cell_reproducible_outside_sweep_layout(self, small_code):
-        # one cell of a 2-point, 2-policy sweep equals a standalone run of
-        # just that policy at just that point: seeding keys on the point
+        # one cell of a 2-point, 2-tau sweep equals a standalone run of
+        # just that tau at just that point: seeding keys on the point
         # value, not sweep indices
-        full = run_sweep(small_code,
-                         [DecodePolicy(tau=None), DecodePolicy(tau=2.0)],
-                         [0.5, 2.5], 120, master_seed=9)
-        solo = run_sweep(small_code, [DecodePolicy(tau=2.0)], [2.5], 120,
-                         master_seed=9)
+        full = run_sweep(small_code, (None, 2.0), [0.5, 2.5], 120, master_seed=9)
+        solo = run_sweep(small_code, (2.0,), [2.5], 120, master_seed=9)
         a, b = full.batches[("tau=2", 1)], solo.batches[("tau=2", 0)]
         assert np.array_equal(a.outcome, b.outcome)
         assert np.array_equal(a.q, b.q)
         assert np.array_equal(a.llr_bits, b.llr_bits, equal_nan=True)
 
     def test_parallel_matches_serial(self, small_code):
-        kwargs = dict(code=small_code,
-                      policies=[DecodePolicy(tau=None), DecodePolicy(tau=2.0)],
+        kwargs = dict(code=small_code, taus=(None, 2.0),
                       ebn0_points=[2.0], trials_per_point=128, master_seed=3)
         serial = run_sweep(workers=1, **kwargs)
         parallel = run_sweep(workers=2, **kwargs)
@@ -130,10 +125,11 @@ class TestSeeding:
 
     def test_fallback_writes_the_same_bytes(self, small_code, tmp_path, monkeypatch):
         def sweep_bytes(name):
-            res = run_sweep(small_code, TestLockstepBatches.POLICIES, [1.0, 4.0], 40,
-                            master_seed=8, max_trials_factor=4)
+            res = run_sweep(small_code, TestLockstepBatches.TAUS, [1.0, 4.0], 40,
+                            master_seed=8)
             return _csv_bytes(res, tmp_path, name)
 
+        monkeypatch.setattr(harness, "_MAX_TRIALS_FACTOR", 4)
         monkeypatch.setattr(harness, "_fast_seeding", None)
         fast = sweep_bytes("fast")
         assert harness._fast_seeding is True
@@ -149,23 +145,24 @@ class TestSeeding:
 
     def test_negative_zero_is_the_point_zero(self, small_code):
         assert harness._point_key(-0.0) == harness._point_key(0.0) == 0
-        policies = [DecodePolicy(tau=None), DecodePolicy(tau=1.0)]
-        neg = run_sweep(small_code, policies, [-0.0], 50, master_seed=2)
-        pos = run_sweep(small_code, policies, [0.0], 50, master_seed=2)
+        neg = run_sweep(small_code, (None, 1.0), [-0.0], 50, master_seed=2)
+        pos = run_sweep(small_code, (None, 1.0), [0.0], 50, master_seed=2)
         _batches_match(neg.batches, pos.batches)
 
 
 class TestLockstepBatches:
-    # tau=1000 abandons every trial, so both points escalate to 4x.
-    POLICIES = [DecodePolicy(tau=None), DecodePolicy(tau=1.0), DecodePolicy(tau=1000.0)]
+    # tau=1000 abandons every trial, so both points escalate to 4x under a
+    # _MAX_TRIALS_FACTOR of 4.
+    TAUS = (None, 1.0, 1000.0)
 
-    @pytest.mark.parametrize("accounting", ["soft", "bsc"])
-    def test_batch_size_invariance(self, small_code, tmp_path, monkeypatch, accounting):
+    @pytest.mark.parametrize("decoder", ["orbgrand", "grand"])
+    def test_batch_size_invariance(self, small_code, tmp_path, monkeypatch, decoder):
+        monkeypatch.setattr(harness, "_MAX_TRIALS_FACTOR", 4)
         outputs = []
         for size in (1, 7, 256):
             monkeypatch.setattr(harness, "_BATCH", size)
-            res = run_sweep(small_code, self.POLICIES, [1.0, 4.0], 40, master_seed=6,
-                            accounting=accounting, max_trials_factor=4)
+            res = run_sweep(small_code, self.TAUS, [1.0, 4.0], 40, master_seed=6,
+                            decoder=decoder)
             assert len(res.batches[("tau=1000", 0)]) == 160
             outputs.append(_csv_bytes(res, tmp_path, f"b{size}"))
         assert outputs[0] == outputs[1] == outputs[2]
@@ -180,8 +177,9 @@ class TestLockstepBatches:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(harness, "_TASK", 40)  # several tasks per block
-        kwargs = dict(code=small_code, policies=self.POLICIES, ebn0_points=[1.0, 4.0],
-                      trials_per_point=96, master_seed=11, max_trials_factor=4)
+        monkeypatch.setattr(harness, "_MAX_TRIALS_FACTOR", 4)
+        kwargs = dict(code=small_code, taus=self.TAUS, ebn0_points=[1.0, 4.0],
+                      trials_per_point=96, master_seed=11)
         serial = run_sweep(workers=1, **kwargs)
         assert not starts
         pooled = run_sweep(workers=2, **kwargs)
@@ -207,8 +205,9 @@ class TestLockstepBatches:
                 pass
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
-        kwargs = dict(code=small_code, policies=self.POLICIES, ebn0_points=[1.0],
-                      trials_per_point=96, master_seed=11, max_trials_factor=4)
+        monkeypatch.setattr(harness, "_MAX_TRIALS_FACTOR", 4)
+        kwargs = dict(code=small_code, taus=self.TAUS, ebn0_points=[1.0],
+                      trials_per_point=96, master_seed=11)
         assert 1 <= harness._cpus() <= os.cpu_count()
         huge = run_sweep(workers=10**9, **kwargs)
         assert sizes == [harness._cpus()]
@@ -221,17 +220,22 @@ class TestLockstepBatches:
         assert (_csv_bytes(serial, tmp_path, "serial")
                 == _csv_bytes(huge, tmp_path, "huge"))
 
-    def test_mixed_orders_match_per_policy_decoding(self, small_code):
-        policies = [DecodePolicy(tau=None),
-                    DecodePolicy(tau=1.0, order_kind="hamming"),
-                    DecodePolicy(tau=2.0, max_queries=20),
-                    DecodePolicy(tau=-1.0, order_kind="hamming", max_queries=20)]
-        res = run_sweep(small_code, policies, [2.0], 60, master_seed=4)
+    @pytest.mark.parametrize("decoder", ["orbgrand", "grand"])
+    def test_sweep_matches_per_trial_decoding(self, small_code, decoder):
+        # Each tau's sweep cell holds what one decode per trial gives under
+        # the decoder's pattern order and ledger accounting.
+        taus = (None, 1.0, 2.0, -1.0)
+        order_kind, accounting = harness.DECODERS[decoder]
+        params = ChannelParams(ebn0_db=2.0, rate=small_code.rate)
+        acct = None if accounting == "soft" else SoftObservation.from_flip_probs(
+            np.zeros(small_code.n, dtype=np.uint8), bsc_crossover(params))
+        res = run_sweep(small_code, taus, [2.0], 60, master_seed=4, decoder=decoder)
         for t in range(60):
             cw, obs = _reference_trial(small_code, 2.0, 4, t)
-            for policy in policies:
-                out = decode(small_code, obs, policy)
-                b = res.batches[(policy.label(), 0)]
+            for tau in taus:
+                out = decode(small_code, obs, DecodePolicy(tau=tau, order_kind=order_kind),
+                             accounting=acct)
+                b = res.batches[(harness._tau_label(tau), 0)]
                 if not out.decoded:
                     assert b.outcome[t] == harness.ABANDONED
                 else:
@@ -243,8 +247,7 @@ class TestLockstepBatches:
 
 class TestSweepStatistics:
     def test_clean_point(self, small_code):
-        res = run_sweep(small_code, [DecodePolicy(tau=None)], [14.0], 100,
-                        master_seed=5)
+        res = run_sweep(small_code, (None,), [14.0], 100, master_seed=5)
         st = res.stats[0]
         assert st.n_correct == 100 and st.bler == 0.0
         assert st.abandon_frac == 0.0
@@ -252,9 +255,7 @@ class TestSweepStatistics:
         assert st.avg_queries_per_success == 1.0
 
     def test_counts_consistent_with_batches(self, small_code):
-        res = run_sweep(small_code,
-                        [DecodePolicy(tau=None), DecodePolicy(tau=0.0)],
-                        [1.0], 200, master_seed=8)
+        res = run_sweep(small_code, (None, 0.0), [1.0], 200, master_seed=8)
         for st in res.stats:
             b = res.batches[(st.policy, 0)]
             assert st.trials == len(b)
@@ -270,12 +271,11 @@ class TestSweepStatistics:
                 assert st.avg_queries_per_success == pytest.approx(
                     b.q.sum() / st.n_correct)
 
-    def test_escalation_tops_up_starved_policies_only(self, small_code):
+    def test_escalation_tops_up_starved_policies_only(self, small_code, monkeypatch):
         # a threshold nothing survives keeps escalating to the trial cap;
         # the unthresholded policy stays at the base count
-        res = run_sweep(small_code,
-                        [DecodePolicy(tau=None), DecodePolicy(tau=1000.0)],
-                        [8.0], 50, master_seed=2, max_trials_factor=4)
+        monkeypatch.setattr(harness, "_MAX_TRIALS_FACTOR", 4)
+        res = run_sweep(small_code, (None, 1000.0), [8.0], 50, master_seed=2)
         assert len(res.batches[("tau=1000", 0)]) == 200
         assert len(res.batches[("tau=none", 0)]) == 50
         by_label = {s.policy: s for s in res.stats}
@@ -286,15 +286,22 @@ class TestSweepStatistics:
 
     def test_input_validation(self, small_code):
         with pytest.raises(ValueError):
-            run_sweep(small_code, [DecodePolicy()], [1.0], 0, master_seed=1)
+            run_sweep(small_code, (None,), [1.0], 0, master_seed=1)
         with pytest.raises(ValueError):
-            run_sweep(small_code, [DecodePolicy()], [1.0], 10, master_seed=-1)
-        with pytest.raises(ValueError):
-            run_sweep(small_code, [DecodePolicy(tau=1.0), DecodePolicy(tau=1.0)],
-                      [1.0], 10, master_seed=1)
-        with pytest.raises(ValueError):
-            run_sweep(small_code, [DecodePolicy()], [1.0], 10, master_seed=1,
-                      accounting="fuzzy")
+            run_sweep(small_code, (None,), [1.0], 10, master_seed=-1)
+        with pytest.raises(ValueError, match="unique"):
+            run_sweep(small_code, (1.0, 1.0), [1.0], 10, master_seed=1)
+        with pytest.raises(ValueError, match="empty"):
+            run_sweep(small_code, (), [1.0], 10, master_seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            run_sweep(small_code, (None, math.nan), [1.0], 10, master_seed=1)
+        with pytest.raises(ValueError, match="decoder"):
+            run_sweep(small_code, (None,), [1.0], 10, master_seed=1, decoder="fuzzy")
+
+    def test_labels(self):
+        assert harness._tau_label(None) == "tau=none"
+        assert harness._tau_label(2.0) == "tau=2"
+        assert harness._tau_label(0.5) == "tau=0.5"
 
 
 class TestBinomialHalfwidth:
@@ -342,26 +349,25 @@ class TestErrorQueryDistribution:
         assert abs(d.sample_mean - 256) / 256 < 0.15
         assert d.ks_distance < 0.1
 
-    @pytest.mark.parametrize("accounting", ["soft", "bsc"])
-    def test_same_trials_as_a_sweep(self, accounting):
+    @pytest.mark.parametrize("decoder", ["orbgrand", "grand"])
+    def test_same_trials_as_a_sweep(self, decoder):
         # fig1 and sweeps draw trial t at a point from the same seed.
         code = make_rlc(24, 16, seed=4)
-        d = collect_error_query_distribution(code, -2.0, 20, seed=5, accounting=accounting)
-        res = run_sweep(code, [DecodePolicy(tau=None)], [-2.0], d.trials, master_seed=5,
-                        accounting=accounting)
+        d = collect_error_query_distribution(code, -2.0, 20, seed=5, decoder=decoder)
+        res = run_sweep(code, (None,), [-2.0], d.trials, master_seed=5, decoder=decoder)
         b = res.batches[(res.policy_labels[0], 0)]
         assert np.array_equal(b.q[b.outcome == harness.INCORRECT], d.queries)
         assert b.outcome[-1] == harness.INCORRECT
 
-    @pytest.mark.parametrize("accounting", ["soft", "bsc"])
-    def test_batch_size_invariance(self, small_code, monkeypatch, accounting):
+    @pytest.mark.parametrize("decoder", ["orbgrand", "grand"])
+    def test_batch_size_invariance(self, small_code, monkeypatch, decoder):
         # 300 errors take about a thousand trials: several full 256-trial
         # blocks, then blocks shrinking to the errors still missing.
         outputs = []
         for size in (1, 7, 256):
             monkeypatch.setattr(harness, "_BATCH", size)
             d = collect_error_query_distribution(small_code, 0.0, 300, seed=2,
-                                                 accounting=accounting)
+                                                 decoder=decoder)
             outputs.append((d.queries.tolist(), d.trials))
         assert len(outputs[0][0]) == 300 and outputs[0][1] > 512
         assert outputs[0] == outputs[1] == outputs[2]
@@ -370,9 +376,9 @@ class TestErrorQueryDistribution:
     # block, and at trial 345 inside the second: with 300 errors to collect
     # the first two blocks hold 256 trials each.
     @pytest.mark.parametrize("check_after, min_error_rate", [(50, 0.055), (300, 0.09)])
-    def test_error_rate_guard_trips_at_the_same_trial(self, small_code, check_after,
-                                                      min_error_rate):
-        res = run_sweep(small_code, [DecodePolicy(tau=None)], [2.0], 1000, master_seed=1)
+    def test_error_rate_guard_trips_at_the_same_trial(self, small_code, monkeypatch,
+                                                      check_after, min_error_rate):
+        res = run_sweep(small_code, (None,), [2.0], 1000, master_seed=1)
         wrong = res.batches[("tau=none", 0)].outcome == harness.INCORRECT
         errors, done = np.cumsum(wrong), np.arange(1, len(wrong) + 1)
         trial = int(np.argmax((done >= check_after) & (errors / done < min_error_rate))) + 1
@@ -380,14 +386,14 @@ class TestErrorQueryDistribution:
         assert check_after < trial < 512 and trial != 256 and errors[255] <= 44
         want = (f"error rate {rate:.2e} after {trial} trials is below "
                 f"{min_error_rate:g}; pick a noisier operating point")
+        monkeypatch.setattr(harness, "_CHECK_AFTER", check_after)
+        monkeypatch.setattr(harness, "_MIN_ERROR_RATE", min_error_rate)
         with pytest.raises(GuardError) as err:
-            collect_error_query_distribution(small_code, 2.0, 300, seed=1,
-                                             min_error_rate=min_error_rate,
-                                             check_after=check_after)
+            collect_error_query_distribution(small_code, 2.0, 300, seed=1)
         assert str(err.value) == want
 
-    @pytest.mark.parametrize("accounting", ["soft", "bsc"])
-    def test_never_builds_the_confidence_ledger(self, monkeypatch, accounting):
+    @pytest.mark.parametrize("decoder", ["orbgrand", "grand"])
+    def test_never_builds_the_confidence_ledger(self, monkeypatch, decoder):
         # fig1 keeps only query counts, so its decodes skip the running sum
         # and the wrong-hit table that the confidence needs.
         def ledger(*args):
@@ -395,9 +401,9 @@ class TestErrorQueryDistribution:
 
         monkeypatch.setattr(softout, "log_p_incorrect_prefix", ledger)
         monkeypatch.setattr(softout, "llr_bits", ledger)
-        monkeypatch.setattr(decoder._Scan, "_running_sum", ledger)
+        monkeypatch.setattr(_Scan, "_running_sum", ledger)
         code = make_rlc(24, 16, seed=4)
-        d = collect_error_query_distribution(code, -2.0, 20, seed=5, accounting=accounting)
+        d = collect_error_query_distribution(code, -2.0, 20, seed=5, decoder=decoder)
         assert len(d.queries) == 20
 
     def test_histogram_partitions_samples(self):
@@ -414,23 +420,23 @@ class TestErrorQueryDistribution:
         with pytest.raises(GuardError):
             collect_error_query_distribution(code, 12.0, 10, seed=1)
 
-    def test_error_rate_guard(self):
+    def test_error_rate_guard(self, monkeypatch):
         # demand an absurd error rate so the trial-count guard trips fast
+        monkeypatch.setattr(harness, "_CHECK_AFTER", 50)
+        monkeypatch.setattr(harness, "_MIN_ERROR_RATE", 0.9999)
         code = make_rlc(16, 8, seed=4)
         with pytest.raises(GuardError):
-            collect_error_query_distribution(code, 2.0, 10 ** 6, seed=1,
-                                             min_error_rate=0.9999,
-                                             check_after=50)
+            collect_error_query_distribution(code, 2.0, 10 ** 6, seed=1)
 
     def test_target_validation(self):
         code = make_rlc(16, 8, seed=4)
         with pytest.raises(ValueError):
             collect_error_query_distribution(code, 0.0, 0, seed=1)
 
-    def test_accounting_validation(self):
+    def test_decoder_validation(self):
         code = make_rlc(16, 8, seed=4)
-        with pytest.raises(ValueError, match="accounting"):
-            collect_error_query_distribution(code, 0.0, 5, seed=1, accounting="fuzzy")
+        with pytest.raises(ValueError, match="decoder"):
+            collect_error_query_distribution(code, 0.0, 5, seed=1, decoder="fuzzy")
 
 
 class TestExhaustiveOracle:
@@ -463,9 +469,7 @@ class TestExhaustiveOracle:
 
 @pytest.fixture(scope="module")
 def sweep(small_code):
-    return run_sweep(small_code,
-                     [DecodePolicy(tau=None), DecodePolicy(tau=2.0)],
-                     [1.0, 3.0], 60, master_seed=12)
+    return run_sweep(small_code, (None, 2.0), [1.0, 3.0], 60, master_seed=12)
 
 
 class TestCsvOutputs:
