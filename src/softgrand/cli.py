@@ -115,22 +115,23 @@ def _build_parser():
 def _parse_code(text):
     parts = str(text).split(":")
     kind = parts[0]
-    if kind == "rlc":
-        if len(parts) not in (3, 4):
-            raise ConfigError(f"rlc code wants rlc:N:K[:SEED], got {text!r}")
-        n, k = int(parts[1]), int(parts[2])
-        seed = int(parts[3]) if len(parts) == 4 else 1
-        return "rlc", n, k, seed, 0
-    if kind == "crc":
-        if len(parts) != 4:
-            raise ConfigError(f"crc code wants crc:N:K:0xPOLY, got {text!r}")
-        n, k = int(parts[1]), int(parts[2])
+    if kind not in ("rlc", "crc"):
+        raise ConfigError(f"unknown code kind {kind!r} (want rlc or crc)")
+    if kind == "rlc" and len(parts) not in (3, 4):
+        raise ConfigError(f"rlc code wants rlc:N:K[:SEED], got {text!r}")
+    if kind == "crc" and len(parts) != 4:
+        raise ConfigError(f"crc code wants crc:N:K:0xPOLY, got {text!r}")
+
+    def number(i, what, base=10):
         try:
-            poly = int(parts[3], 0)
+            return int(parts[i], base)
         except ValueError:
-            raise ConfigError(f"bad polynomial {parts[3]!r} in {text!r}") from None
-        return "crc", n, k, 0, poly
-    raise ConfigError(f"unknown code kind {kind!r} (want rlc or crc)")
+            raise ConfigError(f"bad {what} {parts[i]!r} in {text!r}") from None
+
+    n, k = number(1, "N"), number(2, "K")
+    if kind == "rlc":
+        return "rlc", n, k, number(3, "seed") if len(parts) == 4 else 1, 0
+    return "crc", n, k, 0, number(3, "polynomial", 0)
 
 
 def _parse_taus(text):

@@ -181,11 +181,6 @@ def _chunk_bounds(cap):
         lo = min(lo + _CHUNK_STEP, cap)
 
 
-def _runs(starts, sizes):
-    """Indices of the segments [starts[i], starts[i] + sizes[i]), concatenated."""
-    return np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-
-
 # The per-row search state; a one-row array is shared by every row.
 _ROW_STATE = ("ids", "target", "cols", "syn")
 # ... and that of the running log-mass, kept only when something reads it.
@@ -220,6 +215,8 @@ class _Scan:
         n = code.n
         if hard.ndim != 2 or hard.shape[1] != n:
             raise ValueError(f"observation length {hard.shape[-1]} != code length {n}")
+        if not np.all((reliab >= 0) & (reliab < np.inf)):
+            raise ValueError("reliability magnitudes must be finite and nonnegative")
         if accounting is not None:
             acct = np.asarray(accounting.reliab, dtype=float)
             if len(acct) != n:
@@ -376,16 +373,15 @@ class _Scan:
         eight; from nine flips up it sums them pairwise, and so does this.
         """
         table, l = self.table, self.l
-        vals, off, _ = table.slice_arrays(lo, stop)
         q = slice(lo, stop)
         flips = l.take(table.first[q], axis=1) + self.fold.take(table.tail[q], axis=1)
         if lo == 0:
             flips[:, 0] = 0.0
-        sizes = off[1:stop - lo + 1] - off[:stop - lo]
-        (big,) = np.nonzero(sizes >= 9)
+        (big,) = np.nonzero(table.flips[q] >= 9)
         if len(big):
-            flips[:, big] = np.add.reduceat(l.take(vals[_runs(off[big], sizes[big])] - 1, axis=1),
-                                            np.cumsum(sizes[big]) - sizes[big], axis=1)
+            entry, pos = table.positions(big + lo)
+            starts = np.flatnonzero(np.diff(entry, prepend=-1))
+            flips[:, big] = np.add.reduceat(l.take(pos, axis=1), starts, axis=1)
         return flips
 
     def _keep(self, live):
@@ -435,11 +431,8 @@ class _Scan:
         words = hard.copy()
         # query 1 is the empty pattern
         (rows,) = np.nonzero((self.end == HIT) & (self.end_q > 1))
-        offsets = self.table.offsets
-        starts = offsets[self.end_q[rows] - 1]
-        sizes = offsets[self.end_q[rows]] - starts
-        pos = self.table.flat[_runs(starts, sizes)] - 1
-        row = np.repeat(rows, sizes)
+        entry, pos = self.table.positions(self.end_q[rows] - 1)
+        row = rows[entry]
         # A pattern flips distinct positions, so no (row, position) pair repeats.
         words[row, pos if self.frame is None else self.frame[row, pos]] ^= 1
         return words

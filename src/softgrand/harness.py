@@ -558,6 +558,8 @@ def collect_error_query_distribution(code, ebn0_db, target_errors, seed,
     """
     if target_errors < 1:
         raise ValueError("target_errors must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
     if decoder not in DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}")
     params = ChannelParams(ebn0_db=ebn0_db, rate=code.rate)

@@ -12,16 +12,17 @@ Patterns live in the order's reference frame: "hamming" indexes bits
 directly, "logistic" indexes the ascending-reliability permutation of the
 bits (index 0 = least reliable).  Each (kind, n) has one cached table,
 built with numpy level by level over flip counts; the table holds at least
-the patterns asked for so far, each with pointers to the patterns without
-its largest and without its smallest index, and a sequence can be resumed
-from any global index without recomputing the prefix.  A table that must
-grow is rebuilt whole, to at least twice its size.  The cache keeps the
-few most recently used tables.
+the patterns asked for so far.  It records each pattern once, as pointers
+to the patterns without its largest and without its smallest index, and
+reads a pattern's indices back along the first of those pointers, so a
+sequence can be resumed from any global index without recomputing the
+prefix.  A table that must grow is rebuilt whole, to at least twice its
+size.  The cache keeps the few most recently used tables.
 """
 
 from __future__ import annotations
 
-import collections
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,13 +81,13 @@ def _band_sizes(kind, n, top):
 class _OrderTable:
     """Materialised prefix of the pattern sequence for one (kind, n).
 
-    ``flat`` holds the concatenated 1-based frame indices of every pattern,
-    ``offsets[i]:offsets[i+1]`` delimits pattern i, so the arrays feed
-    numpy ``reduceat`` calls directly.  Per pattern i, ``parent[i]`` is the
-    index of pattern i without its largest frame index and ``tail[i]`` the
-    index of pattern i without its smallest; both come before i.
-    ``first[i]`` and ``last[i]`` are its smallest and largest 0-based frame
-    indices.  The empty pattern, index 0, has all four 0.
+    Per pattern i, ``parent[i]`` is the index of pattern i without its
+    largest frame index and ``tail[i]`` the index of pattern i without its
+    smallest; both come before i.  ``first[i]`` and ``last[i]`` are its
+    smallest and largest 0-based frame indices and ``flips[i]`` how many it
+    has.  The empty pattern, index 0, has all five 0.  These arrays are the
+    only record of a pattern: its frame indices are the ``last`` entries
+    along its parent chain, which ``positions`` and ``pattern`` walk back.
 
     The table is built level by level over flip counts: every m-flip set is
     an (m-1)-flip set extended by a larger index, so extending each level in
@@ -102,12 +103,13 @@ class _OrderTable:
     def __init__(self, kind, n):
         self.kind = kind
         self.n = n
-        self.flat = np.zeros(0, dtype=np.int32)
-        self.offsets = np.zeros(1, dtype=np.int64)
         self.parent = np.zeros(0, dtype=np.int32)
         self.tail = np.zeros(0, dtype=np.int32)
         self.first = np.zeros(0, dtype=np.int32)
         self.last = np.zeros(0, dtype=np.int32)
+        # No pattern a table can reach has 128 flips: the first such comes
+        # after 2^128 - 1 others in either order.
+        self.flips = np.zeros(0, dtype=np.int8)
         self.count = 0
         self._waves = {}
 
@@ -131,25 +133,10 @@ class _OrderTable:
         flips, last, first, par, tail = (a[take] for a in (flips, last, first, par, tail))
         # Parent and tail are at level m-1, and taken: each weighs less.
         up = np.concatenate(([0], np.cumsum(sizes)))[np.maximum(flips - 1, 0)]
-        parent = index[up + par]
-
-        offsets = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(flips, out=offsets[1:])
-        flat = np.empty(int(offsets[-1]), dtype=np.int32)
-        # A pattern's indices are its parent's followed by its last, so from
-        # its end back they are the last indices along its parent chain,
-        # which ends at the empty pattern 0.
-        pat, end = np.arange(1, count), offsets[2:]
-        while len(pat):
-            end = end - 1
-            flat[end] = last[pat]
-            pat = parent[pat]
-            (more,) = np.nonzero(pat)
-            pat, end = pat[more], end[more]
-        self.flat, self.offsets = flat, offsets
-        self.parent, self.tail = parent, index[up + tail]
+        self.parent, self.tail = index[up + par], index[up + tail]
         self.first = np.maximum(first - 1, 0)
         self.last = np.maximum(last - 1, 0)
+        self.flips = flips.astype(np.int8)
         self.count = count
 
     def _levels(self, count):
@@ -208,28 +195,37 @@ class _OrderTable:
             weight, last, tail, first, starts_up = weight_m, idx, tail_m, first_m, starts
         return levels
 
+    def positions(self, idx):
+        """(entry, 0-based frame index) pairs of the patterns at indices ``idx``.
+
+        ``entry`` is the place of a pattern in ``idx``; the pairs come in
+        ``idx`` order, each pattern's frame indices ascending.  A pattern's
+        indices are its parent's followed by its last, so they are filled in
+        from its end back along its parent chain, which ends at pattern 0.
+        """
+        sizes = self.flips[idx]
+        end = np.cumsum(sizes, dtype=np.intp)
+        pos = np.empty(int(sizes.sum()), dtype=np.int32)
+        pat = np.asarray(idx)
+        while True:
+            (more,) = np.nonzero(pat)
+            if not len(more):
+                break
+            pat, end = pat[more], end[more] - 1
+            pos[end] = self.last[pat]
+            pat = self.parent[pat]
+        return np.repeat(np.arange(len(sizes)), sizes), pos
+
     def pattern(self, i):
         if i >= self.count:
             raise IndexError(i)
-        vals = self.flat[self.offsets[i]:self.offsets[i + 1]]
-        if self.kind == "hamming":
-            weight = len(vals)
-        else:
-            weight = int(vals.sum())
-        return QueryPattern(positions=tuple(int(v) - 1 for v in vals), weight=weight)
-
-    def slice_arrays(self, start, stop):
-        """Frame indices and local offsets for patterns [start, stop).
-
-        Returns (values, offsets, actual_stop) where ``values`` are 1-based
-        frame indices, ``offsets`` has length actual_stop - start + 1 and is
-        relative to ``values``, and actual_stop is stop capped at 2^n.
-        """
-        self.extend_to(stop)
-        stop = min(stop, self.count)
-        off = self.offsets[start:stop + 1]
-        vals = self.flat[off[0]:off[-1]]
-        return vals, off - off[0], stop
+        positions = []
+        while i:
+            positions.append(int(self.last[i]))
+            i = self.parent[i]
+        positions.reverse()
+        weight = len(positions) if self.kind == "hamming" else sum(positions) + len(positions)
+        return QueryPattern(positions=tuple(positions), weight=weight)
 
     def waves(self, lo, hi):
         """Patterns [max(lo, 1), hi) in groups to take in turn, memoised.
@@ -261,28 +257,19 @@ class _OrderTable:
         return got
 
 
-# (kind, n) -> table, least recently used first.  A run uses one or two
-# orders; the bound only stops a process that decodes many block lengths
-# from holding every table it ever built.
-_TABLE_CACHE = collections.OrderedDict()
+# A run uses one or two orders; the bound only stops a process that decodes
+# many block lengths from holding every table it ever built.
 _TABLE_CACHE_SIZE = 8
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def order_table(order):
     """Shared cached table for this order (grown lazily, never shrunk).
 
     At most ``_TABLE_CACHE_SIZE`` tables are kept; the least recently used
     one is dropped first, and a dropped table is rebuilt on its next use.
     """
-    key = (order.kind, order.n)
-    table = _TABLE_CACHE.get(key)
-    if table is None:
-        table = _TABLE_CACHE[key] = _OrderTable(order.kind, order.n)
-        if len(_TABLE_CACHE) > _TABLE_CACHE_SIZE:
-            _TABLE_CACHE.popitem(last=False)
-    else:
-        _TABLE_CACHE.move_to_end(key)
-    return table
+    return _OrderTable(order.kind, order.n)
 
 
 def query_patterns(order, start=0):

@@ -89,6 +89,9 @@ class TestFlagParsing:
          "tau=none only"),
         (["--mode", "oracle", "--code", "rlc:8:4", "--ebn0", "1", "--tau", "-1.5"],
          "tau=none only"),
+        (["--mode", "markers", "--code", "rlc:x:8"], "bad N"),
+        (["--mode", "markers", "--code", "crc:16:x:0x5"], "bad K"),
+        (["--mode", "markers", "--code", "rlc:16:8:y"], "bad seed"),
     ])
     def test_rejected_invocations(self, argv, fragment):
         with pytest.raises(ConfigError, match=fragment):

@@ -8,6 +8,7 @@ from conftest import (outcome_tag, random_observation, random_small_code,
                       reference_decode)
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_order import reference_arrays
 
 from softgrand import decoder, patterns, softout
 from softgrand.channel import (ChannelParams, SoftObservation, bsc_crossover,
@@ -181,7 +182,7 @@ class TestReferenceEquivalence:
             acct = SoftObservation.from_flip_probs(obs.hard, crossover)
         policy = DecodePolicy(tau=tau, max_queries=max_queries, order_kind=kind)
         # Start from empty tables so each example grows them from scratch.
-        patterns._TABLE_CACHE.clear()
+        patterns.order_table.cache_clear()
         softout._LOG_U.clear()
         out = decode(code, obs, policy, accounting=acct)
         tag, q, ref_word, ref_llr = reference_decode(code, obs, policy, accounting=acct)
@@ -336,7 +337,7 @@ class TestBatchDecode:
         if data.draw(st.booleans(), label="bsc"):
             crossover = bsc_crossover(ChannelParams(ebn0_db=ebn0, rate=code.rate))
             acct = SoftObservation.from_flip_probs(np.zeros(n, dtype=np.uint8), crossover)
-        patterns._TABLE_CACHE.clear()
+        patterns.order_table.cache_clear()
         softout._LOG_U.clear()
         _assert_batch_equals_ladders(code, arrays, taus, kind, max_queries, acct)
 
@@ -431,6 +432,9 @@ class TestBatchDecode:
         with pytest.raises(ValueError, match="accounting length"):
             decode_batch(code, hard, reliab, ranks, [None],
                          accounting=SoftObservation.from_flip_probs(np.zeros(10), 0.1))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                decode_batch(code, hard, np.full_like(reliab, bad), ranks, [None, 2.0])
 
 
 class TestIncrementalSums:
@@ -447,7 +451,7 @@ class TestIncrementalSums:
         # No parity column sets bit 63: nothing hits, every row runs to the cap.
         scan.target[:] = np.uint64(1 << 63)
         scan.run()
-        vals, off, _ = scan.table.slice_arrays(0, 32768)
+        vals, off = reference_arrays("logistic", 128, 32768)
         # The nine-flip patterns, which numpy sums pairwise, are in range.
         assert np.diff(off).max() == 9 and (np.diff(off) == 9).sum() == 19
         syn = np.bitwise_xor.reduceat(scan.cols.take(vals - 1, axis=1), off[:-1], axis=1)

@@ -438,6 +438,11 @@ class TestErrorQueryDistribution:
         with pytest.raises(ValueError, match="decoder"):
             collect_error_query_distribution(code, 0.0, 5, seed=1, decoder="fuzzy")
 
+    def test_seed_validation(self):
+        # A negative seed has no SeedSequence words: splitting it never ends.
+        with pytest.raises(ValueError, match="seed"):
+            collect_error_query_distribution(make_rlc(16, 8, 1), 0.0, 5, -1)
+
 
 class TestExhaustiveOracle:
     @pytest.mark.parametrize("kind", ["logistic", "hamming"])

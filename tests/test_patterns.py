@@ -14,7 +14,7 @@ from softgrand.patterns import (QueryOrder, QueryPattern, order_table,
                                 realized_positions)
 
 
-TABLE_ARRAYS = ("flat", "offsets", "parent", "tail", "first", "last")
+TABLE_ARRAYS = ("parent", "tail", "first", "last", "flips")
 
 
 def take(order, count, start=0):
@@ -22,23 +22,33 @@ def take(order, count, start=0):
 
 
 def assert_pointers(table):
-    """parent/tail index the pattern without its last/first index; first/last are those."""
+    """The table's pointers give the reference generator's patterns.
+
+    Read back along the parent pointers, the patterns are the generator's;
+    parent/tail index the pattern without its last/first index, and
+    first/last/flips are those indices and the pattern's size.
+    """
+    flat, offsets = reference_arrays(table.kind, table.n, table.count)
+    sizes = np.diff(offsets)
+    entry, pos = table.positions(np.arange(table.count))
+    assert np.array_equal(pos + 1, flat)
+    assert np.array_equal(entry, np.repeat(np.arange(table.count), sizes))
+    assert np.array_equal(table.flips, sizes)
     q = np.arange(1, table.count)
-    sizes = np.diff(table.offsets)
     assert (table.parent[q] < q).all() and (table.tail[q] < q).all()
     assert (sizes[table.parent[q]] == sizes[q] - 1).all()
     assert (sizes[table.tail[q]] == sizes[q] - 1).all()
     sizes = sizes[q]
-    # each flat entry of patterns 1.., with its place within its pattern
+    # each reference entry of patterns 1.., with its place within its pattern
     within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    own = table.flat[np.repeat(table.offsets[q], sizes) + within]
+    own = flat[np.repeat(offsets[q], sizes) + within]
     head = within < np.repeat(sizes - 1, sizes)
-    at_parent = np.repeat(table.offsets[table.parent[q]], sizes) + within
-    assert np.array_equal(own[head], table.flat[at_parent[head]])
-    at_tail = np.repeat(table.offsets[table.tail[q]], sizes) + within - 1
-    assert np.array_equal(own[within > 0], table.flat[at_tail[within > 0]])
-    assert np.array_equal(table.first[q], table.flat[table.offsets[q]] - 1)
-    assert np.array_equal(table.last[q], table.flat[table.offsets[q + 1] - 1] - 1)
+    at_parent = np.repeat(offsets[table.parent[q]], sizes) + within
+    assert np.array_equal(own[head], flat[at_parent[head]])
+    at_tail = np.repeat(offsets[table.tail[q]], sizes) + within - 1
+    assert np.array_equal(own[within > 0], flat[at_tail[within > 0]])
+    assert np.array_equal(table.first[q], flat[offsets[q]] - 1)
+    assert np.array_equal(table.last[q], flat[offsets[q + 1] - 1] - 1)
     assert table.parent[0] == table.tail[0] == table.first[0] == table.last[0] == 0
 
 
@@ -121,9 +131,6 @@ class TestTableBuild:
     def test_every_pattern_matches_the_generator(self, kind, n):
         table = patterns._OrderTable(kind, n)
         table.extend_to(1 << n)
-        flat, offsets = reference_arrays(kind, n, 1 << n)
-        assert np.array_equal(table.flat, flat)
-        assert np.array_equal(table.offsets, offsets)
         assert table.count == 1 << n
         table.extend_to((1 << n) + 1)
         assert table.count == 1 << n
@@ -133,9 +140,6 @@ class TestTableBuild:
     def test_n128_prefix_matches_the_generator(self, kind):
         table = patterns._OrderTable(kind, 128)
         table.extend_to(32768)
-        flat, offsets = reference_arrays(kind, 128, 32768)
-        assert np.array_equal(table.flat, flat)
-        assert np.array_equal(table.offsets, offsets)
         assert_pointers(table)
 
     @pytest.mark.parametrize("kind", ["hamming", "logistic"])
@@ -180,19 +184,28 @@ class TestPartitions:
 
 
 class TestTableInternals:
-    def test_slice_arrays_consistent_with_patterns(self):
-        table = order_table(QueryOrder("logistic", 9))
-        vals, off, stop = table.slice_arrays(37, 81)
-        assert stop == 81
-        for i in range(81 - 37):
-            seg = vals[off[i]:off[i + 1]]
-            assert tuple(int(v) - 1 for v in seg) == table.pattern(37 + i).positions
+    def test_positions_match_patterns(self):
+        # unsorted, with the empty pattern and a repeat
+        idx = np.array([37, 0, 80, 41, 37, 1])
+        for kind in ("hamming", "logistic"):
+            table = order_table(QueryOrder(kind, 9))
+            table.extend_to(81)
+            entry, pos = table.positions(idx)
+            for e, i in enumerate(idx):
+                assert tuple(pos[entry == e].tolist()) == table.pattern(i).positions
+            entry, pos = table.positions(idx[:0])
+            assert len(entry) == len(pos) == 0
 
     @pytest.mark.parametrize("kind", ["hamming", "logistic"])
     def test_holds_only_what_was_asked(self, kind):
         table = patterns._OrderTable(kind, 128)
         table.extend_to(32768)
-        assert table.count == 32768 and len(table.offsets) == 32769
+        assert table.count == 32768
+        arrays = {name: v for name, v in vars(table).items() if isinstance(v, np.ndarray)}
+        assert sorted(arrays) == sorted(TABLE_ARRAYS)
+        assert all(len(v) == 32768 for v in arrays.values())
+        # four int32 pointers and an int8 flip count per pattern
+        assert sum(v.nbytes for v in arrays.values()) == 32768 * 17
         table.extend_to(100)
         assert table.count == 32768
 
@@ -201,8 +214,9 @@ class TestTableInternals:
         table = patterns._OrderTable(kind, 5)
         table.extend_to(32)
         assert table.count == 1 << 5
-        vals, off, stop = table.slice_arrays(16, 64)
-        assert stop == 32 and len(off) == 17 and table.count == 1 << 5
+        table.extend_to(64)
+        assert table.count == 1 << 5
+        assert all(len(getattr(table, name)) == 1 << 5 for name in TABLE_ARRAYS)
 
     def test_cache_shared(self):
         assert order_table(QueryOrder("hamming", 6)) is order_table(QueryOrder("hamming", 6))
@@ -212,11 +226,9 @@ class TestTableInternals:
         kept = order_table(QueryOrder("logistic", 7))
         for n in range(20, 20 + 3 * bound):
             order_table(QueryOrder("hamming", n))
-            assert len(patterns._TABLE_CACHE) <= bound
+            assert order_table.cache_info().currsize <= bound
             # each use makes a table the most recently used again
             assert order_table(QueryOrder("logistic", 7)) is kept
-        assert list(patterns._TABLE_CACHE)[-bound:-1] == [
-            ("hamming", n) for n in range(20 + 3 * bound - bound + 1, 20 + 3 * bound)]
 
     @pytest.mark.parametrize("kind", ["hamming", "logistic"])
     def test_evicted_table_rebuilds_identically(self, kind):
@@ -224,7 +236,6 @@ class TestTableInternals:
         first.extend_to(700)
         for n in range(30, 30 + patterns._TABLE_CACHE_SIZE):
             order_table(QueryOrder(kind, n))
-        assert (kind, 11) not in patterns._TABLE_CACHE
         again = order_table(QueryOrder(kind, 11))
         assert again is not first
         again.extend_to(700)
