@@ -12,7 +12,7 @@ units throughout, converting to base 2 only in reported confidence values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize, special
@@ -83,14 +83,14 @@ class SoftObservation:
     """Hard decisions plus per-bit soft information for one received block.
 
     ``reliab`` holds the natural-log reliability magnitudes l_i = |lambda_i|,
-    finite and nonnegative, and ``ranks`` the bit indices sorted by
-    ascending reliability (ties broken by ascending bit index), so ranks[0]
-    is the least reliable bit.
+    finite and nonnegative.  ``ranks`` is derived from it on each read: the
+    bit indices sorted by ascending reliability (ties broken by ascending
+    bit index), so ranks[0] is the least reliable bit.  The decoder ranks
+    the reliabilities itself, and only for rows it searches past query 1.
     """
 
     hard: np.ndarray
     reliab: np.ndarray
-    ranks: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.hard = np.asarray(self.hard, dtype=np.uint8)
@@ -98,14 +98,16 @@ class SoftObservation:
         # NaN fails both comparisons.
         if not np.all((self.reliab >= 0) & (self.reliab < np.inf)):
             raise ValueError("reliability magnitudes must be finite and nonnegative")
-        if self.ranks is None:
-            self.ranks = _ranks(self.reliab)
-        if not (len(self.hard) == len(self.reliab) == len(self.ranks)):
+        if len(self.hard) != len(self.reliab):
             raise ValueError("field lengths disagree")
 
     @property
     def n(self):
         return len(self.hard)
+
+    @property
+    def ranks(self):
+        return _ranks(self.reliab)
 
     @property
     def flip_prob(self):
@@ -118,8 +120,8 @@ class SoftObservation:
         llrs = np.asarray(llrs, dtype=float)
         if not np.isfinite(llrs).all():
             raise ValueError("channel LLRs must be finite")
-        hard, reliab, ranks = _llr_arrays(llrs[np.newaxis])
-        return cls(hard[0], reliab[0], ranks[0])
+        hard, reliab = _llr_arrays(llrs[np.newaxis])
+        return cls(hard[0], reliab[0])
 
     @classmethod
     def from_flip_probs(cls, hard, flip_prob):
@@ -154,9 +156,8 @@ def _ranks(reliab):
 
 
 def _llr_arrays(llrs):
-    """Hard decisions, reliabilities and ranks of a 2-D array of channel LLRs."""
-    reliab = np.abs(llrs)
-    return (llrs < 0).astype(np.uint8), reliab, _ranks(reliab)
+    """Hard decisions and reliabilities of a 2-D array of channel LLRs."""
+    return (llrs < 0).astype(np.uint8), np.abs(llrs)
 
 
 def transmit(code_word, params, rng):
@@ -167,13 +168,13 @@ def transmit(code_word, params, rng):
     """
     rng = np.random.default_rng(rng)
     bits = np.asarray(code_word, dtype=np.uint8)
-    hard, reliab, ranks = transmit_arrays(bits[np.newaxis],
-                                          rng.standard_normal((1, len(bits))), params)
-    return SoftObservation(hard[0], reliab[0], ranks[0])
+    hard, reliab = transmit_arrays(bits[np.newaxis],
+                                   rng.standard_normal((1, len(bits))), params)
+    return SoftObservation(hard[0], reliab[0])
 
 
 def transmit_arrays(code_words, noise, params):
-    """(hard, reliab, ranks) of a (B, n) block of code words under (B, n) unit noise.
+    """(hard, reliab) of a (B, n) block of code words under (B, n) unit noise.
 
     Row i holds the fields of what ``transmit(code_words[i], params, rng)``
     returns when ``noise[i]`` is that rng's next ``standard_normal(n)``

@@ -24,13 +24,16 @@ import numpy as np
 from . import __version__
 from .channel import EBN0_LIMIT_DB, ChannelParams, capacity_markers, transmit
 from .codes import MAX_REDUNDANCY, encode, make_crc, make_rlc
-from .harness import (DECODERS, GuardError, collect_error_query_distribution,
+from .harness import (DECODERS, GuardError, _tau_label, collect_error_query_distribution,
                       oracle_exact_accounting, run_sweep, write_sweep_csv,
                       write_trials_csv)
 
 __all__ = ["RunConfig", "ConfigError", "parse_and_validate", "run", "main"]
 
 ORACLE_TOLERANCE = 1e-10
+
+# Most points an Eb/N0 range START:STEP:STOP may hold.
+MAX_EBN0_POINTS = 10_000
 
 _FLAG_KEYS = ("mode", "code", "decoder", "tau", "ebn0", "trials", "seed",
               "workers", "out", "trials_csv")
@@ -150,6 +153,10 @@ def _parse_taus(text):
         taus.append(tau)
     if not taus:
         raise ConfigError("empty tau list")
+    # Outputs name each threshold by its label, so two must not share one.
+    labels = [_tau_label(tau) for tau in taus]
+    if len(set(labels)) != len(labels):
+        raise ConfigError(f"tau values must have distinct labels, got {', '.join(labels)}")
     return tuple(taus)
 
 
@@ -172,7 +179,13 @@ def _parse_ebn0(value):
     if len(points) != 3 or points[1] <= 0 or points[2] < points[0]:
         raise ConfigError(f"bad ebn0 range {text!r}")
     start, step, stop = points
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    # Counted before anything is built: a tiny step makes an astronomical
+    # count, which can overflow to inf.
+    steps = (stop - start) / step + 1e-9
+    if steps >= MAX_EBN0_POINTS:
+        raise ConfigError(f"ebn0 range {text!r} has {steps + 1:g} points, "
+                          f"more than {MAX_EBN0_POINTS}")
+    count = int(steps) + 1
     points = tuple(start + i * step for i in range(count))
     # The last point may overshoot the stop by a rounding error.
     _check_ebn0_limit(points, text)

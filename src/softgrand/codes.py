@@ -47,6 +47,9 @@ class LinearCode:
         self._packed_columns = None
         if self.generator.shape != (self.k, self.n):
             raise ValueError("generator must be k x n")
+        # encode copies the message into the first k bits.
+        if not np.array_equal(self.generator[:, :self.k], np.eye(self.k, dtype=np.uint8)):
+            raise ValueError("generator must be systematic, [I | P]")
         if self.parity_check.shape != (self.n - self.k, self.n):
             raise ValueError("parity_check must be (n-k) x n")
         # G H^T = 0 over GF(2) is forced by the systematic construction;
@@ -219,9 +222,11 @@ def encode(code, message):
     message = np.asarray(message, dtype=np.uint8)
     if message.ndim not in (1, 2) or message.shape[-1] != code.k:
         raise ValueError(f"message must have length k={code.k}")
-    # uint8 sums wrap modulo 256, which keeps their parity.  Not a BLAS
-    # product: its threads oversubscribe the cores under a process pool.
-    return np.einsum("...k,kn->...n", message, code.generator) & 1
+    # Only the parity block needs the product.  uint8 sums wrap modulo 256,
+    # which keeps their parity.  Not a BLAS product: its threads
+    # oversubscribe the cores under a process pool.
+    parity = np.einsum("...k,kr->...r", message, code.generator[:, code.k:]) & 1
+    return np.concatenate((message, parity), axis=-1)
 
 
 def syndrome(code, word):

@@ -16,11 +16,19 @@ cap.  The scan stops at the first hit, or once every tau has abandoned when
 no tau is None, so it goes only as deep as the deepest search among the
 thresholds.
 
-For speed the loop is evaluated in growing chunks of queries with numpy.
-Each query's syndrome (packed parity columns XORed as uint64 words) and
-flip sum come from those of an earlier query through the order table's
-parent pointers, as in the syndrome reuse of hardware ORBGRAND decoders,
-and logaddexp.accumulate gives the running sum.  The scan keeps that sum
+Query 1 flips nothing, so it needs no reliability order: its syndrome is
+that of the hard decision and its log-mass the no-flip probability.  The
+scan settles it first, for every row at once: a row whose hard decision is
+a code word hits there, and each finite tau abandons the rows whose
+confidence is already below it.  Only the rows still searching are then
+ranked by reliability (in the logistic order; the hamming order ranks
+nothing), and they go on from query 2 with the running sum at query 1.
+
+For speed the rest of the loop is evaluated in growing chunks of queries
+with numpy.  Each query's syndrome (packed parity columns XORed as uint64
+words) and flip sum come from those of an earlier query through the order
+table's parent pointers, as in the syndrome reuse of hardware ORBGRAND
+decoders, and logaddexp.accumulate gives the running sum.  The scan keeps that sum
 only when something reads it: a finite tau, whose abandonment test needs
 it, or a caller that wants the confidence; otherwise a chunk is the
 syndromes and the hit test alone.  The chunk body works on a
@@ -56,7 +64,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import softout
+from . import channel, softout
 from .codes import packed_parity_columns
 from .patterns import QueryOrder, order_table
 from .softout import LlrReport
@@ -170,7 +178,11 @@ def resolve_max_queries(policy, code):
 
 
 def _chunk_bounds(cap):
-    lo = 0
+    """[lo, hi) query index ranges from index 1, query 2, up to the cap.
+
+    Query 1, index 0, is settled apart (``_Scan._query_one``).
+    """
+    lo = 1
     for edge in _CHUNK_EDGES:
         if lo >= cap:
             return
@@ -190,24 +202,28 @@ _LEDGER_STATE = ("base", "carry", "l", "fold")
 class _Scan:
     """Search state of a block of observations, one row each.
 
-    ``ids`` lists the block rows still searching.  For each of them, in the
+    Construction settles query 1 for every row (``_query_one``).  ``ids``
+    then lists the block rows still searching.  For each of them, in the
     same order, the scan holds the frame-ordered reliabilities and parity
     columns, the no-flip log-probability ``base``, the syndrome to hit, the
-    running log-mass ``carry`` after the last chunk, which thresholds are
-    still ``open``, and the syndrome ``syn`` and left-folded flip sum
-    ``fold`` of every query so far; a row leaves these arrays once it has
-    stopped.  Without a finite threshold or ``confidence`` the scan keeps
-    none of the running log-mass state (``base``, ``carry``, ``l``,
+    running log-mass ``carry`` after the last query so far, which
+    thresholds are still ``open``, and the syndrome ``syn`` and left-folded
+    flip sum ``fold`` of every query so far; a row leaves these arrays once
+    it has stopped.  In the logistic order ``frame`` holds the reliability
+    ranks of the rows ``ranked``, those that searched past query 1; the scan
+    ranks no others.  Without a finite threshold or ``confidence`` the scan
+    keeps none of the running log-mass state (``base``, ``carry``, ``l``,
     ``fold``), and its log-masses read 0.  An array with a single row is
     shared by every row: in the hamming order the parity columns and
-    ``syn``, under an accounting observation ``base``, and under both the
-    reliabilities, ``fold`` and ``carry``.  Per block row it records how the
-    search ended (HIT or AT_CAP, 0 if every threshold abandoned first) with
-    the query and log-mass there, and per threshold and row those of an
-    abandonment (q 0 for none).
+    ``syn``, under an accounting observation ``base`` (and ``carry`` until
+    the first chunk), and under both the reliabilities, ``fold`` and
+    ``carry``.  Per block row it records how the search ended (HIT or
+    AT_CAP, 0 if every threshold abandoned first) with the query and
+    log-mass there, and per threshold and row those of an abandonment (q 0
+    for none).
     """
 
-    def __init__(self, code, hard, reliab, ranks, taus, order_kind, max_queries,
+    def __init__(self, code, hard, reliab, taus, order_kind, max_queries,
                  accounting, confidence=True):
         for tau in taus:
             _check_tau(tau)
@@ -231,26 +247,16 @@ class _Scan:
         self.to_the_end = len(self.taus) < len(taus)
 
         packed = packed_parity_columns(code)
-        # frame[i] maps row i's pattern frame to bit positions; None is the
-        # identity frame of the hamming order.
-        self.frame = ranks if order_kind == "logistic" else None
         self.ids = np.arange(rows)
-        self.cols = packed[np.newaxis] if self.frame is None else packed[ranks]
         self.target = np.bitwise_xor.reduce(packed * hard, axis=1, keepdims=True)
         self.open = np.full((len(self.taus), rows), True)
-        self.syn = np.zeros((len(self.cols), 0), dtype=np.uint64)
         # Thresholds test the running log-mass; without one only the
         # caller's confidence would read it.
         self.ledger = confidence or bool(self.taus)
-        self.row_state = _ROW_STATE + (_LEDGER_STATE if self.ledger else ())
         if self.ledger:
             # One row of accounting reliabilities serves every row.
             source = reliab if accounting is None else acct[np.newaxis]
-            self.l = (source if self.frame is None
-                      else source[self.ids[:len(source), np.newaxis], ranks])
             self.base = -np.add.reduce(np.log1p(np.exp(-source)), axis=1, keepdims=True)
-            self.carry = None  # set by the first chunk
-            self.fold = np.zeros((len(self.l), 0))
 
         self.end = np.zeros(rows, dtype=np.int8)
         self.end_q = np.zeros(rows, dtype=np.int64)
@@ -258,7 +264,58 @@ class _Scan:
         self.ab_q = np.zeros((len(taus), rows), dtype=np.int64)
         self.ab_cum = np.zeros((len(taus), rows))
 
-    def run(self, lo=0, stop=None):
+        # Until query 1 is settled these are the only per-row arrays.
+        self.row_state = ("ids", "target", "base") if self.ledger else ("ids", "target")
+        live = self._query_one()
+        if not live.all():
+            self._keep(live)
+        # frame[i] maps searching row i's pattern frame to bit positions;
+        # None is the identity frame of the hamming order.
+        self.frame = None
+        if not len(self.ids):
+            return
+        # Only the rows still searching are ranked and gathered.
+        reliab = reliab[self.ids]
+        if order_kind == "logistic":
+            self.frame = channel._ranks(reliab)
+            self.ranked = self.ids
+        self.cols = packed[np.newaxis] if self.frame is None else packed[self.frame]
+        # Query 1 flips nothing: its syndrome, and below its flip sum, are 0.
+        self.syn = np.zeros((len(self.cols), 1), dtype=np.uint64)
+        self.row_state = _ROW_STATE + (_LEDGER_STATE if self.ledger else ())
+        if self.ledger:
+            source = reliab if accounting is None else acct[np.newaxis]
+            self.l = (source if self.frame is None
+                      else source[np.arange(len(source))[:, np.newaxis], self.frame])
+            self.fold = np.zeros((len(self.l), 1))
+            # The running log-mass after query 1.
+            self.carry = self.base
+
+    def _query_one(self):
+        """Settle query 1, the hard decision itself, for every row.
+
+        It flips nothing, so its syndrome is ``target`` and its log-mass
+        ``base``, and it needs no reliability order.  A row hits where
+        ``target`` is 0, and a threshold abandons it where the confidence is
+        already below tau, which wins a tie with the hit.  Returns the rows
+        still searching.
+        """
+        hit = self.target[:, 0] == 0
+        self.end[hit] = HIT
+        self.end_q[hit] = 1
+        if self.ledger:
+            # One row of base, under an accounting observation, serves all.
+            cum = self.base[:, 0]
+            self.end_cum[:] = np.where(hit, cum, 0.0)
+        if self.taus:
+            llr = (cum - softout.log_p_incorrect_prefix(self.redundancy, 1)[0]) / _LN2
+            below = llr < np.array(self.taus)[:, np.newaxis]
+            self.ab_q[self.thresholds] = below
+            self.ab_cum[self.thresholds] = np.where(below, cum, 0.0)
+            self.open[:] = ~below
+        return ~hit if self.to_the_end else ~hit & self.open.any(axis=0)
+
+    def run(self, lo=1, stop=None):
         """Advance the searching rows, all at query ``lo``, until each stops.
 
         With ``stop``, rows still searching when the next chunk would start
@@ -300,9 +357,6 @@ class _Scan:
         table, cols = self.table, self.cols
         self._reserve(hi)
         syn = self.syn
-        if lo == 0:
-            # The empty pattern leaves the syndrome alone ...
-            syn[:, 0] = 0
         for g in table.waves(lo, hi):
             syn[:, g] = syn.take(table.parent[g], axis=1) ^ cols.take(table.last[g], axis=1)
         eq = syn[:, lo:hi] == self.target
@@ -328,9 +382,6 @@ class _Scan:
         """
         m = hi - lo
         table, l, fold = self.table, self.l, self.fold
-        if lo == 0:
-            # ... and flips nothing.
-            fold[:, 0] = 0.0
         for g in table.waves(lo, hi):
             fold[:, g] = fold.take(table.parent[g], axis=1) + l.take(table.last[g], axis=1)
         # No outcome reads the running sum past a row's first hit, so when
@@ -339,10 +390,9 @@ class _Scan:
             m = int(hit_i.max()) + 1
         flips = self._flips(lo, lo + m)
         terms = self.base - flips
-        if lo:
-            # The running sum goes on from where the previous chunk left it.
-            terms = np.concatenate((self.carry, terms), axis=1)
-        cum = np.logaddexp.accumulate(terms, axis=1)[:, 1 if lo else 0:]
+        # The running sum goes on from where the previous chunk left it.
+        terms[:, 0] = np.logaddexp(self.carry[:, 0], terms[:, 0])
+        cum = np.logaddexp.accumulate(terms, axis=1)
         # Rows that share their search share one running sum.
         cum_rows = cum if len(cum) == len(self.ids) else np.broadcast_to(cum, (len(self.ids), m))
         # Grown here even without a threshold: the report at a hit reads it.
@@ -375,8 +425,6 @@ class _Scan:
         table, l = self.table, self.l
         q = slice(lo, stop)
         flips = l.take(table.first[q], axis=1) + self.fold.take(table.tail[q], axis=1)
-        if lo == 0:
-            flips[:, 0] = 0.0
         (big,) = np.nonzero(table.flips[q] >= 9)
         if len(big):
             entry, pos = table.positions(big + lo)
@@ -404,7 +452,7 @@ class _Scan:
         scan views its row of this one's arrays, until its histories grow.
         """
         shared = ("cols", "l", "base") if self.ledger else ("cols",)
-        if len(self.ids) == 1 or max(len(getattr(self, name)) for name in shared) == 1:
+        if len(self.ids) <= 1 or max(len(getattr(self, name)) for name in shared) == 1:
             yield self
             return
         for k in range(len(self.ids)):
@@ -433,8 +481,10 @@ class _Scan:
         (rows,) = np.nonzero((self.end == HIT) & (self.end_q > 1))
         entry, pos = self.table.positions(self.end_q[rows] - 1)
         row = rows[entry]
+        if self.frame is not None:
+            pos = self.frame[np.searchsorted(self.ranked, row), pos]
         # A pattern flips distinct positions, so no (row, position) pair repeats.
-        words[row, pos if self.frame is None else self.frame[row, pos]] ^= 1
+        words[row, pos] ^= 1
         return words
 
 
@@ -458,9 +508,8 @@ def decode_ladder(code, obs, taus, order_kind="logistic", max_queries=None,
     equal to what ``decode`` returns for a policy with that tau and the given
     order and cap: column 0 of a one-row ``decode_batch``.
     """
-    got = decode_batch(code, obs.hard[np.newaxis], obs.reliab[np.newaxis],
-                       np.asarray(obs.ranks)[np.newaxis], taus, order_kind, max_queries,
-                       accounting)
+    got = decode_batch(code, obs.hard[np.newaxis], obs.reliab[np.newaxis], taus,
+                       order_kind, max_queries, accounting)
     word = got.words[0]
     outcomes = []
     for status, q, llr in zip(got.status[:, 0].tolist(), got.q[:, 0].tolist(),
@@ -474,15 +523,17 @@ def decode_ladder(code, obs, taus, order_kind="logistic", max_queries=None,
     return outcomes
 
 
-def decode_batch(code, hard, reliab, ranks, taus, order_kind="logistic",
+def decode_batch(code, hard, reliab, taus, order_kind="logistic",
                  max_queries=None, accounting=None, confidence=True):
     """Decode every row of a (rows, n) block under every threshold in ``taus``.
 
-    ``hard``, ``reliab`` and ``ranks`` hold one observation per row, as
+    ``hard`` and ``reliab`` hold one observation per row, as
     ``channel.transmit_arrays`` returns them; ``accounting``, if given, is
-    shared by all rows.  The first 64 queries run for the whole block as
-    2-D arrays, and a row leaves the block once every threshold is settled;
-    rows still searching then continue one at a time.  Row i under tau j
+    shared by all rows.  Query 1 is settled for every row first, and only
+    the rows that search past it are ranked by reliability.  The first 64
+    queries run for the whole block as 2-D arrays, and a row leaves the
+    block once every threshold is settled; rows still searching then
+    continue one at a time.  Row i under tau j
     gets the outcome that a block holding observation i alone gives it, and
     ``softout.llr_bits`` gives the confidence at that outcome's query.
     With ``confidence=False`` the result has no ``llr_bits`` (None), and when
@@ -490,9 +541,8 @@ def decode_batch(code, hard, reliab, ranks, taus, order_kind="logistic",
     and words are the same either way.
     """
     hard = np.asarray(hard, dtype=np.uint8)
-    scan = _Scan(code, hard, np.asarray(reliab, dtype=float),
-                 np.asarray(ranks, dtype=np.int64), taus, order_kind, max_queries,
-                 accounting, confidence)
+    scan = _Scan(code, hard, np.asarray(reliab, dtype=float), taus, order_kind,
+                 max_queries, accounting, confidence)
     scan.run(stop=_BLOCK_QUERIES)
     for one in scan.rows():
         one.run(lo=_BLOCK_QUERIES)

@@ -351,7 +351,7 @@ def _array_draws_match():
 
 
 def _trial_batch(code, params, master_seed, point_key, lo, hi):
-    """Code words and (hard, reliab, ranks) arrays of trials [lo, hi) at one point.
+    """Code words and (hard, reliab) arrays of trials [lo, hi) at one point.
 
     Each trial draws its message, then its noise, from its own seed, as
     ``default_rng(SeedSequence((master_seed, point_key, trial)))`` would:
@@ -388,10 +388,10 @@ def _decode_block(code, params, taus, decoder, master_seed, point_key, lo, hi,
     llr_bits = np.full(shape, math.nan)
     for b_lo in range(lo, hi, _BATCH):
         b_hi = min(b_lo + _BATCH, hi)
-        cws, (hard, reliab, ranks) = _trial_batch(code, params, master_seed,
-                                                  point_key, b_lo, b_hi)
+        cws, (hard, reliab) = _trial_batch(code, params, master_seed, point_key,
+                                           b_lo, b_hi)
         rows = slice(b_lo - lo, b_hi - lo)
-        res = decode_batch(code, hard, reliab, ranks, taus, order_kind,
+        res = decode_batch(code, hard, reliab, taus, order_kind,
                            accounting=acct, confidence=confidence)
         correct = (res.words == cws).all(axis=1)
         outcome[:, rows] = np.where(res.decoded, np.where(correct, CORRECT, INCORRECT),

@@ -92,6 +92,12 @@ class TestFlagParsing:
         (["--mode", "markers", "--code", "rlc:x:8"], "bad N"),
         (["--mode", "markers", "--code", "crc:16:x:0x5"], "bad K"),
         (["--mode", "markers", "--code", "rlc:16:8:y"], "bad seed"),
+        (["--mode", "sweep", "--code", "rlc:16:8:1", "--ebn0", "1", "--tau", "1,1"],
+         "distinct labels"),
+        (["--mode", "sweep", "--code", "rlc:16:8:1", "--ebn0", "1", "--tau", "none,none"],
+         "distinct labels"),
+        (["--mode", "sweep", "--code", "rlc:16:8:1", "--ebn0", "1",
+          "--tau", "1,1.0000000000001"], "distinct labels"),
     ])
     def test_rejected_invocations(self, argv, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -244,6 +250,20 @@ class TestRejectedValues:
         path.write_text(json.dumps(dict(mode="sweep", code="rlc:16:8", **payload)))
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ebn0, count", [
+        ("1:1e-300:2", "1e+300"),  # built whole, this range never ended
+        ("1:1e-7:2", "1e+07"),
+        ("0:0.01:100", "10001"),
+    ])
+    def test_too_many_ebn0_points(self, ebn0, count, tmp_path, capsys):
+        assert main(self.SWEEP + ["--ebn0", ebn0, "--out", str(tmp_path)]) == 2
+        assert f"has {count} points, more than 10000" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_ebn0_range_at_the_point_limit(self):
+        cfg = parse_and_validate(self.SWEEP + ["--ebn0", "0:0.01:99.99"])
+        assert len(cfg.ebn0_points) == 10_000
 
     def test_none_is_the_only_never_abandon(self):
         cfg = parse_and_validate(self.SWEEP + ["--ebn0", "3", "--tau", "None,1e300"])

@@ -36,6 +36,12 @@ class TestLinearCode:
         with pytest.raises(ValueError):
             LinearCode(8, 4, code.generator, bad, "rlc", {})
 
+    def test_systematic_generator_enforced(self):
+        # encode copies the message into the first k bits of a code word.
+        code = make_rlc(8, 4, seed=3)
+        with pytest.raises(ValueError, match="systematic"):
+            LinearCode(8, 4, code.generator[::-1], code.parity_check, "rlc", {})
+
     def test_rate_and_redundancy(self):
         code = make_rlc(128, 116, seed=1)
         assert code.redundancy == 12
@@ -158,10 +164,16 @@ class TestMembership:
             msg = rng.integers(0, 2, 8, dtype=np.uint8)
             assert is_codeword(code, encode(code, msg))
 
-    @pytest.mark.parametrize("n,k", [(128, 116), (600, 576)])
-    def test_encode_block_matches_rows(self, n, k):
-        # At k=576 parity sums pass 255, past the range of uint8.
-        code = make_rlc(n, k, seed=1)
+    @pytest.mark.parametrize("n, k, poly", [
+        pytest.param(128, 116, None, id="128-116"),
+        pytest.param(600, 576, None, id="600-576"),
+        pytest.param(64, 52, 0xBAE, id="crc-64-52"),
+    ])
+    def test_encode_block_matches_rows(self, n, k, poly):
+        # encode multiplies only the parity block; every word, encoded alone
+        # or in a block, is still the full generator product.  At k=576
+        # parity sums pass 255, past the range of uint8.
+        code = make_rlc(n, k, seed=1) if poly is None else make_crc(n, k, poly)
         msgs = np.random.default_rng(4).integers(0, 2, (40, k), dtype=np.uint8)
         msgs[0] = 1
         block = encode(code, msgs)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_order import reference_arrays
 
-from softgrand import decoder, patterns, softout
+from softgrand import channel, decoder, patterns, softout
 from softgrand.channel import (ChannelParams, SoftObservation, bsc_crossover,
                                transmit_arrays)
 from softgrand.codes import encode, is_codeword, make_rlc
@@ -58,7 +58,8 @@ class TestCleanDecode:
         out = decode(code, obs, DecodePolicy(tau=None))
         assert out.decoded and out.q == 1
         assert np.array_equal(out.word, cw)
-        assert len(softout._LOG_U[40]) <= 16
+        # The wrong-hit table, if grown at all, stays small.
+        assert len(softout._LOG_U.get(40, ())) <= 16
 
 
 class TestAbandonment:
@@ -278,7 +279,7 @@ class TestThresholdLadder:
 
 
 def _block(code, ebn0, rows, rng):
-    """Code words and the (hard, reliab, ranks) arrays of ``rows`` transmissions."""
+    """Code words and the (hard, reliab) arrays of ``rows`` transmissions."""
     msgs = rng.integers(0, 2, size=(rows, code.k), dtype=np.uint8)
     cws = encode(code, msgs)
     params = ChannelParams(ebn0_db=ebn0, rate=code.rate)
@@ -305,12 +306,24 @@ def _assert_batch_equals_ladders(code, arrays, taus, kind, max_queries, acct):
             assert got.llr_bits[j, i].tobytes() == np.float64(want.report.llr_bits).tobytes()
         # decode_ladder is a one-row decode_batch, so the first threshold of
         # every row is also held against the scalar reference
-        policy = DecodePolicy(tau=taus[0], max_queries=max_queries, order_kind=kind)
-        tag, q, ref_word, ref_llr = reference_decode(code, obs, policy, accounting=acct)
-        assert (_STATUS_TAGS[got.status[0, i]], got.q[0, i]) == (tag, q)
-        if tag == "decoded":
-            assert np.array_equal(got.words[i], ref_word)
-        assert got.llr_bits[0, i] == pytest.approx(ref_llr, rel=1e-12, abs=1e-12)
+        _assert_reference(code, obs, got, 0, i, taus, kind, max_queries, acct)
+
+
+def _assert_reference(code, obs, got, j, i, taus, kind, max_queries, acct):
+    """Row i under threshold j of a BatchOutcome against the scalar reference."""
+    policy = DecodePolicy(tau=taus[j], max_queries=max_queries, order_kind=kind)
+    tag, q, ref_word, ref_llr = reference_decode(code, obs, policy, accounting=acct)
+    assert (_STATUS_TAGS[got.status[j, i]], got.q[j, i]) == (tag, q)
+    if tag == "decoded":
+        assert np.array_equal(got.words[i], ref_word)
+    assert got.llr_bits[j, i] == pytest.approx(ref_llr, rel=1e-12, abs=1e-12)
+
+
+def _grand(code, ebn0):
+    """The hamming order with BSC accounting at ``ebn0``, as --decoder grand decodes."""
+    crossover = bsc_crossover(ChannelParams(ebn0_db=ebn0, rate=code.rate))
+    return "hamming", SoftObservation.from_flip_probs(np.zeros(code.n, dtype=np.uint8),
+                                                      crossover)
 
 
 class TestBatchDecode:
@@ -359,14 +372,14 @@ class TestBatchDecode:
         # clean rows stop inside the block; the one noisy row searches on
         # past query 64 as the only row left, in the block's own scan
         code = make_rlc(128, 116, seed=1)
-        _, (hard, reliab, ranks) = _block(code, 8.0, 6, np.random.default_rng(3))
+        _, (hard, reliab) = _block(code, 8.0, 6, np.random.default_rng(3))
         _, deep = _block(code, 1.0, 1, np.random.default_rng(12))
-        for block, row in zip((hard, reliab, ranks), deep):
+        for block, row in zip((hard, reliab), deep):
             block[4] = row[0]
         taus = [None, 2.0, -5.0]
-        got = decode_batch(code, hard, reliab, ranks, taus, kind, 3000)
+        got = decode_batch(code, hard, reliab, taus, kind, 3000)
         assert (got.q[0] > 64).tolist() == [False] * 4 + [True, False]
-        _assert_batch_equals_ladders(code, (hard, reliab, ranks), taus, kind, 3000, None)
+        _assert_batch_equals_ladders(code, (hard, reliab), taus, kind, 3000, None)
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
@@ -416,25 +429,79 @@ class TestBatchDecode:
 
     def test_empty_block(self):
         code = make_rlc(16, 8, seed=2)
-        _, (hard, reliab, ranks) = _block(code, 3.0, 2, np.random.default_rng(1))
+        _, (hard, reliab) = _block(code, 3.0, 2, np.random.default_rng(1))
         softout._LOG_U.clear()  # no chunk runs, so no wrong-hit table is grown
-        got = decode_batch(code, hard[:0], reliab[:0], ranks[:0], [None, 1.0])
+        got = decode_batch(code, hard[:0], reliab[:0], [None, 1.0])
         assert got.status.shape == got.q.shape == got.llr_bits.shape == (2, 0)
         assert got.words.shape == (0, 16)
 
     def test_validation(self):
         code = make_rlc(16, 8, seed=2)
-        _, (hard, reliab, ranks) = _block(code, 3.0, 4, np.random.default_rng(1))
+        _, (hard, reliab) = _block(code, 3.0, 4, np.random.default_rng(1))
         with pytest.raises(ValueError, match="finite"):
-            decode_batch(code, hard, reliab, ranks, [math.nan])
+            decode_batch(code, hard, reliab, [math.nan])
         with pytest.raises(ValueError, match="length"):
-            decode_batch(code, hard[:, :10], reliab[:, :10], ranks[:, :10], [None])
+            decode_batch(code, hard[:, :10], reliab[:, :10], [None])
         with pytest.raises(ValueError, match="accounting length"):
-            decode_batch(code, hard, reliab, ranks, [None],
+            decode_batch(code, hard, reliab, [None],
                          accounting=SoftObservation.from_flip_probs(np.zeros(10), 0.1))
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and nonnegative"):
-                decode_batch(code, hard, np.full_like(reliab, bad), ranks, [None, 2.0])
+                decode_batch(code, hard, np.full_like(reliab, bad), [None, 2.0])
+
+
+class TestQueryOne:
+    """Query 1 is settled for every row before the survivors are ranked."""
+
+    # Finite thresholds among the rows' query-1 confidences, which run from
+    # about -11 to 12 bits, with and without a tau that never abandons.
+    TAUS = [(0.0, 5.0, 11.8), (None, 0.0, 5.0, 11.8), (11.8, None), (13.0,)]
+
+    @pytest.mark.parametrize("decoder", ["orbgrand", "grand"])
+    def test_mixed_rows_match_ladders_and_reference(self, decoder):
+        code = make_rlc(128, 116, seed=1)
+        rng = np.random.default_rng(7)
+        parts = [_block(code, ebn0, 4, rng)[1] for ebn0 in (0.0, 2.0, 3.0, 6.0, 8.0)]
+        arrays = tuple(np.concatenate(rows) for rows in zip(*parts))
+        kind, acct = ("logistic", None) if decoder == "orbgrand" else _grand(code, 3.0)
+        got = decode_batch(code, *arrays, self.TAUS[1], kind, 300, acct)
+        at_one = got.q[1:] == 1
+        below = at_one & (got.status[1:] == BELOW_TAU)
+        # rows that hit at query 1, and rows that search past the block
+        assert ((got.status[0] == HIT) & (got.q[0] == 1)).any()
+        assert (got.q[0] > 64).any()
+        # some thresholds abandon rows at query 1 and others do not ...
+        assert (below.any(axis=0) & ~below.all(axis=0)).any()
+        if decoder == "orbgrand":
+            # ... and every one abandons some rows there; under BSC
+            # accounting all rows share one query-1 confidence instead.
+            assert below.all(axis=0).any()
+        for taus in self.TAUS:
+            _assert_batch_equals_ladders(code, arrays, taus, kind, 300, acct)
+            got = decode_batch(code, *arrays, taus, kind, 300, acct)
+            for i, row in enumerate(zip(*arrays)):
+                for j in range(1, len(taus)):
+                    _assert_reference(code, SoftObservation(*row), got, j, i, taus, kind,
+                                      300, acct)
+
+    def test_tied_reliabilities_rank_by_index(self):
+        code = make_rlc(128, 116, seed=1)
+        rng = np.random.default_rng(11)
+        cws = encode(code, rng.integers(0, 2, size=(6, code.k), dtype=np.uint8))
+        # constant crossover, repeated LLR values, and a row with no ties
+        reliab = np.vstack([np.full((2, 128), 4.0),
+                            rng.choice([0.5, 1.0, 3.0], size=(3, 128)),
+                            rng.exponential(3.0, size=(1, 128))])
+        hard = cws.copy()
+        hard[[0, 2, 3, 5], 7] ^= 1
+        scan = decoder._Scan(code, hard, reliab, [None], "logistic", 300, None)
+        # rows 1 and 4 hit at query 1 and are never ranked
+        assert scan.ranked.tolist() == [0, 2, 3, 5]
+        for frame, i in zip(scan.frame, scan.ranked):
+            assert frame.tolist() == sorted(range(128), key=lambda b: (reliab[i, b], b))
+            assert np.array_equal(frame, SoftObservation(hard[i], reliab[i]).ranks)
+        _assert_batch_equals_ladders(code, (hard, reliab), [None, 2.0], "logistic", 300,
+                                     None)
 
 
 class TestIncrementalSums:
@@ -445,9 +512,9 @@ class TestIncrementalSums:
         code = make_rlc(128, 116, seed=1)
         rng = np.random.default_rng(40 + rows)
         reliab = rng.exponential(2.0, size=(rows, 128))
-        ranks = np.argsort(reliab, axis=1, kind="stable")
         hard = rng.integers(0, 2, size=(rows, 128), dtype=np.uint8)
-        scan = decoder._Scan(code, hard, reliab, ranks, [None], "logistic", 32768, None)
+        scan = decoder._Scan(code, hard, reliab, [None], "logistic", 32768, None)
+        assert np.array_equal(scan.frame, channel._ranks(reliab))
         # No parity column sets bit 63: nothing hits, every row runs to the cap.
         scan.target[:] = np.uint64(1 << 63)
         scan.run()

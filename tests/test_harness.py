@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from softgrand import harness, softout
+from softgrand import channel, harness, softout
 from softgrand.channel import ChannelParams, SoftObservation, bsc_crossover, transmit
 from softgrand.codes import encode, make_rlc
 from softgrand.decoder import DecodePolicy, _Scan, decode
@@ -243,6 +243,25 @@ class TestLockstepBatches:
                                             else harness.INCORRECT)
                 assert b.q[t] == out.q
                 assert b.llr_bits[t] == out.report.llr_bits
+
+    @pytest.mark.parametrize("decoder", ["orbgrand", "grand"])
+    def test_ranks_only_rows_that_search(self, monkeypatch, decoder):
+        # Query 1 settles a row before any ranking: rows that hit there are
+        # never ranked, and the hamming order ranks nothing.
+        ranked = []
+        argsort = channel._ranks
+
+        def ranks(reliab):
+            ranked.append(len(reliab))
+            return argsort(reliab)
+
+        monkeypatch.setattr(channel, "_ranks", ranks)
+        code = make_rlc(128, 116, seed=1)
+        res = run_sweep(code, (None, 0.0, 1.0, 2.0), [8.0], 600, master_seed=3,
+                        decoder=decoder)
+        searched = res.batches[("tau=none", 0)].q > 1
+        assert len(searched) == 600 and 0 < searched.sum() < 100
+        assert sum(ranked) == (searched.sum() if decoder == "orbgrand" else 0)
 
 
 class TestSweepStatistics:
