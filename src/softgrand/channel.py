@@ -93,13 +93,7 @@ class SoftObservation:
     reliab: np.ndarray
 
     def __post_init__(self):
-        self.hard = np.asarray(self.hard, dtype=np.uint8)
-        self.reliab = np.asarray(self.reliab, dtype=float)
-        # NaN fails both comparisons.
-        if not np.all((self.reliab >= 0) & (self.reliab < np.inf)):
-            raise ValueError("reliability magnitudes must be finite and nonnegative")
-        if len(self.hard) != len(self.reliab):
-            raise ValueError("field lengths disagree")
+        self.hard, self.reliab = _observation_arrays(self.hard, self.reliab)
 
     @property
     def n(self):
@@ -148,6 +142,20 @@ def flip_probability(l):
     out = special.expit(-arr)
     out = np.fmax(out, np.finfo(float).smallest_subnormal)
     return float(out) if arr.ndim == 0 else out
+
+
+def _observation_arrays(hard, reliab):
+    """``hard`` as uint8 and ``reliab`` as float arrays, after checking both."""
+    hard, reliab = np.asarray(hard), np.asarray(reliab, dtype=float)
+    if hard.shape != reliab.shape:
+        raise ValueError(f"hard and reliab shapes differ: {hard.shape} != {reliab.shape}")
+    # A uint8 bit can only be out of range above 1.
+    if np.count_nonzero(hard > 1 if hard.dtype == np.uint8 else (hard != 0) & (hard != 1)):
+        raise ValueError("hard decisions must be 0 or 1")
+    # NaN fails both comparisons.
+    if np.count_nonzero((reliab >= 0) & (reliab < np.inf)) < reliab.size:
+        raise ValueError("reliability magnitudes must be finite and nonnegative")
+    return hard.astype(np.uint8, copy=False), reliab
 
 
 def _ranks(reliab):

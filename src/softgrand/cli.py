@@ -25,7 +25,7 @@ from . import __version__
 from .channel import EBN0_LIMIT_DB, ChannelParams, capacity_markers, transmit
 from .codes import MAX_REDUNDANCY, encode, make_crc, make_rlc
 from .harness import (DECODERS, GuardError, _tau_label, collect_error_query_distribution,
-                      oracle_exact_accounting, run_sweep, write_sweep_csv,
+                      oracle_exact_accounting, run_sweep, write_sidecar, write_sweep_csv,
                       write_trials_csv)
 
 __all__ = ["RunConfig", "ConfigError", "parse_and_validate", "run", "main"]
@@ -247,6 +247,8 @@ def parse_and_validate(argv=None):
         raise ConfigError(f"--ebn0 is required for mode {mode}")
     if mode in ("fig1", "oracle") and len(points) != 1:
         raise ConfigError(f"mode {mode} needs exactly one ebn0 point, got {len(points)}")
+    if mode == "sweep" and not points:
+        raise ConfigError("mode sweep needs at least one ebn0 point")
 
     def as_int(key, default, least):
         # Flags arrive as int; a config file must hold a JSON integer, and
@@ -324,9 +326,7 @@ def _run_fig1_mode(config, code):
         "model_mean": float(2 ** code.redundancy),
         "ks_distance_vs_geometric": dist.ks_distance,
     }
-    with open(csv_path + ".json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_sidecar(csv_path, meta)
     print(f"wrote {csv_path}: {len(dist.queries)} incorrect decodings over "
           f"{dist.trials} trials, mean queries {dist.sample_mean:.1f} "
           f"(model {2 ** code.redundancy}), KS {dist.ks_distance:.4f}")

@@ -18,11 +18,9 @@ thresholds.
 
 Query 1 flips nothing, so it needs no reliability order: its syndrome is
 that of the hard decision and its log-mass the no-flip probability.  The
-scan settles it first, for every row at once: a row whose hard decision is
-a code word hits there, and each finite tau abandons the rows whose
-confidence is already below it.  Only the rows still searching are then
-ranked by reliability (in the logistic order; the hamming order ranks
-nothing), and they go on from query 2 with the running sum at query 1.
+scan settles it first, for every row at once, and only the rows still
+searching are then ranked by reliability (in the logistic order; the
+hamming order ranks nothing).
 
 For speed the rest of the loop is evaluated in growing chunks of queries
 with numpy.  Each query's syndrome (packed parity columns XORed as uint64
@@ -31,12 +29,15 @@ table's parent pointers, as in the syndrome reuse of hardware ORBGRAND
 decoders, and logaddexp.accumulate gives the running sum.  The scan keeps that sum
 only when something reads it: a finite tau, whose abandonment test needs
 it, or a caller that wants the confidence; otherwise a chunk is the
-syndromes and the hit test alone.  The chunk body works on a
+syndromes and the hit test alone.  Query 1 and every chunk then go through
+one settle step, which records first hits, lets every open tau abandon at
+once, and drops the rows that stopped.  The chunk body works on a
 (rows, queries) block, and only ``decode_batch`` runs it: it runs the
 first chunks, up to query 64, for a whole block of observations at once,
 and rows still searching after them continue one at a time through the
-same body from where they stopped (a lone such row, or rows that share
-everything but the syndrome to hit, in the block's own state, uncopied).
+same body from the chunk where the block stopped (a lone such row, or rows
+that share everything but the syndrome to hit, in the block's own state,
+uncopied).
 ``decode_ladder`` is a one-row ``decode_batch`` and ``decode`` its one-tau
 case.  The running sum is accumulated in query order along each row, as a
 one-query-at-a-time loop would, so a row's outcome does not depend on the
@@ -177,17 +178,16 @@ def resolve_max_queries(policy, code):
     return _resolve_cap(policy.max_queries, code)
 
 
-def _chunk_bounds(cap):
-    """[lo, hi) query index ranges from index 1, query 2, up to the cap.
+def _chunk_bounds(cap, lo=1):
+    """[lo, hi) query index ranges from index ``lo`` up to the cap.
 
-    Query 1, index 0, is settled apart (``_Scan._query_one``).
+    Query 1, index 0, is settled apart.  Every walk has the same range
+    starts, so a scan goes on from the one where it stopped.
     """
-    lo = 1
     for edge in _CHUNK_EDGES:
-        if lo >= cap:
-            return
-        yield lo, min(edge, cap)
-        lo = min(edge, cap)
+        if lo < min(edge, cap):
+            yield lo, min(edge, cap)
+            lo = min(edge, cap)
     while lo < cap:
         yield lo, min(lo + _CHUNK_STEP, cap)
         lo = min(lo + _CHUNK_STEP, cap)
@@ -202,25 +202,25 @@ _LEDGER_STATE = ("base", "carry", "l", "fold")
 class _Scan:
     """Search state of a block of observations, one row each.
 
-    Construction settles query 1 for every row (``_query_one``).  ``ids``
-    then lists the block rows still searching.  For each of them, in the
-    same order, the scan holds the frame-ordered reliabilities and parity
-    columns, the no-flip log-probability ``base``, the syndrome to hit, the
-    running log-mass ``carry`` after the last query so far, which
-    thresholds are still ``open``, and the syndrome ``syn`` and left-folded
-    flip sum ``fold`` of every query so far; a row leaves these arrays once
-    it has stopped.  In the logistic order ``frame`` holds the reliability
-    ranks of the rows ``ranked``, those that searched past query 1; the scan
-    ranks no others.  Without a finite threshold or ``confidence`` the scan
-    keeps none of the running log-mass state (``base``, ``carry``, ``l``,
-    ``fold``), and its log-masses read 0.  An array with a single row is
-    shared by every row: in the hamming order the parity columns and
-    ``syn``, under an accounting observation ``base`` (and ``carry`` until
-    the first chunk), and under both the reliabilities, ``fold`` and
-    ``carry``.  Per block row it records how the search ended (HIT or
-    AT_CAP, 0 if every threshold abandoned first) with the query and
-    log-mass there, and per threshold and row those of an abandonment (q 0
-    for none).
+    Construction settles query 1 for every row.  ``ids`` then lists the
+    block rows still searching, and ``at`` the query index where their
+    next chunk starts.  For each of them, in the same order, the scan holds
+    the frame-ordered reliabilities and parity columns, the no-flip
+    log-probability ``base``, the syndrome to hit, the running log-mass
+    ``carry`` after the last query so far, which thresholds are still
+    ``open``, and the syndrome ``syn`` and left-folded flip sum ``fold`` of
+    every query so far; a row leaves these arrays once it has stopped.  In
+    the logistic order ``frame`` holds the reliability ranks of the rows
+    ``ranked``, those that searched past query 1; the scan ranks no others.
+    Without a finite threshold or ``confidence`` the scan keeps none of the
+    running log-mass state (``base``, ``carry``, ``l``, ``fold``), and its
+    log-masses read 0.  An array with a single row is shared by every row:
+    in the hamming order the parity columns and ``syn``, under an
+    accounting observation ``base`` (and ``carry`` until the first chunk),
+    and under both the reliabilities, ``fold`` and ``carry``.  Per block row
+    it records how the search ended (HIT or AT_CAP, 0 if every threshold
+    abandoned first) with the query and log-mass there, and per threshold
+    and row those of an abandonment (q 0 for none).
     """
 
     def __init__(self, code, hard, reliab, taus, order_kind, max_queries,
@@ -231,8 +231,6 @@ class _Scan:
         n = code.n
         if hard.ndim != 2 or hard.shape[1] != n:
             raise ValueError(f"observation length {hard.shape[-1]} != code length {n}")
-        if not np.all((reliab >= 0) & (reliab < np.inf)):
-            raise ValueError("reliability magnitudes must be finite and nonnegative")
         if accounting is not None:
             acct = np.asarray(accounting.reliab, dtype=float)
             if len(acct) != n:
@@ -241,18 +239,20 @@ class _Scan:
         self.redundancy = code.redundancy
         self.cap = _resolve_cap(max_queries, code)
         self.table = order_table(QueryOrder(kind=order_kind, n=n))
-        self.taus = [tau for tau in taus if tau is not None]
-        self.thresholds = [j for j, tau in enumerate(taus) if tau is not None]
+        finite = [tau for tau in taus if tau is not None]
+        self.taus = np.array(finite, dtype=float).reshape(-1, 1, 1)
+        self.thresholds = np.array([j for j, tau in enumerate(taus) if tau is not None],
+                                   dtype=np.intp)
         # A tau of None never abandons: its search runs to a hit or the cap.
-        self.to_the_end = len(self.taus) < len(taus)
+        self.to_the_end = len(finite) < len(taus)
 
         packed = packed_parity_columns(code)
         self.ids = np.arange(rows)
         self.target = np.bitwise_xor.reduce(packed * hard, axis=1, keepdims=True)
-        self.open = np.full((len(self.taus), rows), True)
+        self.open = np.full((len(finite), rows), True)
         # Thresholds test the running log-mass; without one only the
         # caller's confidence would read it.
-        self.ledger = confidence or bool(self.taus)
+        self.ledger = confidence or bool(finite)
         if self.ledger:
             # One row of accounting reliabilities serves every row.
             source = reliab if accounting is None else acct[np.newaxis]
@@ -264,11 +264,13 @@ class _Scan:
         self.ab_q = np.zeros((len(taus), rows), dtype=np.int64)
         self.ab_cum = np.zeros((len(taus), rows))
 
-        # Until query 1 is settled these are the only per-row arrays.
+        # Query 1 flips nothing: its syndrome is the hard decision's and its
+        # log-mass the no-flip one.  Until it is settled these are the only
+        # per-row arrays.
         self.row_state = ("ids", "target", "base") if self.ledger else ("ids", "target")
-        live = self._query_one()
-        if not live.all():
-            self._keep(live)
+        self._settle(0, self.target[:, 0] == 0, np.zeros(rows, dtype=np.intp),
+                     self.base if self.ledger else None)
+        self.at = 1
         # frame[i] maps searching row i's pattern frame to bit positions;
         # None is the identity frame of the hamming order.
         self.frame = None
@@ -280,7 +282,7 @@ class _Scan:
             self.frame = channel._ranks(reliab)
             self.ranked = self.ids
         self.cols = packed[np.newaxis] if self.frame is None else packed[self.frame]
-        # Query 1 flips nothing: its syndrome, and below its flip sum, are 0.
+        # Query 1's syndrome, and below its flip sum, are 0.
         self.syn = np.zeros((len(self.cols), 1), dtype=np.uint64)
         self.row_state = _ROW_STATE + (_LEDGER_STATE if self.ledger else ())
         if self.ledger:
@@ -291,43 +293,18 @@ class _Scan:
             # The running log-mass after query 1.
             self.carry = self.base
 
-    def _query_one(self):
-        """Settle query 1, the hard decision itself, for every row.
-
-        It flips nothing, so its syndrome is ``target`` and its log-mass
-        ``base``, and it needs no reliability order.  A row hits where
-        ``target`` is 0, and a threshold abandons it where the confidence is
-        already below tau, which wins a tie with the hit.  Returns the rows
-        still searching.
-        """
-        hit = self.target[:, 0] == 0
-        self.end[hit] = HIT
-        self.end_q[hit] = 1
-        if self.ledger:
-            # One row of base, under an accounting observation, serves all.
-            cum = self.base[:, 0]
-            self.end_cum[:] = np.where(hit, cum, 0.0)
-        if self.taus:
-            llr = (cum - softout.log_p_incorrect_prefix(self.redundancy, 1)[0]) / _LN2
-            below = llr < np.array(self.taus)[:, np.newaxis]
-            self.ab_q[self.thresholds] = below
-            self.ab_cum[self.thresholds] = np.where(below, cum, 0.0)
-            self.open[:] = ~below
-        return ~hit if self.to_the_end else ~hit & self.open.any(axis=0)
-
-    def run(self, lo=1, stop=None):
-        """Advance the searching rows, all at query ``lo``, until each stops.
+    def run(self, stop=None):
+        """Advance the searching rows from query index ``at`` until each stops.
 
         With ``stop``, rows still searching when the next chunk would start
         at query ``stop`` stay in the scan; otherwise none do.
         """
-        for c_lo, c_hi in _chunk_bounds(self.cap):
-            if c_lo < lo:
-                continue
-            if not len(self.ids) or (stop is not None and c_lo >= stop):
+        for lo, hi in _chunk_bounds(self.cap, self.at):
+            if not len(self.ids) or (stop is not None and lo >= stop):
                 return
-            self.table.extend_to(c_hi)
-            self._chunk(c_lo, c_hi)
+            self.table.extend_to(hi)
+            self._chunk(lo, hi)
+            self.at = hi
         if len(self.ids):
             self.end[self.ids] = AT_CAP
             self.end_q[self.ids] = self.cap
@@ -362,58 +339,61 @@ class _Scan:
         eq = syn[:, lo:hi] == self.target
         hit_i = eq.argmax(axis=1)
         hit = np.logical_or.reduce(eq, axis=1)
+        cum = None
         if self.ledger:
-            cum_rows = self._running_sum(lo, hi, hit, hit_i)
-        stopped = hit if self.to_the_end else hit | ~self.open.any(axis=0)
-        if np.count_nonzero(stopped):
-            ids, h = self.ids[hit], hit_i[hit]
-            self.end[ids] = HIT
-            self.end_q[ids] = h + (lo + 1)
-            if self.ledger:
-                self.end_cum[ids] = cum_rows[hit, h]
-            self._keep(~stopped)
+            # No outcome reads the running sum past a row's first hit, so
+            # when every row hits, the sum stops at the last of those hits.
+            m = int(hit_i.max()) + 1 if hit.all() else hi - lo
+            cum = self._running_sum(lo, hi, m)
+            # Grown even without a threshold: the report at a hit reads it.
+            softout.log_p_incorrect_prefix(self.redundancy, hi)
+        self._settle(lo, hit, hit_i, cum)
 
-    def _running_sum(self, lo, hi, hit, hit_i):
-        """Fold queries [lo, hi) into the running log-mass and test the taus.
+    def _running_sum(self, lo, hi, m):
+        """Fold queries [lo, hi) and accumulate the running log-mass of [lo, lo + m).
 
         A query's ``fold`` is its parent's plus the reliability at its last
-        index.  Returns the running log-mass per searching row and query of
-        the chunk, up to the last first hit when every row hits.
+        index.  Returns the running log-mass per searching row (one row when
+        they share it) and query.
         """
-        m = hi - lo
         table, l, fold = self.table, self.l, self.fold
         for g in table.waves(lo, hi):
             fold[:, g] = fold.take(table.parent[g], axis=1) + l.take(table.last[g], axis=1)
-        # No outcome reads the running sum past a row's first hit, so when
-        # every row hits, the sum stops at the last of those hits.
-        if hit.all():
-            m = int(hit_i.max()) + 1
-        flips = self._flips(lo, lo + m)
-        terms = self.base - flips
+        terms = self.base - self._flips(lo, lo + m)
         # The running sum goes on from where the previous chunk left it.
         terms[:, 0] = np.logaddexp(self.carry[:, 0], terms[:, 0])
         cum = np.logaddexp.accumulate(terms, axis=1)
-        # Rows that share their search share one running sum.
-        cum_rows = cum if len(cum) == len(self.ids) else np.broadcast_to(cum, (len(self.ids), m))
-        # Grown here even without a threshold: the report at a hit reads it.
-        log_u = softout.log_p_incorrect_prefix(self.redundancy, hi)
-
-        if self.taus and np.count_nonzero(self.open):
-            llr = (cum - log_u[lo:lo + m]) / _LN2
-            # A threshold abandons at its first crossing no later than the hit.
-            last = np.where(hit, hit_i, m)
-            for t, (j, tau) in enumerate(zip(self.thresholds, self.taus)):
-                below = llr < tau
-                ab_i = below.argmax(axis=1)
-                if len(ab_i) != len(last):
-                    ab_i = np.broadcast_to(ab_i, last.shape)
-                (r,) = np.nonzero(self.open[t] & below.any(axis=1) & (ab_i <= last))
-                if len(r):
-                    self.ab_q[j, self.ids[r]] = lo + ab_i[r] + 1
-                    self.ab_cum[j, self.ids[r]] = cum_rows[r, ab_i[r]]
-                    self.open[t, r] = False
         self.carry = cum[:, -1:]
-        return cum_rows
+        return cum
+
+    def _settle(self, lo, hit, hit_i, cum):
+        """Record hits and abandonments from query index ``lo`` on; drop stopped rows.
+
+        ``hit`` marks the rows that hit, first at index ``lo + hit_i``;
+        ``cum`` is the running log-mass (one row when shared), None without a
+        ledger.  A threshold abandons at its first crossing no later than the hit.
+        """
+        shared = cum is not None and len(cum) != len(self.ids)
+        if len(self.taus) and np.count_nonzero(self.open):
+            log_u = softout.log_p_incorrect_prefix(self.redundancy, lo + cum.shape[1])
+            below = (cum - log_u[lo:]) / _LN2 < self.taus
+            ab_i = below.argmax(axis=2)
+            last = np.where(hit, hit_i, cum.shape[1])
+            t, r = np.nonzero(self.open & below.any(axis=2) & (ab_i <= last))
+            if len(t):
+                a = ab_i[t, 0 if shared else r]
+                self.ab_q[self.thresholds[t], self.ids[r]] = a + (lo + 1)
+                self.ab_cum[self.thresholds[t], self.ids[r]] = cum[0 if shared else r, a]
+                self.open[t, r] = False
+        stopped = hit if self.to_the_end else hit | ~self.open.any(axis=0)
+        # Every row that hit has stopped.
+        if np.count_nonzero(stopped):
+            ids, a = self.ids[hit], hit_i[hit]
+            self.end[ids] = HIT
+            self.end_q[ids] = a + (lo + 1)
+            if self.ledger:
+                self.end_cum[ids] = cum[0 if shared else hit, a]
+            self._keep(~stopped)
 
     def _flips(self, lo, stop):
         """Flip sums of queries [lo, stop), bit for bit as np.add.reduceat sums them.
@@ -529,23 +509,24 @@ def decode_batch(code, hard, reliab, taus, order_kind="logistic",
 
     ``hard`` and ``reliab`` hold one observation per row, as
     ``channel.transmit_arrays`` returns them; ``accounting``, if given, is
-    shared by all rows.  Query 1 is settled for every row first, and only
-    the rows that search past it are ranked by reliability.  The first 64
-    queries run for the whole block as 2-D arrays, and a row leaves the
-    block once every threshold is settled; rows still searching then
-    continue one at a time.  Row i under tau j
-    gets the outcome that a block holding observation i alone gives it, and
-    ``softout.llr_bits`` gives the confidence at that outcome's query.
+    shared by all rows; they must have one shape, with hard decisions of 0
+    or 1 and finite, nonnegative reliabilities.  Query 1 is settled for
+    every row first, and only the rows that search past it are ranked by
+    reliability.  The first 64 queries run for the whole block as 2-D
+    arrays, and a row leaves the block once every threshold is settled;
+    rows still searching then continue one at a time from query 65.  Row i
+    under tau j gets the outcome that a block holding observation i alone
+    gives it, and ``softout.llr_bits`` gives the confidence at that
+    outcome's query.
     With ``confidence=False`` the result has no ``llr_bits`` (None), and when
     every tau is None the scan keeps no running log-mass at all; status, q
     and words are the same either way.
     """
-    hard = np.asarray(hard, dtype=np.uint8)
-    scan = _Scan(code, hard, np.asarray(reliab, dtype=float), taus, order_kind,
-                 max_queries, accounting, confidence)
+    hard, reliab = channel._observation_arrays(hard, reliab)
+    scan = _Scan(code, hard, reliab, taus, order_kind, max_queries, accounting, confidence)
     scan.run(stop=_BLOCK_QUERIES)
     for one in scan.rows():
-        one.run(lo=_BLOCK_QUERIES)
+        one.run()
     status, q, cum = scan.results()
     llr = softout.llr_bits(scan.redundancy, q, cum) if confidence else None
     return BatchOutcome(status=status, q=q, llr_bits=llr, words=scan.words(hard))

@@ -61,6 +61,7 @@ __all__ = [
     "binomial_halfwidth",
     "geometric_cdf",
     "ks_distance_geometric",
+    "write_sidecar",
     "write_sweep_csv",
     "write_trials_csv",
 ]
@@ -444,6 +445,8 @@ def run_sweep(code, taus, ebn0_points, trials_per_point, master_seed, workers=1,
         raise ValueError(f"policy labels must be unique, got {labels}")
 
     points = [float(e) for e in ebn0_points]
+    if not points:
+        raise ValueError("ebn0_points must not be empty")
     batches = {(lbl, pi): TrialBatch() for lbl in labels for pi in range(len(points))}
     stats = []
     # One pool serves every block of the sweep, so each worker builds its
@@ -687,9 +690,14 @@ def write_sweep_csv(path, stats, meta=None):
         for s in stats:
             fh.write(",".join(map(_fmt, astuple(s))) + "\n")
     if meta is not None:
-        with open(str(path) + ".json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_sidecar(path, meta)
+
+
+def write_sidecar(path, meta):
+    """Write ``meta`` as the JSON sidecar <path>.json of an output file."""
+    with open(str(path) + ".json", "w") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_trials_csv(path, result):

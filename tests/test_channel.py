@@ -140,6 +140,11 @@ class TestSoftObservation:
         with pytest.raises(ValueError):
             SoftObservation(hard=np.zeros(3, dtype=np.uint8), reliab=np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [2, 255, 256, -1, 0.5, math.nan])
+    def test_hard_decisions_are_bits(self, bad):
+        with pytest.raises(ValueError, match="0 or 1"):
+            SoftObservation(hard=np.full(16, bad), reliab=np.ones(16))
+
     def test_flip_prob_derived_from_reliab(self):
         obs = SoftObservation.from_channel_llrs([3.0, -0.5, 0.0])
         assert np.array_equal(obs.flip_prob, flip_probability(obs.reliab))

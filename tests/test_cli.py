@@ -168,6 +168,7 @@ class TestConfigFile:
         ({"workers": True}, "workers must be an integer"),
         ({"trials_csv": "false"}, "trials_csv must be true or false"),
         ({"ebn0": [1, True]}, "ebn0 list items must be numbers"),
+        ({"ebn0": []}, "needs at least one ebn0 point"),
     ])
     def test_wrong_json_types_exit_2(self, tmp_path, capsys, payload, message):
         path = self._write(tmp_path, {"mode": "sweep", "code": "rlc:16:8:1",

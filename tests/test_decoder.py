@@ -355,7 +355,7 @@ class TestBatchDecode:
         _assert_batch_equals_ladders(code, arrays, taus, kind, max_queries, acct)
 
     @pytest.mark.parametrize("kind, accounting", [("logistic", "soft"), ("hamming", "bsc")])
-    def test_deep_rows_resume_after_the_block(self, kind, accounting):
+    def test_deep_rows_resume_after_the_block(self, kind, accounting, monkeypatch):
         code = make_rlc(128, 116, seed=1)
         _, arrays = _block(code, 1.5, 24, np.random.default_rng(8))
         acct = None
@@ -363,8 +363,22 @@ class TestBatchDecode:
             crossover = bsc_crossover(ChannelParams(ebn0_db=1.5, rate=code.rate))
             acct = SoftObservation.from_flip_probs(np.zeros(128, dtype=np.uint8), crossover)
         taus = [None, 2.0, -5.0, 2.0]
+        # The first query index of every walk over the chunk list.
+        starts, chunk_bounds = [], decoder._chunk_bounds
+
+        def guard(*args):
+            bounds = list(chunk_bounds(*args))
+            starts.append(bounds[0][0])
+            return iter(bounds)
+
+        monkeypatch.setattr(decoder, "_chunk_bounds", guard)
         got = decode_batch(code, *arrays, taus, kind, 3000, acct)
-        assert (got.q[0] > 64).sum() >= 5  # rows that went on one at a time
+        monkeypatch.undo()
+        deep = (got.q[0] > 64).sum()
+        assert deep >= 5  # rows that went on one at a time
+        # The block walks from query 2; each row that goes on, or the block
+        # scan itself when its rows share their state, from query 65.
+        assert starts == [1] + [64] * (deep if kind == "logistic" else 1)
         _assert_batch_equals_ladders(code, arrays, taus, kind, 3000, acct)
 
     @pytest.mark.parametrize("kind", ["logistic", "hamming"])
@@ -448,6 +462,16 @@ class TestBatchDecode:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 decode_batch(code, hard, np.full_like(reliab, bad), [None, 2.0])
+        for bad in (2, 255):
+            bits = hard.copy()
+            bits[1, 5] = bad
+            with pytest.raises(ValueError, match="0 or 1"):
+                decode_batch(code, bits, reliab, [None, 2.0])
+        with pytest.raises(ValueError, match="0 or 1"):
+            decode_batch(code, np.full((1, 16), 2), np.ones((1, 16)), [None])
+        for short in (reliab[:2, :15], reliab[:3]):
+            with pytest.raises(ValueError, match="shape"):
+                decode_batch(code, hard[:2], short, [None])
 
 
 class TestQueryOne:
@@ -455,7 +479,8 @@ class TestQueryOne:
 
     # Finite thresholds among the rows' query-1 confidences, which run from
     # about -11 to 12 bits, with and without a tau that never abandons.
-    TAUS = [(0.0, 5.0, 11.8), (None, 0.0, 5.0, 11.8), (11.8, None), (13.0,)]
+    TAUS = [(0.0, 5.0, 11.8), (None, 0.0, 5.0, 11.8), (11.8, None), (13.0,),
+            (5.0, 5.0, None)]
 
     @pytest.mark.parametrize("decoder", ["orbgrand", "grand"])
     def test_mixed_rows_match_ladders_and_reference(self, decoder):
@@ -483,6 +508,8 @@ class TestQueryOne:
                 for j in range(1, len(taus)):
                     _assert_reference(code, SoftObservation(*row), got, j, i, taus, kind,
                                       300, acct)
+        # the last list's duplicate thresholds also abandon rows after query 1
+        assert ((got.status[0] == BELOW_TAU) & (got.q[0] > 1)).any()
 
     def test_tied_reliabilities_rank_by_index(self):
         code = make_rlc(128, 116, seed=1)
@@ -502,6 +529,16 @@ class TestQueryOne:
             assert np.array_equal(frame, SoftObservation(hard[i], reliab[i]).ranks)
         _assert_batch_equals_ladders(code, (hard, reliab), [None, 2.0], "logistic", 300,
                                      None)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 15, 16, 17, 64, 65, 4097, 32768])
+def test_chunk_bounds_resume_where_a_scan_stopped(cap):
+    bounds = list(decoder._chunk_bounds(cap))
+    # contiguous from query 2 to the cap
+    edges = [1] + [hi for _, hi in bounds]
+    assert list(zip(edges, edges[1:])) == bounds and edges[-1] == cap
+    for k, (lo, _) in enumerate(bounds):
+        assert list(decoder._chunk_bounds(cap, lo)) == bounds[k:]
 
 
 class TestIncrementalSums:

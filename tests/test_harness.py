@@ -312,6 +312,8 @@ class TestSweepStatistics:
             run_sweep(small_code, (1.0, 1.0), [1.0], 10, master_seed=1)
         with pytest.raises(ValueError, match="empty"):
             run_sweep(small_code, (), [1.0], 10, master_seed=1)
+        with pytest.raises(ValueError, match="ebn0_points must not be empty"):
+            run_sweep(small_code, (None,), [], 10, master_seed=1)
         with pytest.raises(ValueError, match="finite"):
             run_sweep(small_code, (None, math.nan), [1.0], 10, master_seed=1)
         with pytest.raises(ValueError, match="decoder"):
