@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize, special
 
+from .codes import _as_bits
+
 __all__ = [
     "EBN0_LIMIT_DB",
     "ChannelParams",
@@ -131,14 +133,12 @@ class SoftObservation:
 
 
 def flip_probability(l):
-    """B = e^-l / (1 + e^-l) for reliability magnitude l >= 0.
+    """B = e^-l / (1 + e^-l) for finite reliability magnitude l >= 0.
 
     Stable for large l: never overflows, and the result is clamped to the
     smallest positive float instead of underflowing to zero.
     """
-    arr = np.asarray(l, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("reliability magnitude must be nonnegative")
+    arr = _reliabilities(l)
     out = special.expit(-arr)
     out = np.fmax(out, np.finfo(float).smallest_subnormal)
     return float(out) if arr.ndim == 0 else out
@@ -149,13 +149,16 @@ def _observation_arrays(hard, reliab):
     hard, reliab = np.asarray(hard), np.asarray(reliab, dtype=float)
     if hard.shape != reliab.shape:
         raise ValueError(f"hard and reliab shapes differ: {hard.shape} != {reliab.shape}")
-    # A uint8 bit can only be out of range above 1.
-    if np.count_nonzero(hard > 1 if hard.dtype == np.uint8 else (hard != 0) & (hard != 1)):
-        raise ValueError("hard decisions must be 0 or 1")
+    return _as_bits(hard, "hard decisions"), _reliabilities(reliab)
+
+
+def _reliabilities(reliab):
+    """``reliab`` as a float array, after checking it is finite and nonnegative."""
+    reliab = np.asarray(reliab, dtype=float)
     # NaN fails both comparisons.
     if np.count_nonzero((reliab >= 0) & (reliab < np.inf)) < reliab.size:
         raise ValueError("reliability magnitudes must be finite and nonnegative")
-    return hard.astype(np.uint8, copy=False), reliab
+    return reliab
 
 
 def _ranks(reliab):

@@ -151,8 +151,6 @@ def _parse_taus(text):
         if not math.isfinite(tau):
             raise ConfigError(f"tau must be finite (use 'none' to never abandon), got {tok!r}")
         taus.append(tau)
-    if not taus:
-        raise ConfigError("empty tau list")
     # Outputs name each threshold by its label, so two must not share one.
     labels = [_tau_label(tau) for tau in taus]
     if len(set(labels)) != len(labels):

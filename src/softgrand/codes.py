@@ -214,12 +214,21 @@ def crc_division_remainder(code, word):
     return crc_remainder(_bits_to_int(word), code.n, code._full_poly, code.redundancy)
 
 
+def _as_bits(bits, what):
+    """``bits`` as a uint8 array, after checking every value is 0 or 1."""
+    bits = np.asarray(bits)
+    # A uint8 bit can only be out of range above 1.
+    if np.count_nonzero(bits > 1 if bits.dtype == np.uint8 else (bits != 0) & (bits != 1)):
+        raise ValueError(f"{what} must be 0 or 1")
+    return bits.astype(np.uint8, copy=False)
+
+
 def encode(code, message):
     """Encode a k-bit message, or each row of a (B, k) block of messages.
 
     Systematic, so the first k bits of a code word are its message.
     """
-    message = np.asarray(message, dtype=np.uint8)
+    message = _as_bits(message, "message bits")
     if message.ndim not in (1, 2) or message.shape[-1] != code.k:
         raise ValueError(f"message must have length k={code.k}")
     # Only the parity block needs the product.  uint8 sums wrap modulo 256,
@@ -230,7 +239,7 @@ def encode(code, message):
 
 
 def syndrome(code, word):
-    word = np.asarray(word, dtype=np.uint8)
+    word = _as_bits(word, "word bits")
     if word.shape != (code.n,):
         raise ValueError(f"word must have length n={code.n}")
     return (code.parity_check @ word) % 2

@@ -229,10 +229,13 @@ class _Scan:
             _check_tau(tau)
         _check_search(max_queries, order_kind)
         n = code.n
-        if hard.ndim != 2 or hard.shape[1] != n:
-            raise ValueError(f"observation length {hard.shape[-1]} != code length {n}")
+        if hard.ndim != 2:
+            raise ValueError(f"hard and reliab must be (rows, n) arrays, got shape {hard.shape}")
+        if hard.shape[1] != n:
+            raise ValueError(f"observation length {hard.shape[1]} != code length {n}")
         if accounting is not None:
-            acct = np.asarray(accounting.reliab, dtype=float)
+            # Checked here too: an observation's fields can be reassigned.
+            acct = channel._reliabilities(accounting.reliab)
             if len(acct) != n:
                 raise ValueError(f"accounting length {len(acct)} != code length {n}")
         rows = len(hard)
@@ -488,6 +491,8 @@ def decode_ladder(code, obs, taus, order_kind="logistic", max_queries=None,
     equal to what ``decode`` returns for a policy with that tau and the given
     order and cap: column 0 of a one-row ``decode_batch``.
     """
+    if obs.hard.ndim != 1:
+        raise ValueError(f"an observation must be one block of n bits, got shape {obs.hard.shape}")
     got = decode_batch(code, obs.hard[np.newaxis], obs.reliab[np.newaxis], taus,
                        order_kind, max_queries, accounting)
     word = got.words[0]

@@ -42,10 +42,9 @@ from . import softout
 # because perfbench/spans.py wraps them, with encode, to trace a run.
 from .channel import (ChannelParams, SoftObservation, bsc_crossover, transmit,
                       transmit_arrays)
-from .codes import encode, is_codeword
+from .codes import encode
 from .decoder import _check_tau, decode, decode_batch
-from .patterns import (QueryOrder, pattern_log_probability, query_patterns,
-                       realized_positions)
+from .patterns import QueryOrder, order_table
 
 __all__ = [
     "DECODERS",
@@ -601,8 +600,9 @@ class OracleReport:
     """Exhaustive ground truth for the confidence accounting on one block.
 
     p_correct_exact is the direct linear-domain sum of pattern
-    probabilities in query order; p_correct_ledger replays the log-domain
-    running sum.  p_incorrect_exact treats the actual code book: for every
+    probabilities in query order; ledger_log is the decoder's running
+    log-mass, bit for bit as ``decode_batch`` sums it, and p_correct_ledger
+    its exponential.  p_incorrect_exact treats the actual code book: for every
     equally-possible true noise sequence, the first query hitting a wrong
     code word is found by replaying the query order, and the indicator
     {that query <= q} is averaged under the noise posterior.
@@ -611,9 +611,13 @@ class OracleReport:
 
     q: np.ndarray
     p_correct_exact: np.ndarray
-    p_correct_ledger: np.ndarray
+    ledger_log: np.ndarray
     p_incorrect_exact: np.ndarray
     p_incorrect_model: np.ndarray
+
+    @property
+    def p_correct_ledger(self):
+        return np.exp(self.ledger_log)
 
     @property
     def max_correct_deviation(self):
@@ -629,48 +633,38 @@ def oracle_exact_accounting(code, obs, order_kind="logistic"):
     n = code.n
     if n > 12:
         raise ValueError(f"exhaustive oracle needs n <= 12, got {n}")
+    if obs.n != n:
+        raise ValueError(f"observation length {obs.n} != code length {n}")
     total = 1 << n
-    order = QueryOrder(kind=order_kind, n=n)
+    table = order_table(QueryOrder(kind=order_kind, n=n))
+    table.extend_to(total)
+    # (pattern, frame index) pairs of patterns 1.., as decode_batch reads them.
+    entry, pos = table.positions(np.arange(1, total))
+    bits = (obs.ranks if order_kind == "logistic" else np.arange(n))[pos]
+    mask = np.zeros((total, n), dtype=bool)
+    mask[entry + 1, bits] = True
+    probs = np.prod(np.where(mask, obs.flip_prob, 1.0 - obs.flip_prob), axis=1)
+    # decode_batch's arithmetic: the no-flip mass summed in bit order, flip
+    # sums as reduceat adds frame-ordered reliabilities, one running sum.
+    base = -np.add.reduce(np.log1p(np.exp(-obs.reliab[np.newaxis])), axis=1)
+    starts = np.flatnonzero(np.diff(entry, prepend=-1))
+    flips = np.add.reduceat(obs.reliab[bits][np.newaxis], starts, axis=1)
+    ledger_log = np.logaddexp.accumulate(np.append(base, base - flips[0]))
 
-    flip = np.asarray(obs.flip_prob, dtype=float)
-    stay = 1.0 - flip
-    ledger = softout.ConfidenceLedger(redundancy=code.redundancy)
-
-    probs = np.zeros(total)
-    ledger_cum = np.zeros(total)
-    hit_qs = []
-    hit_patterns = []
-    for idx, pat in enumerate(query_patterns(order)):
-        pos = realized_positions(pat, order, obs)
-        mask = np.zeros(n, dtype=bool)
-        mask[list(pos)] = True
-        probs[idx] = float(np.prod(np.where(mask, flip, stay)))
-        softout.record_query(ledger, pattern_log_probability(obs, pos))
-        ledger_cum[idx] = math.exp(ledger.cum_correct_log)
-        guess = obs.hard.copy()
-        guess[list(pos)] ^= 1
-        if is_codeword(code, guess):
-            hit_qs.append(idx + 1)
-            hit_patterns.append(mask.astype(np.uint8))
+    hit_qs = np.flatnonzero(~((obs.hard ^ mask) @ code.parity_check.T % 2).any(axis=1)) + 1
     if len(hit_qs) < 2:
         raise RuntimeError("degenerate code: fewer than two coset hits")
 
     qs = np.arange(1, total + 1)
-    p_correct_exact = np.cumsum(probs)
-
     # First wrong-code-word hit: the fixed query order meets the coset of
     # the hard decision at hit_qs[0], hit_qs[1], ...; for the single true
     # noise equal to the first-hit pattern that hit is the correct word and
     # the first WRONG hit comes second.
     j1, j2 = hit_qs[0], hit_qs[1]
-    p_first_pattern = float(np.prod(np.where(hit_patterns[0].astype(bool), flip, stay)))
-    p_incorrect_exact = np.where(qs >= j2, 1.0,
-                                 np.where(qs >= j1, 1.0 - p_first_pattern, 0.0))
-    model = np.array([softout.p_incorrect_cum(code.redundancy, int(q)) for q in qs])
-    return OracleReport(q=qs, p_correct_exact=p_correct_exact,
-                        p_correct_ledger=ledger_cum,
-                        p_incorrect_exact=p_incorrect_exact,
-                        p_incorrect_model=model)
+    p_incorrect_exact = np.where(qs >= j2, 1.0, np.where(qs >= j1, 1.0 - probs[j1 - 1], 0.0))
+    model = np.exp(softout.log_p_incorrect_cum(code.redundancy, qs))
+    return OracleReport(q=qs, p_correct_exact=np.cumsum(probs), ledger_log=ledger_log,
+                        p_incorrect_exact=p_incorrect_exact, p_incorrect_model=model)
 
 
 def _fmt(v):

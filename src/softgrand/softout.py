@@ -130,6 +130,8 @@ def llr_bits(redundancy, q, cum_log):
     does not depend on how far the table has grown.
     """
     q = np.asarray(q)
+    if q.min(initial=1) < 1:
+        raise ValueError(f"query count must be >= 1, got {q.min()}")
     table = _LOG_U.get(redundancy, np.zeros(0))
     if q.max(initial=0) <= len(table):
         log_u = table[q - 1]
@@ -139,8 +141,6 @@ def llr_bits(redundancy, q, cum_log):
 
 
 def confidence_llr(ledger):
-    """Base-2 log ratio of correct- to incorrect-decoding probability at q."""
-    if ledger.q < 1:
-        raise ValueError("no queries recorded yet")
+    """Base-2 log ratio of correct- to incorrect-decoding probability at q >= 1."""
     llr = llr_bits(ledger.redundancy, ledger.q, ledger.cum_correct_log)
     return LlrReport(llr_bits=float(llr), q=ledger.q)

@@ -166,6 +166,12 @@ class TestFlipProbability:
         with pytest.raises(ValueError):
             flip_probability(-1e-9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        for arg in (bad, np.array([0.5, bad, 2.0])):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                flip_probability(arg)
+
     def test_monotone_decreasing(self):
         grid = np.linspace(0, 60, 500)
         vals = flip_probability(grid)

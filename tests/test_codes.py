@@ -188,6 +188,29 @@ class TestMembership:
         with pytest.raises(ValueError):
             encode(code, np.zeros(7, dtype=np.uint8))
 
+    @pytest.mark.parametrize("bad, dtype", [(3, np.uint8), (255, np.uint8), (2, np.int64),
+                                            (-1, np.int64), (0.5, float), (np.nan, float)])
+    def test_values_must_be_bits(self, bad, dtype):
+        # Cast to uint8 unchecked, 3s encoded to a "code word" of 3s, 0.5 to
+        # zeros, and a word of 2s had the zero syndrome.
+        code = make_rlc(16, 8, seed=4)
+        msg = np.zeros((2, 8), dtype=dtype)
+        msg[1, 3] = bad
+        for m in (msg[1], msg):
+            with pytest.raises(ValueError, match="message bits must be 0 or 1"):
+                encode(code, m)
+        for f in (syndrome, is_codeword):
+            with pytest.raises(ValueError, match="word bits must be 0 or 1"):
+                f(code, np.full(16, bad, dtype=dtype))
+
+    def test_bool_and_int_bits_accepted(self):
+        code = make_rlc(16, 8, seed=4)
+        msg = np.random.default_rng(5).integers(0, 2, 8, dtype=np.uint8)
+        cw = encode(code, msg)
+        assert np.array_equal(encode(code, msg.astype(bool)), cw)
+        assert np.array_equal(encode(code, msg.astype(np.int64)), cw)
+        assert is_codeword(code, cw.astype(float))
+
     def test_packed_columns_match_matrix(self):
         code = make_rlc(20, 11, seed=9)
         packed = packed_parity_columns(code)

@@ -472,6 +472,21 @@ class TestBatchDecode:
         for short in (reliab[:2, :15], reliab[:3]):
             with pytest.raises(ValueError, match="shape"):
                 decode_batch(code, hard[:2], short, [None])
+        # A 1-D block given to decode_batch, and a 2-D observation to decode.
+        with pytest.raises(ValueError, match=r"\(rows, n\) arrays, got shape \(16,\)"):
+            decode_batch(code, hard[0], reliab[0], [None])
+        with pytest.raises(ValueError, match=r"one block of n bits, got shape \(4, 16\)"):
+            decode(code, SoftObservation(hard, reliab), DecodePolicy())
+        # An accounting observation's fields can be reassigned after it is built.
+        acct = SoftObservation.from_flip_probs(np.zeros(16, np.uint8), 0.05)
+        for bad in (math.nan, math.inf, -1.0):
+            acct.reliab = np.full(16, bad)
+            for taus in ([1.0], [None]):
+                with pytest.raises(ValueError, match="finite and nonnegative"):
+                    decode_batch(code, hard, reliab, taus, accounting=acct)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                decode(code, SoftObservation(hard[0], reliab[0]), DecodePolicy(tau=1.0),
+                       accounting=acct)
 
 
 class TestQueryOne:

@@ -10,7 +10,7 @@ import pytest
 from softgrand import channel, harness, softout
 from softgrand.channel import ChannelParams, SoftObservation, bsc_crossover, transmit
 from softgrand.codes import encode, make_rlc
-from softgrand.decoder import DecodePolicy, _Scan, decode
+from softgrand.decoder import AT_CAP, HIT, DecodePolicy, _Scan, decode, decode_batch
 from softgrand.harness import (GuardError, OracleReport, TrialBatch,
                                binomial_halfwidth,
                                collect_error_query_distribution, geometric_cdf,
@@ -491,6 +491,39 @@ class TestExhaustiveOracle:
         _, obs = random_observation(code, 2.0, rng)
         with pytest.raises(ValueError):
             oracle_exact_accounting(code, obs)
+
+    def test_length_guard(self):
+        from conftest import random_observation
+        rng = np.random.default_rng(2)
+        _, obs = random_observation(make_rlc(10, 5, seed=4), 2.0, rng)
+        with pytest.raises(ValueError, match="observation length 10 != code length 8"):
+            oracle_exact_accounting(make_rlc(8, 4, seed=3), obs)
+
+    @pytest.mark.parametrize("kind", ["logistic", "hamming"])
+    def test_ledger_is_the_decoders_running_sum(self, kind):
+        # decode_batch's confidence at its first hit, and at caps below the
+        # hit where it stops AT_CAP, is llr_bits of the oracle's ledger.
+        from conftest import random_observation, random_small_code
+        rng = np.random.default_rng(97)
+        first_query_hits = capped = 0
+        for _ in range(250):
+            code = random_small_code(rng)
+            _, obs = random_observation(code, float(rng.uniform(-2.0, 6.0)), rng)
+            ledger = oracle_exact_accounting(code, obs, order_kind=kind).ledger_log
+            rows = obs.hard[np.newaxis], obs.reliab[np.newaxis]
+            hit = decode_batch(code, *rows, (None,), kind, 1 << code.n)
+            q = int(hit.q[0, 0])
+            first_query_hits += q == 1
+            caps = np.unique(rng.integers(1, q, size=4)).tolist() if q > 1 else []
+            for cap in caps:
+                got = decode_batch(code, *rows, (None,), kind, cap)
+                assert got.status[0, 0] == AT_CAP and got.q[0, 0] == cap
+                assert got.llr_bits[0, 0] == softout.llr_bits(code.redundancy, cap,
+                                                               ledger[cap - 1])
+                capped += 1
+            assert hit.status[0, 0] == HIT
+            assert hit.llr_bits[0, 0] == softout.llr_bits(code.redundancy, q, ledger[q - 1])
+        assert first_query_hits >= 50 and capped >= 400
 
 
 @pytest.fixture(scope="module")

@@ -175,6 +175,17 @@ class TestPrefixTable:
         assert got.ravel().tobytes() == np.array(want).tobytes()
         assert len(softout._LOG_U.get(r, ())) == grown  # reading never grows it
 
+    @pytest.mark.parametrize("grown", [0, 100])
+    def test_llr_bits_rejects_query_counts_below_one(self, grown):
+        # With a table grown to 100, q = 0 and q = -3 would index it from
+        # its end; without one, q = 0 indexes an empty table.
+        r = 29
+        softout._LOG_U.pop(r, None)
+        log_p_incorrect_prefix(r, grown)
+        for q in (0, -3, np.array([0, 1]), np.array([[2, 5], [1, -1]])):
+            with pytest.raises(ValueError, match="query count must be >= 1"):
+                llr_bits(r, q, -1.0)
+
 
 class TestConfidenceLlr:
     def test_equal_hypotheses_zero(self):
