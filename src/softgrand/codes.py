@@ -208,7 +208,7 @@ def crc_division_remainder(code, word):
     """Remainder of a full received word under the code's polynomial."""
     if code.kind != "crc":
         raise ValueError("not a CRC code")
-    word = np.asarray(word)
+    word = _as_bits(word, "word bits")
     if word.shape != (code.n,):
         raise ValueError("word length mismatch")
     return crc_remainder(_bits_to_int(word), code.n, code._full_poly, code.redundancy)

@@ -491,8 +491,6 @@ def decode_ladder(code, obs, taus, order_kind="logistic", max_queries=None,
     equal to what ``decode`` returns for a policy with that tau and the given
     order and cap: column 0 of a one-row ``decode_batch``.
     """
-    if obs.hard.ndim != 1:
-        raise ValueError(f"an observation must be one block of n bits, got shape {obs.hard.shape}")
     got = decode_batch(code, obs.hard[np.newaxis], obs.reliab[np.newaxis], taus,
                        order_kind, max_queries, accounting)
     word = got.words[0]

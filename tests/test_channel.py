@@ -13,7 +13,7 @@ import pytest
 from softgrand.channel import (EBN0_LIMIT_DB, ChannelParams, SoftObservation,
                                binary_entropy, bsc_crossover, capacity_markers,
                                flip_probability, q_function, transmit,
-                               _ranks, transmit_arrays)
+                               _MAXLOG, _brentq, _erfc, _ranks, transmit_arrays)
 from softgrand.codes import make_rlc
 
 RATE_116_128 = 116 / 128
@@ -136,6 +136,10 @@ class TestSoftObservation:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 SoftObservation(hard=hard, reliab=[bad, 1.0])
 
+    def test_one_block_only(self):
+        with pytest.raises(ValueError, match=r"one block of n bits, got shape \(2, 16\)"):
+            SoftObservation(np.zeros((2, 16), np.uint8), np.ones((2, 16)))
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             SoftObservation(hard=np.zeros(3, dtype=np.uint8), reliab=np.zeros(2))
@@ -232,3 +236,110 @@ class TestCapacityMarkers:
     def test_rate_guard(self):
         with pytest.raises(ValueError):
             capacity_markers(0.0)
+
+
+def _bits(x):
+    """The float64 bit patterns of ``x``, so that NaN and -0.0 compare exactly."""
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+# erfc(x) underflows to 0 once x^2 exceeds MAXLOG.
+ERFC_UNDERFLOW = math.sqrt(_MAXLOG)
+ERFC_EDGES = [0.0, -0.0, 1.0, -1.0, 8.0, -8.0, math.inf, -math.inf, math.nan,
+              math.nextafter(1.0, 0.0), math.nextafter(8.0, 0.0), 26.6,
+              math.nextafter(ERFC_UNDERFLOW, 0.0), ERFC_UNDERFLOW,
+              math.nextafter(ERFC_UNDERFLOW, math.inf)]
+FLIP_EDGES = [0.0, 1.0, 8.0, 709.0, math.nextafter(_MAXLOG, 0.0), _MAXLOG,
+              math.nextafter(_MAXLOG, math.inf), 745.2, 1e300]
+# Every k/n with 84 <= n <= 128: 4 725 rates.
+RATES = [k / n for n in range(84, 129) for k in range(1, n)]
+
+
+class TestScipyPorts:
+    """The pure-Python ports of scipy's erfc, expit and brentq give its bits."""
+
+    @pytest.fixture(scope="class")
+    def scipy(self):
+        return pytest.importorskip("scipy")
+
+    def test_erfc_equals_scipy(self, scipy):
+        from scipy import special
+        xs = np.concatenate([np.linspace(-3.0, 40.0, 220_001),
+                             np.linspace(26.5, 26.7, 2_001), ERFC_EDGES])
+        assert np.array_equal(_bits([_erfc(x) for x in xs.tolist()]),
+                              _bits(special.erfc(xs)))
+
+    def test_q_function_equals_scipy(self, scipy):
+        from scipy import special
+        xs = np.concatenate([np.linspace(-5.0, 60.0, 200_001), ERFC_EDGES])
+        assert np.array_equal(_bits(q_function(xs)),
+                              _bits(0.5 * special.erfc(xs / np.sqrt(2.0))))
+
+    def test_flip_probability_equals_scipy(self, scipy):
+        from scipy import special
+        ls = np.concatenate([np.linspace(0.0, 800.0, 100_001), FLIP_EDGES])
+        expected = np.fmax(special.expit(-ls), np.finfo(float).smallest_subnormal)
+        assert np.array_equal(_bits(flip_probability(ls)), _bits(expected))
+        for l, want in zip(FLIP_EDGES, expected[-len(FLIP_EDGES):]):
+            assert _bits(flip_probability(l)) == _bits(want)
+        # exp(MAXLOG) is still finite, so expit(-MAXLOG) is a subnormal, not 0.
+        assert 0.0 < special.expit(-_MAXLOG) == flip_probability(_MAXLOG) < 1e-308
+
+    def test_capacity_markers_equal_scipy(self, scipy):
+        from scipy import optimize, special
+
+        def markers(rate):
+            # bsc_crossover and capacity_markers as they were written on scipy.
+            def crossover(ebn0_db):
+                x = np.sqrt(2.0 * rate * 10.0 ** (ebn0_db / 10.0))
+                return float(0.5 * special.erfc(x / np.sqrt(2.0)))
+
+            def shannon_gap(ebn0_db):
+                return 1.0 - binary_entropy(crossover(ebn0_db)) - rate
+
+            def mincap_gap(ebn0_db):
+                return 1.0 + np.log2(1.0 - crossover(ebn0_db)) - rate
+
+            return {"shannon_ebn0_db": optimize.brentq(shannon_gap, -40.0, 60.0, xtol=1e-9),
+                    "mincap_ebn0_db": optimize.brentq(mincap_gap, -40.0, 60.0, xtol=1e-9)}
+
+        assert len(RATES) == 4725
+        assert [capacity_markers(r) for r in RATES] == [markers(r) for r in RATES]
+
+
+class TestPortAccuracy:
+    def test_erfc_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for x in np.linspace(-3.0, 26.5, 3_001).tolist():
+            exact = mpmath.erfc(x)
+            assert abs((_erfc(x) - exact) / exact) <= 1e-13, x
+
+    def test_brentq_errors(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-9)
+        with pytest.raises(RuntimeError, match="converge"):
+            _brentq(lambda x: math.exp(x) - 2.0, 0.0, 5.0, xtol=1e-12, maxiter=3)
+        assert _brentq(lambda x: math.exp(x) - 2.0, 0.0, 5.0, xtol=1e-12) == pytest.approx(math.log(2))
+
+
+class TestShapesAndTypes:
+    @pytest.mark.parametrize("shape", [(), (0,), (5,), (2, 3)])
+    def test_q_function(self, shape):
+        x = np.linspace(-2.0, 9.0, math.prod(shape)).reshape(shape)
+        out = q_function(x)
+        if shape:
+            assert isinstance(out, np.ndarray) and out.dtype == float and out.shape == shape
+        else:
+            assert type(out) is np.float64
+        assert type(q_function(1.5)) is np.float64
+
+    @pytest.mark.parametrize("shape", [(), (0,), (5,), (2, 3)])
+    def test_flip_probability(self, shape):
+        l = np.linspace(0.0, 900.0, math.prod(shape)).reshape(shape)
+        out = flip_probability(l)
+        if shape:
+            assert isinstance(out, np.ndarray) and out.dtype == float and out.shape == shape
+        else:
+            assert type(out) is float
+        assert type(flip_probability(1.5)) is float

@@ -1,6 +1,10 @@
 """Command-line front end: parsing, config merge, modes, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,3 +375,34 @@ class TestRunConfigEcho:
         assert echo["tau"] == "none,2"
         assert echo["decoder"] == "grand"
         json.dumps(echo)  # serializable as-is
+
+
+# Imports the CLI in a fresh interpreter, then blocks scipy and runs each
+# mode that builds capacity markers or flip probabilities.
+NO_SCIPY_SCRIPT = """
+import sys
+import softgrand.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+sys.modules["scipy"] = None
+out = sys.argv[1]
+for argv in (
+    ["--mode", "sweep", "--code", "rlc:16:8:4", "--tau", "none,2", "--ebn0", "3",
+     "--trials", "20", "--trials-csv", "--out", out + "/sweep"],
+    ["--mode", "fig1", "--code", "rlc:16:8:4", "--ebn0", "-6", "--trials", "10",
+     "--out", out + "/fig1"],
+    ["--mode", "sweep", "--decoder", "grand", "--code", "rlc:16:8:4", "--ebn0", "3",
+     "--trials", "20", "--out", out + "/grand"],
+    ["--mode", "oracle", "--code", "rlc:8:4:3", "--ebn0", "2"],
+):
+    assert softgrand.cli.main(argv) == 0, argv
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    got = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert got.returncode == 0, got.stderr

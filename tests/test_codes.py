@@ -147,6 +147,11 @@ class TestCrc:
         with pytest.raises(ValueError):
             make_crc(64, 52, 0x5)  # 3 significant bits, needs 12
 
+    @pytest.mark.parametrize("bad", [2, 0.5])
+    def test_division_remainder_rejects_non_bits(self, bad):
+        with pytest.raises(ValueError, match="word bits must be 0 or 1"):
+            crc_division_remainder(make_crc(16, 8, 0x97), np.full(16, bad))
+
 
 class TestMembership:
     def test_syndrome_linear(self):

@@ -499,6 +499,12 @@ class TestExhaustiveOracle:
         with pytest.raises(ValueError, match="observation length 10 != code length 8"):
             oracle_exact_accounting(make_rlc(8, 4, seed=3), obs)
 
+    def test_shape_guard(self):
+        # A (2, 8) observation is two blocks, not a block of length 2.
+        with pytest.raises(ValueError, match=r"one block of n bits, got shape \(2, 8\)"):
+            oracle_exact_accounting(make_rlc(8, 4, seed=3),
+                                    SoftObservation(np.zeros((2, 8), np.uint8), np.ones((2, 8))))
+
     @pytest.mark.parametrize("kind", ["logistic", "hamming"])
     def test_ledger_is_the_decoders_running_sum(self, kind):
         # decode_batch's confidence at its first hit, and at caps below the
