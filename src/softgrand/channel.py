@@ -292,11 +292,7 @@ def bsc_crossover(params):
     return _q(math.sqrt(2.0 * params.rate * params.ebn0_linear))
 
 
-def _crossover_at(ebn0_db, rate):
-    return bsc_crossover(ChannelParams(ebn0_db=ebn0_db, rate=rate))
-
-
-def capacity_markers(rate, lo_db=-40.0, hi_db=60.0):
+def capacity_markers(rate):
     """Eb/N0 values where the hard-detection BSC capacities equal ``rate``.
 
     Returns a dict with ``shannon_ebn0_db`` solving 1 - h2(p) = rate and
@@ -304,20 +300,20 @@ def capacity_markers(rate, lo_db=-40.0, hi_db=60.0):
     crossover probability at that Eb/N0.  The min-entropy of Bernoulli(p)
     with p < 1/2 is -log2(1 - p), so min-capacity exceeds Shannon capacity
     at any fixed p and its marker sits at a lower (noisier) Eb/N0.
-    Both roots are found to well below 1e-6 dB.
+    Both roots are found in [-40, 60] dB to well below 1e-6 dB.
     """
     rate = float(rate)
     if not 0.0 < rate < 1.0:
         raise ValueError(f"rate must be in (0, 1), got {rate}")
 
     def shannon_gap(ebn0_db):
-        return 1.0 - binary_entropy(_crossover_at(ebn0_db, rate)) - rate
+        return 1.0 - binary_entropy(bsc_crossover(ChannelParams(ebn0_db, rate))) - rate
 
     def mincap_gap(ebn0_db):
-        return 1.0 + np.log2(1.0 - _crossover_at(ebn0_db, rate)) - rate
+        return 1.0 + np.log2(1.0 - bsc_crossover(ChannelParams(ebn0_db, rate))) - rate
 
-    shannon = _brentq(shannon_gap, lo_db, hi_db, xtol=1e-9)
-    mincap = _brentq(mincap_gap, lo_db, hi_db, xtol=1e-9)
+    shannon = _brentq(shannon_gap, -40.0, 60.0, xtol=1e-9)
+    mincap = _brentq(mincap_gap, -40.0, 60.0, xtol=1e-9)
     return {"shannon_ebn0_db": float(shannon), "mincap_ebn0_db": float(mincap)}
 
 

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .channel import EBN0_LIMIT_DB, ChannelParams, capacity_markers, transmit
-from .codes import MAX_REDUNDANCY, encode, make_crc, make_rlc
-from .harness import (DECODERS, GuardError, _tau_label, collect_error_query_distribution,
+from .channel import EBN0_LIMIT_DB, ChannelParams, SoftObservation, capacity_markers
+from .codes import MAX_REDUNDANCY, make_crc, make_rlc
+from .harness import (DECODERS, GuardError, _decoder_setup, _point_key, _tau_label,
+                      _trial_batch, collect_error_query_distribution,
                       oracle_exact_accounting, run_sweep, write_sidecar, write_sweep_csv,
                       write_trials_csv)
 
@@ -116,7 +117,7 @@ def _build_parser():
 
 
 def _parse_code(text):
-    parts = str(text).split(":")
+    parts = text.split(":")
     kind = parts[0]
     if kind not in ("rlc", "crc"):
         raise ConfigError(f"unknown code kind {kind!r} (want rlc or crc)")
@@ -212,6 +213,12 @@ def parse_and_validate(argv=None):
         unknown = sorted(set(file_cfg) - set(_FLAG_KEYS))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        # Flags arrive as strings; type() keeps bool, an int subclass, out of tau.
+        for key, v in file_cfg.items():
+            if key in ("mode", "code", "decoder", "out") and type(v) is not str:
+                raise ConfigError(f"{key} must be a string, got {v!r}")
+            if key == "tau" and type(v) not in (str, int, float):
+                raise ConfigError(f"tau must be a string or a number, got {v!r}")
         merged.update(file_cfg)
     for key in _FLAG_KEYS:
         val = getattr(args, key)
@@ -268,7 +275,7 @@ def parse_and_validate(argv=None):
     return RunConfig(mode=mode, code_kind=kind, n=n, k=k, code_seed=code_seed,
                      poly=poly, decoder=decoder, taus=taus, ebn0_points=points,
                      trials=trials, seed=seed, workers=workers,
-                     out=str(merged.get("out", ".")),
+                     out=merged.get("out", "."),
                      trials_csv=trials_csv)
 
 
@@ -334,11 +341,11 @@ def _run_fig1_mode(config, code):
 def _run_oracle_mode(config, code):
     if code.n > 12:
         raise ConfigError(f"oracle mode needs n <= 12, got n={code.n}")
-    order_kind = DECODERS[config.decoder][0]
-    rng = np.random.default_rng(config.seed)
-    msg = rng.integers(0, 2, size=code.k, dtype=np.uint8)
+    # Trial 0 of the point as a sweep draws it, under the decoder's own ledger.
     params = ChannelParams(ebn0_db=config.ebn0_points[0], rate=code.rate)
-    obs = transmit(encode(code, msg), params, rng)
+    order_kind, acct = _decoder_setup(config.decoder, code, params)
+    _, (hard, reliab) = _trial_batch(code, params, config.seed, _point_key(params.ebn0_db), 0, 1)
+    obs = SoftObservation(hard[0], reliab[0] if acct is None else acct.reliab)
     report = oracle_exact_accounting(code, obs, order_kind=order_kind)
     dev = report.max_correct_deviation
     ok = dev < ORACLE_TOLERANCE

@@ -225,6 +225,8 @@ class _Scan:
 
     def __init__(self, code, hard, reliab, taus, order_kind, max_queries,
                  accounting, confidence=True):
+        if not len(taus):
+            raise ValueError("taus must not be empty")
         for tau in taus:
             _check_tau(tau)
         _check_search(max_queries, order_kind)

@@ -25,6 +25,9 @@ Points where a threshold abandons almost everything escalate their trial
 count (up to a cap) until conditional statistics have enough non-abandoned
 events to be meaningful; escalation rounds decode only the taus still
 short of events.
+
+``geometric_cdf``, used by the fig1 fit test, lives in ``softout`` and is
+re-exported here.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -45,6 +49,7 @@ from .channel import (ChannelParams, SoftObservation, bsc_crossover, transmit,
 from .codes import encode
 from .decoder import _check_tau, decode, decode_batch
 from .patterns import QueryOrder, order_table
+from .softout import geometric_cdf
 
 __all__ = [
     "DECODERS",
@@ -369,6 +374,14 @@ def _trial_batch(code, params, master_seed, point_key, lo, hi):
     return cws, transmit_arrays(cws, noise, params)
 
 
+def _decoder_setup(decoder, code, params):
+    """``decoder``'s pattern order and accounting observation (None if soft) at a point."""
+    order_kind, accounting = DECODERS[decoder]
+    # BSC accounting: one constant-crossover observation serves every trial.
+    return order_kind, None if accounting == "soft" else SoftObservation.from_flip_probs(
+        np.zeros(code.n, dtype=np.uint8), bsc_crossover(params))
+
+
 def _decode_block(code, params, taus, decoder, master_seed, point_key, lo, hi,
                   confidence=True):
     """Run trials [lo, hi) at one point under each of ``taus``.
@@ -378,10 +391,7 @@ def _decode_block(code, params, taus, decoder, master_seed, point_key, lo, hi,
     ``llr_bits`` stays NaN; when every tau is None the trials then decode
     on syndromes alone.
     """
-    order_kind, accounting = DECODERS[decoder]
-    # BSC accounting: one constant-crossover observation serves every trial.
-    acct = None if accounting == "soft" else SoftObservation.from_flip_probs(
-        np.zeros(code.n, dtype=np.uint8), bsc_crossover(params))
+    order_kind, acct = _decoder_setup(decoder, code, params)
     shape = (len(taus), hi - lo)
     outcome = np.empty(shape, dtype=np.int8)
     q = np.empty(shape, dtype=np.int64)
@@ -400,10 +410,6 @@ def _decode_block(code, params, taus, decoder, master_seed, point_key, lo, hi,
         if confidence:
             llr_bits[:, rows] = res.llr_bits
     return outcome, q, llr_bits
-
-
-def _block_task(args):
-    return _decode_block(*args)
 
 
 @dataclass
@@ -446,6 +452,8 @@ def run_sweep(code, taus, ebn0_points, trials_per_point, master_seed, workers=1,
     points = [float(e) for e in ebn0_points]
     if not points:
         raise ValueError("ebn0_points must not be empty")
+    # Every point is checked before the first block decodes.
+    point_params = [ChannelParams(ebn0_db=e, rate=code.rate) for e in points]
     batches = {(lbl, pi): TrialBatch() for lbl in labels for pi in range(len(points))}
     stats = []
     # One pool serves every block of the sweep, so each worker builds its
@@ -453,8 +461,7 @@ def run_sweep(code, taus, ebn0_points, trials_per_point, master_seed, workers=1,
     # with no more workers than the CPUs this process may use.
     pool = None
     try:
-        for pi, ebn0_db in enumerate(points):
-            params = ChannelParams(ebn0_db=ebn0_db, rate=code.rate)
+        for pi, (ebn0_db, params) in enumerate(zip(points, point_params)):
             key = _point_key(ebn0_db)
 
             def run_block(lo, hi, active):
@@ -466,8 +473,8 @@ def run_sweep(code, taus, ebn0_points, trials_per_point, master_seed, workers=1,
                     if pool is None:
                         pool = ProcessPoolExecutor(max_workers=min(workers, _cpus()))
                     edges = list(range(lo, hi, _TASK)) + [hi]
-                    parts = pool.map(_block_task, [args + (a, b) for a, b
-                                                   in zip(edges[:-1], edges[1:])])
+                    parts = pool.map(_decode_block, *map(repeat, args),
+                                     edges[:-1], edges[1:])
                 for part in parts:
                     for j, cols in zip(active, zip(*part)):
                         batches[(labels[j], pi)].extend(*cols)
@@ -497,13 +504,6 @@ def run_sweep(code, taus, ebn0_points, trials_per_point, master_seed, workers=1,
 
     return SweepResult(stats=stats, batches=batches, points=points,
                        policy_labels=labels, base_trials=trials_per_point)
-
-
-def geometric_cdf(p, q):
-    """P(X <= q) for X ~ Geometric(p) on support 1, 2, ..."""
-    q = np.asarray(q, dtype=float)
-    out = -np.expm1(np.log1p(-p) * q)
-    return float(out) if out.ndim == 0 else out
 
 
 def ks_distance_geometric(samples, p):
@@ -662,7 +662,7 @@ def oracle_exact_accounting(code, obs, order_kind="logistic"):
     # the first WRONG hit comes second.
     j1, j2 = hit_qs[0], hit_qs[1]
     p_incorrect_exact = np.where(qs >= j2, 1.0, np.where(qs >= j1, 1.0 - probs[j1 - 1], 0.0))
-    model = np.exp(softout.log_p_incorrect_cum(code.redundancy, qs))
+    model = softout.p_incorrect_cum(code.redundancy, qs)
     return OracleReport(q=qs, p_correct_exact=np.cumsum(probs), ledger_log=ledger_log,
                         p_incorrect_exact=p_incorrect_exact, p_incorrect_model=model)
 

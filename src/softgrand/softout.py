@@ -11,6 +11,9 @@ number of redundant bits; it is a function of r and q alone, so it can be
 tabulated.  The confidence value reported is the base-2 log ratio of the
 two, and a value of t means odds of 2^t to 1 that the decoding is correct.
 
+``geometric_cdf`` here is the package's one linear-domain form of the
+model's CDF 1 - (1 - p)^q; the harness re-exports it for its fit test.
+
 All internal accumulation is in natural-log domain; linear-domain running
 sums underflow for long blocks at high SNR.
 """
@@ -26,6 +29,7 @@ __all__ = [
     "ConfidenceLedger",
     "LlrReport",
     "record_query",
+    "geometric_cdf",
     "p_incorrect_cum",
     "log_p_incorrect_cum",
     "log_p_incorrect_prefix",
@@ -67,20 +71,25 @@ def record_query(ledger, pattern_log_prob):
 def _check_rq(redundancy, q):
     if redundancy < 1:
         raise ValueError(f"redundancy must be >= 1, got {redundancy}")
+    q = np.min(q, initial=0)  # < 0 iff some q < 0
     if q < 0:
         raise ValueError(f"query count must be >= 0, got {q}")
 
 
-def p_incorrect_cum(redundancy, q):
-    """Probability 1 - (1 - 2^-r)^q that a wrong code word was hit by query q.
+def geometric_cdf(p, q):
+    """P(X <= q) = 1 - (1 - p)^q for X ~ Geometric(p) on support 1, 2, ...
 
-    Evaluated as -expm1(q * log1p(-2^-r)) so that q * 2^-r << 1 keeps full
-    relative accuracy.
+    -expm1(q * log1p(-p)) keeps full relative accuracy when q * p << 1.
     """
+    q = np.asarray(q, dtype=float)
+    out = -np.expm1(np.log1p(-p) * q)
+    return float(out) if out.ndim == 0 else out
+
+
+def p_incorrect_cum(redundancy, q):
+    """1 - (1 - 2^-r)^q, the chance of a wrong code word by query q (an int or int array)."""
     _check_rq(redundancy, q)
-    if q == 0:
-        return 0.0
-    return -math.expm1(q * math.log1p(-(2.0 ** -redundancy)))
+    return geometric_cdf(2.0 ** -redundancy, q)
 
 
 def log_p_incorrect_cum(redundancy, q):
@@ -90,7 +99,7 @@ def log_p_incorrect_cum(redundancy, q):
     and log1p(-e^t) below -ln 2 so both ends keep full accuracy; q = 0
     gives -inf.  An int gives a float, an array an array.
     """
-    _check_rq(redundancy, np.min(q, initial=0))  # < 0 iff some q < 0
+    _check_rq(redundancy, q)
     tq = np.asarray(q, dtype=float) * math.log1p(-(2.0 ** -redundancy))
     # log(0) = -inf at q = 0 is meant; log1p(-1) only occurs in the branch
     # np.where discards.

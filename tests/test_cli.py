@@ -1,6 +1,7 @@
 """Command-line front end: parsing, config merge, modes, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from softgrand.channel import capacity_markers
+from softgrand import cli
+from softgrand.channel import ChannelParams, bsc_crossover, capacity_markers
 from softgrand.cli import (ConfigError, RunConfig, main, parse_and_validate)
+from softgrand.codes import make_rlc
+from softgrand.harness import DECODERS, _point_key, _trial_batch, oracle_exact_accounting
 
 
 class TestFlagParsing:
@@ -173,6 +177,12 @@ class TestConfigFile:
         ({"trials_csv": "false"}, "trials_csv must be true or false"),
         ({"ebn0": [1, True]}, "ebn0 list items must be numbers"),
         ({"ebn0": []}, "needs at least one ebn0 point"),
+        ({"decoder": ["grand"]}, "decoder must be a string"),
+        ({"out": None}, "out must be a string"),
+        ({"mode": 1}, "mode must be a string"),
+        ({"code": 16}, "code must be a string"),
+        ({"tau": True}, "tau must be a string or a number"),
+        ({"tau": [1, 2]}, "tau must be a string or a number"),
     ])
     def test_wrong_json_types_exit_2(self, tmp_path, capsys, payload, message):
         path = self._write(tmp_path, {"mode": "sweep", "code": "rlc:16:8:1",
@@ -300,6 +310,32 @@ class TestOracleMode:
                      "--ebn0", "2", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("decoder", ["orbgrand", "grand"])
+    def test_checks_a_sweep_trial_under_its_decoders_ledger(self, decoder, capsys,
+                                                            monkeypatch):
+        seen = []
+
+        def spy(code, obs, order_kind):
+            seen.append((obs, order_kind))
+            return oracle_exact_accounting(code, obs, order_kind)
+
+        monkeypatch.setattr(cli, "oracle_exact_accounting", spy)
+        assert main(["--mode", "oracle", "--code", "rlc:8:4:3", "--ebn0", "2",
+                     "--seed", "7", "--decoder", decoder]) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out and "FAIL" not in out
+        code = make_rlc(8, 4, 3)
+        params = ChannelParams(ebn0_db=2.0, rate=code.rate)
+        _, (hard, reliab) = _trial_batch(code, params, 7, _point_key(2.0), 0, 1)
+        ((obs, order_kind),) = seen
+        assert order_kind == DECODERS[decoder][0]
+        assert np.array_equal(obs.hard, hard[0])
+        if decoder == "orbgrand":
+            assert np.array_equal(obs.reliab, reliab[0])
+        else:
+            p = bsc_crossover(params)
+            np.testing.assert_allclose(obs.reliab, math.log((1 - p) / p), rtol=1e-14)
 
     def test_large_code_rejected(self, capsys):
         assert main(["--mode", "oracle", "--code", "rlc:16:8",

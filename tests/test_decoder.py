@@ -452,6 +452,10 @@ class TestBatchDecode:
     def test_validation(self):
         code = make_rlc(16, 8, seed=2)
         _, (hard, reliab) = _block(code, 3.0, 4, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="taus must not be empty"):
+            decode_batch(code, hard, reliab, ())
+        with pytest.raises(ValueError, match="taus must not be empty"):
+            decode_ladder(code, SoftObservation(hard[0], reliab[0]), ())
         with pytest.raises(ValueError, match="finite"):
             decode_batch(code, hard, reliab, [math.nan])
         with pytest.raises(ValueError, match="length"):

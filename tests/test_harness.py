@@ -319,6 +319,15 @@ class TestSweepStatistics:
         with pytest.raises(ValueError, match="decoder"):
             run_sweep(small_code, (None,), [1.0], 10, master_seed=1, decoder="fuzzy")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 301.0])
+    def test_every_point_checked_before_decoding(self, small_code, bad, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a block was decoded")
+
+        monkeypatch.setattr(harness, "_decode_block", fail)
+        with pytest.raises(ValueError, match="ebn0_db must"):
+            run_sweep(small_code, (None,), [0.0, bad], 50, master_seed=0)
+
     def test_labels(self):
         assert harness._tau_label(None) == "tau=none"
         assert harness._tau_label(2.0) == "tau=2"
@@ -343,6 +352,7 @@ class TestBinomialHalfwidth:
 
 class TestGeometricDistance:
     def test_cdf_values(self):
+        assert geometric_cdf is softout.geometric_cdf
         assert geometric_cdf(0.5, 1) == pytest.approx(0.5)
         assert geometric_cdf(0.5, 3) == pytest.approx(0.875)
         assert geometric_cdf(0.25, 0) == 0.0
@@ -482,6 +492,8 @@ class TestExhaustiveOracle:
         assert np.all(np.diff(rep.p_correct_exact) >= -1e-15)
         assert np.all(np.diff(rep.p_incorrect_exact) >= 0)
         assert np.all((rep.p_incorrect_model > 0) & (rep.p_incorrect_model < 1))
+        assert rep.p_incorrect_model.tolist() == [
+            softout.p_incorrect_cum(code.redundancy, int(q)) for q in rep.q]
         assert rep.max_incorrect_deviation < 1.0
 
     def test_size_guard(self):

@@ -131,14 +131,17 @@ class TestIncorrectModel:
             exact(128, 116, 4096), rel=1e-13)
 
     def test_array_form_matches_scalar_form(self):
+        # The linear form is the geometric CDF at p = 2^-r.
         for r in (2, 12, 40, 63):
             qs = np.array([0, 1, 2, 7, 100, 4096, 10 ** 6])
-            got = log_p_incorrect_cum(r, qs)
-            assert isinstance(got, np.ndarray) and got.shape == qs.shape
-            want = [log_p_incorrect_cum(r, int(q)) for q in qs]
-            assert got.tolist() == want
-        with pytest.raises(ValueError):
-            log_p_incorrect_cum(12, np.array([3, -1]))
+            for fn in (log_p_incorrect_cum, p_incorrect_cum):
+                got = fn(r, qs)
+                assert isinstance(got, np.ndarray) and got.shape == qs.shape
+                assert got.tolist() == [fn(r, int(q)) for q in qs]
+                with pytest.raises(ValueError):
+                    fn(12, np.array([3, -1]))
+            assert p_incorrect_cum(r, qs).tolist() == softout.geometric_cdf(2.0 ** -r,
+                                                                            qs).tolist()
 
 
 class TestPrefixTable:
