@@ -251,15 +251,20 @@ def is_codeword(code, word):
 
 
 def packed_parity_columns(code):
-    """Columns of H packed into uint64 (bit i = row i), cached on the code.
+    """Columns of H packed into integers (bit i = row i), cached on the code.
 
     Lets the decoding loop evaluate syndromes of flip patterns by XORing a
-    few integers instead of multiplying matrices.  Requires n-k <= MAX_REDUNDANCY.
+    few integers instead of multiplying matrices.  The dtype is the
+    narrowest that holds n-k bits: uint16 up to 16, uint32 up to 32, else
+    uint64, so a decoder's syndrome histories take no more memory than they
+    need.  Requires n-k <= MAX_REDUNDANCY.
     """
     if code._packed_columns is None:
         if code.redundancy > MAX_REDUNDANCY:
             raise ValueError(f"packed syndromes support n-k <= {MAX_REDUNDANCY}")
-        packed = np.zeros(code.n, dtype=np.uint64)
+        dtype = next(t for t in (np.uint16, np.uint32, np.uint64)
+                     if code.redundancy <= np.iinfo(t).bits)
+        packed = np.zeros(code.n, dtype=dtype)
         for j in range(code.n):
             packed[j] = _pack_column(code.parity_check[:, j])
         code._packed_columns = packed

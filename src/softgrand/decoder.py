@@ -23,21 +23,19 @@ searching are then ranked by reliability (in the logistic order; the
 hamming order ranks nothing).
 
 For speed the rest of the loop is evaluated in growing chunks of queries
-with numpy.  Each query's syndrome (packed parity columns XORed as uint64
-words) and flip sum come from those of an earlier query through the order
-table's parent pointers, as in the syndrome reuse of hardware ORBGRAND
-decoders, and logaddexp.accumulate gives the running sum.  The scan keeps that sum
-only when something reads it: a finite tau, whose abandonment test needs
-it, or a caller that wants the confidence; otherwise a chunk is the
-syndromes and the hit test alone.  Query 1 and every chunk then go through
-one settle step, which records first hits, lets every open tau abandon at
-once, and drops the rows that stopped.  The chunk body works on a
-(rows, queries) block, and only ``decode_batch`` runs it: it runs the
-first chunks, up to query 64, for a whole block of observations at once,
-and rows still searching after them continue one at a time through the
-same body from the chunk where the block stopped (a lone such row, or rows
-that share everything but the syndrome to hit, in the block's own state,
-uncopied).
+with numpy.  Each query's syndrome (packed parity columns XORed as words
+of the narrowest unsigned type that holds n-k bits) and flip sum come from
+those of an earlier query through the order table's parent pointers, as in
+the syndrome reuse of hardware ORBGRAND decoders, and logaddexp.accumulate
+gives the running sum.  The scan keeps that sum only when something reads
+it: a finite tau, whose abandonment test needs it, or a caller that wants
+the confidence; otherwise a chunk is the syndromes and the hit test alone.
+Query 1 and every chunk then go through one settle step, which records
+first hits, lets every open tau abandon at once, and drops the rows that
+stopped.  ``decode_batch`` runs every chunk for a whole block of
+observations at once as (rows, queries) arrays, from query 2 until its
+last row stops; the syndrome and flip-sum histories grow only to the end
+of the chunk in hand, and shrink with the rows still searching.
 ``decode_ladder`` is a one-row ``decode_batch`` and ``decode`` its one-tau
 case.  The running sum is accumulated in query order along each row, as a
 one-query-at-a-time loop would, so a row's outcome does not depend on the
@@ -58,7 +56,6 @@ crossover) under any pattern order.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -93,18 +90,20 @@ _REASONS = {BELOW_TAU: ABANDON_LLR, AT_CAP: ABANDON_CAP}
 # steady-state chunks amortise numpy overhead on deep searches.
 _CHUNK_EDGES = (16, 64, 256, 1024, 4096)
 _CHUNK_STEP = 4096
-# decode_batch runs the chunks up to this edge for all its rows at once.
-_BLOCK_QUERIES = _CHUNK_EDGES[1]
 
 
 def _check_tau(tau):
+    if isinstance(tau, (bool, np.bool_)):
+        raise ValueError(f"tau must be a number or None, got {tau!r}")
     if tau is not None and not math.isfinite(tau):
         raise ValueError(f"tau must be finite or None, got {tau}")
 
 
 def _check_search(max_queries, order_kind):
-    if max_queries is not None and max_queries < 1:
-        raise ValueError(f"max_queries must be >= 1, got {max_queries}")
+    if max_queries is not None and (isinstance(max_queries, bool)
+                                    or not isinstance(max_queries, (int, np.integer))
+                                    or max_queries < 1):
+        raise ValueError(f"max_queries must be an integer >= 1 or None, got {max_queries!r}")
     if order_kind not in ("hamming", "logistic"):
         raise ValueError(f"unknown order kind {order_kind!r}")
 
@@ -178,12 +177,12 @@ def resolve_max_queries(policy, code):
     return _resolve_cap(policy.max_queries, code)
 
 
-def _chunk_bounds(cap, lo=1):
-    """[lo, hi) query index ranges from index ``lo`` up to the cap.
+def _chunk_bounds(cap):
+    """[lo, hi) query index ranges from index 1, query 2, up to the cap.
 
-    Query 1, index 0, is settled apart.  Every walk has the same range
-    starts, so a scan goes on from the one where it stopped.
+    Query 1, index 0, is settled apart.
     """
+    lo = 1
     for edge in _CHUNK_EDGES:
         if lo < min(edge, cap):
             yield lo, min(edge, cap)
@@ -202,16 +201,17 @@ _LEDGER_STATE = ("base", "carry", "l", "fold")
 class _Scan:
     """Search state of a block of observations, one row each.
 
-    Construction settles query 1 for every row.  ``ids`` then lists the
-    block rows still searching, and ``at`` the query index where their
-    next chunk starts.  For each of them, in the same order, the scan holds
-    the frame-ordered reliabilities and parity columns, the no-flip
-    log-probability ``base``, the syndrome to hit, the running log-mass
-    ``carry`` after the last query so far, which thresholds are still
-    ``open``, and the syndrome ``syn`` and left-folded flip sum ``fold`` of
-    every query so far; a row leaves these arrays once it has stopped.  In
-    the logistic order ``frame`` holds the reliability ranks of the rows
-    ``ranked``, those that searched past query 1; the scan ranks no others.
+    Construction settles query 1 for every row, and ``run`` the rest of
+    the search.  ``ids`` lists the block rows still searching.  For each of
+    them, in the same order, the scan holds the frame-ordered reliabilities
+    and parity columns, the no-flip log-probability ``base``, the syndrome
+    to hit, the running log-mass ``carry`` after the last query so far,
+    which thresholds are still ``open``, and the syndrome ``syn`` and
+    left-folded flip sum ``fold`` of every query so far (room for them is
+    made up to the end of the chunk in hand); a row leaves these arrays
+    once it has stopped.  In the logistic order ``frame`` holds the
+    reliability ranks of the rows ``ranked``, those that searched past
+    query 1; the scan ranks no others.
     Without a finite threshold or ``confidence`` the scan keeps none of the
     running log-mass state (``base``, ``carry``, ``l``, ``fold``), and its
     log-masses read 0.  An array with a single row is shared by every row:
@@ -262,6 +262,8 @@ class _Scan:
             # One row of accounting reliabilities serves every row.
             source = reliab if accounting is None else acct[np.newaxis]
             self.base = -np.add.reduce(np.log1p(np.exp(-source)), axis=1, keepdims=True)
+            # The report at a query-1 hit reads the wrong-hit table there.
+            softout.log_p_incorrect_prefix(self.redundancy, 1)
 
         self.end = np.zeros(rows, dtype=np.int8)
         self.end_q = np.zeros(rows, dtype=np.int64)
@@ -275,7 +277,6 @@ class _Scan:
         self.row_state = ("ids", "target", "base") if self.ledger else ("ids", "target")
         self._settle(0, self.target[:, 0] == 0, np.zeros(rows, dtype=np.intp),
                      self.base if self.ledger else None)
-        self.at = 1
         # frame[i] maps searching row i's pattern frame to bit positions;
         # None is the identity frame of the hamming order.
         self.frame = None
@@ -288,7 +289,7 @@ class _Scan:
             self.ranked = self.ids
         self.cols = packed[np.newaxis] if self.frame is None else packed[self.frame]
         # Query 1's syndrome, and below its flip sum, are 0.
-        self.syn = np.zeros((len(self.cols), 1), dtype=np.uint64)
+        self.syn = np.zeros((len(self.cols), 1), dtype=packed.dtype)
         self.row_state = _ROW_STATE + (_LEDGER_STATE if self.ledger else ())
         if self.ledger:
             source = reliab if accounting is None else acct[np.newaxis]
@@ -298,18 +299,13 @@ class _Scan:
             # The running log-mass after query 1.
             self.carry = self.base
 
-    def run(self, stop=None):
-        """Advance the searching rows from query index ``at`` until each stops.
-
-        With ``stop``, rows still searching when the next chunk would start
-        at query ``stop`` stay in the scan; otherwise none do.
-        """
-        for lo, hi in _chunk_bounds(self.cap, self.at):
-            if not len(self.ids) or (stop is not None and lo >= stop):
+    def run(self):
+        """Advance the searching rows from query 2 until each stops."""
+        for lo, hi in _chunk_bounds(self.cap):
+            if not len(self.ids):
                 return
             self.table.extend_to(hi)
             self._chunk(lo, hi)
-            self.at = hi
         if len(self.ids):
             self.end[self.ids] = AT_CAP
             self.end_q[self.ids] = self.cap
@@ -322,8 +318,10 @@ class _Scan:
         have = self.syn.shape[1]
         if have >= hi:
             return
-        # Ahead of the chunks, so a deep row moves its histories a few times.
-        size = min(self.cap, max(4 * hi, 2 * have))
+        # Doubled, or grown to the chunk end if that is further, so a deep
+        # search moves its histories a few times; nothing more is reserved,
+        # since live rows × history is most of a deep block's memory.
+        size = min(self.cap, max(hi, 2 * have))
         for name in ("syn", "fold") if self.ledger else ("syn",):
             old = getattr(self, name)
             new = np.empty((len(old), size), dtype=old.dtype)
@@ -429,26 +427,6 @@ class _Scan:
                 setattr(self, name, arr[live])
         self.open = self.open[:, live]
 
-    def rows(self):
-        """One scan per searching row, each recording into these results.
-
-        A lone searching row, or rows that share all their state but the
-        syndrome to hit, continue in this scan itself.  Otherwise each row's
-        scan views its row of this one's arrays, until its histories grow.
-        """
-        shared = ("cols", "l", "base") if self.ledger else ("cols",)
-        if len(self.ids) <= 1 or max(len(getattr(self, name)) for name in shared) == 1:
-            yield self
-            return
-        for k in range(len(self.ids)):
-            one = copy.copy(self)
-            for name in self.row_state:
-                arr = getattr(self, name)
-                if len(arr) > 1:
-                    setattr(one, name, arr[k:k + 1])
-            one.open = self.open[:, k:k + 1]
-            yield one
-
     def results(self):
         """(status, q, log-mass) per threshold and block row, once all stopped.
 
@@ -464,6 +442,8 @@ class _Scan:
         words = hard.copy()
         # query 1 is the empty pattern
         (rows,) = np.nonzero((self.end == HIT) & (self.end_q > 1))
+        if not len(rows):
+            return words
         entry, pos = self.table.positions(self.end_q[rows] - 1)
         row = rows[entry]
         if self.frame is not None:
@@ -517,9 +497,8 @@ def decode_batch(code, hard, reliab, taus, order_kind="logistic",
     shared by all rows; they must have one shape, with hard decisions of 0
     or 1 and finite, nonnegative reliabilities.  Query 1 is settled for
     every row first, and only the rows that search past it are ranked by
-    reliability.  The first 64 queries run for the whole block as 2-D
-    arrays, and a row leaves the block once every threshold is settled;
-    rows still searching then continue one at a time from query 65.  Row i
+    reliability.  The search runs for the whole block as 2-D arrays, and a
+    row leaves the block once every threshold is settled.  Row i
     under tau j gets the outcome that a block holding observation i alone
     gives it, and ``softout.llr_bits`` gives the confidence at that
     outcome's query.
@@ -529,9 +508,7 @@ def decode_batch(code, hard, reliab, taus, order_kind="logistic",
     """
     hard, reliab = channel._observation_arrays(hard, reliab)
     scan = _Scan(code, hard, reliab, taus, order_kind, max_queries, accounting, confidence)
-    scan.run(stop=_BLOCK_QUERIES)
-    for one in scan.rows():
-        one.run()
+    scan.run()
     status, q, cum = scan.results()
     llr = softout.llr_bits(scan.redundancy, q, cum) if confidence else None
     return BatchOutcome(status=status, q=q, llr_bits=llr, words=scan.words(hard))

@@ -16,9 +16,9 @@ SeedSequence's hash-mix runs over the whole batch as uint32 arrays and one
 reused PCG64 takes each trial's state in turn; a first-use check against
 default_rng falls back to one generator per trial if numpy's internals
 differ.  Each batch gets one ``decode_batch`` call under all the taus,
-which runs the first 64 queries of every trial as (trials, queries) arrays
-and the few deeper searches one trial at a time.  fig1 decodes the trials
-of a tau=None sweep at its point.
+which runs every trial's search as (trials, queries) arrays until the
+last trial stops.  fig1 decodes the trials of a tau=None sweep at its
+point.
 Results do not depend on the batch size or the worker count.
 
 Points where a threshold abandons almost everything escalate their trial

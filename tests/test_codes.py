@@ -223,3 +223,14 @@ class TestMembership:
         for c in range(20):
             expect = sum(int(h[i, c]) << i for i in range(code.redundancy))
             assert int(packed[c]) == expect
+
+    @pytest.mark.parametrize("n, k, dtype", [(40, 24, np.uint16), (40, 23, np.uint32),
+                                             (48, 16, np.uint32), (48, 15, np.uint64)])
+    def test_packed_columns_take_the_narrowest_dtype(self, n, k, dtype):
+        # r = 16, 17, 32 and 33: the narrowest unsigned type that holds r bits
+        code = make_rlc(n, k, seed=9)
+        packed = packed_parity_columns(code)
+        assert packed.dtype == dtype
+        h = code.parity_check
+        assert [int(v) for v in packed] == [
+            sum(int(h[i, c]) << i for i in range(code.redundancy)) for c in range(n)]

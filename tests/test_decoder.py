@@ -1,6 +1,7 @@
 """Decoding loop: chunked engine vs naive reference, thresholds, caps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_order import reference_arrays
 
-from softgrand import channel, decoder, patterns, softout
+from softgrand import channel, decoder, harness, patterns, softout
 from softgrand.channel import (ChannelParams, SoftObservation, bsc_crossover,
                                transmit_arrays)
 from softgrand.codes import encode, is_codeword, make_rlc
@@ -374,11 +375,10 @@ class TestBatchDecode:
         monkeypatch.setattr(decoder, "_chunk_bounds", guard)
         got = decode_batch(code, *arrays, taus, kind, 3000, acct)
         monkeypatch.undo()
-        deep = (got.q[0] > 64).sum()
-        assert deep >= 5  # rows that went on one at a time
-        # The block walks from query 2; each row that goes on, or the block
-        # scan itself when its rows share their state, from query 65.
-        assert starts == [1] + [64] * (deep if kind == "logistic" else 1)
+        assert (got.q[0] > 64).sum() >= 5  # rows that went on past query 64
+        # One walk from query 2: the rows still searching after query 64 go
+        # on in the block's own scan.
+        assert starts == [1]
         _assert_batch_equals_ladders(code, arrays, taus, kind, 3000, acct)
 
     @pytest.mark.parametrize("kind", ["logistic", "hamming"])
@@ -394,6 +394,20 @@ class TestBatchDecode:
         got = decode_batch(code, hard, reliab, taus, kind, 3000)
         assert (got.q[0] > 64).tolist() == [False] * 4 + [True, False]
         _assert_batch_equals_ladders(code, (hard, reliab), taus, kind, 3000, None)
+
+    @pytest.mark.parametrize("kind", ["logistic", "hamming"])
+    def test_wide_syndromes_match_the_reference(self, kind):
+        # r = 20 packs syndromes as uint32; the cap ends some searches.
+        code = make_rlc(40, 20, seed=3)
+        _, arrays = _block(code, 3.0, 10, np.random.default_rng(9))
+        taus = [None, 2.0, -3.0]
+        got = decode_batch(code, *arrays, taus, kind, 200)
+        assert (got.status[0] == HIT).any() and (got.status[0] == AT_CAP).any()
+        assert (got.q[0] > 64).any()
+        for i, row in enumerate(zip(*arrays)):
+            for j in range(len(taus)):
+                _assert_reference(code, SoftObservation(*row), got, j, i, taus, kind, 200,
+                                  None)
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
@@ -444,7 +458,7 @@ class TestBatchDecode:
     def test_empty_block(self):
         code = make_rlc(16, 8, seed=2)
         _, (hard, reliab) = _block(code, 3.0, 2, np.random.default_rng(1))
-        softout._LOG_U.clear()  # no chunk runs, so no wrong-hit table is grown
+        softout._LOG_U.clear()  # no chunk runs, so the wrong-hit table holds query 1 at most
         got = decode_batch(code, hard[:0], reliab[:0], [None, 1.0])
         assert got.status.shape == got.q.shape == got.llr_bits.shape == (2, 0)
         assert got.words.shape == (0, 16)
@@ -553,27 +567,32 @@ class TestQueryOne:
 @pytest.mark.parametrize("cap", [1, 2, 15, 16, 17, 64, 65, 4097, 32768])
 def test_chunk_bounds_resume_where_a_scan_stopped(cap):
     bounds = list(decoder._chunk_bounds(cap))
-    # contiguous from query 2 to the cap
+    # contiguous from query 2 to the cap: each chunk starts where the last stopped
     edges = [1] + [hi for _, hi in bounds]
     assert list(zip(edges, edges[1:])) == bounds and edges[-1] == cap
-    for k, (lo, _) in enumerate(bounds):
-        assert list(decoder._chunk_bounds(cap, lo)) == bounds[k:]
+    # at the chunk edges, then in steady-state steps
+    assert all(hi in decoder._CHUNK_EDGES or hi == cap or (hi - lo) == decoder._CHUNK_STEP
+               for lo, hi in bounds)
 
 
 class TestIncrementalSums:
     """Syndromes and flip sums built from parent pointers are reduceat's, bit for bit."""
 
+    # r = 12, 24 and 44 pack syndromes as uint16, uint32 and uint64.
+    @pytest.mark.parametrize("r, dtype", [(12, np.uint16), (24, np.uint32),
+                                          (44, np.uint64)])
     @pytest.mark.parametrize("rows", [1, 6])
-    def test_match_reduceat_over_the_table(self, rows):
-        code = make_rlc(128, 116, seed=1)
+    def test_match_reduceat_over_the_table(self, rows, r, dtype):
+        code = make_rlc(128, 128 - r, seed=1)
         rng = np.random.default_rng(40 + rows)
         reliab = rng.exponential(2.0, size=(rows, 128))
         hard = rng.integers(0, 2, size=(rows, 128), dtype=np.uint8)
         scan = decoder._Scan(code, hard, reliab, [None], "logistic", 32768, None)
         assert np.array_equal(scan.frame, channel._ranks(reliab))
-        # No parity column sets bit 63: nothing hits, every row runs to the cap.
-        scan.target[:] = np.uint64(1 << 63)
+        # No syndrome sets bit r: nothing hits, every row runs to the cap.
+        scan.target[:] = 1 << r
         scan.run()
+        assert scan.syn.dtype == scan.target.dtype == dtype
         vals, off = reference_arrays("logistic", 128, 32768)
         # The nine-flip patterns, which numpy sums pairwise, are in range.
         assert np.diff(off).max() == 9 and (np.diff(off) == 9).sum() == 19
@@ -586,6 +605,31 @@ class TestIncrementalSums:
         for lo, hi in decoder._chunk_bounds(32768):
             got = scan._flips(lo, hi)
             assert got.tobytes() == flips[:, lo:hi].tobytes(), (lo, hi)
+
+
+class TestDeepBlockMemory:
+    """A deep block's peak memory: live rows × syndrome and flip-sum histories."""
+
+    @pytest.mark.parametrize("taus, confidence, bound_mb", [
+        ((None,), False, 6.0),
+        ((None, 0.0, 1.0, 2.0), True, 24.0),
+    ])
+    def test_peak_of_a_sweep_block_at_0db(self, taus, confidence, bound_mb):
+        code = make_rlc(128, 116, seed=1)
+        params = ChannelParams(ebn0_db=0.0, rate=code.rate)
+        _, (hard, reliab) = harness._trial_batch(code, params, 0, harness._point_key(0.0),
+                                                 0, 256)
+        # Grown first, so the order and wrong-hit tables are not counted.
+        want = decode_batch(code, hard, reliab, taus, confidence=confidence)
+        tracemalloc.start()
+        try:
+            got = decode_batch(code, hard, reliab, taus, confidence=confidence)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.q, want.q)
+        assert (got.q[0] > 64).mean() > 0.9  # nearly every row searches deep
+        assert peak <= bound_mb * 1e6
 
 
 class TestPolicyAndGuards:
@@ -611,6 +655,34 @@ class TestPolicyAndGuards:
     def test_non_finite_tau_rejected(self, tau):
         with pytest.raises(ValueError, match="finite"):
             DecodePolicy(tau=tau)
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, 2.0, math.nan, True, False, np.True_, "64"])
+    def test_query_cap_must_be_an_integer(self, bad):
+        code = make_rlc(16, 8, seed=2)
+        _, (hard, reliab) = _block(code, 3.0, 2, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="max_queries"):
+            DecodePolicy(max_queries=bad)
+        with pytest.raises(ValueError, match="max_queries"):
+            decode_batch(code, hard, reliab, [None], max_queries=bad)
+
+    def test_numpy_integer_query_cap_accepted(self):
+        code = make_rlc(16, 8, seed=2)
+        _, (hard, reliab) = _block(code, 0.0, 6, np.random.default_rng(1))
+        assert resolve_max_queries(DecodePolicy(max_queries=np.int64(7)), code) == 7
+        want = decode_batch(code, hard, reliab, [None, 1.0], max_queries=5)
+        for cap in (np.int32(5), np.uint16(5), np.int64(5)):
+            got = decode_batch(code, hard, reliab, [None, 1.0], max_queries=cap)
+            assert np.array_equal(got.status, want.status)
+            assert np.array_equal(got.q, want.q)
+
+    @pytest.mark.parametrize("tau", [True, False, np.True_])
+    def test_bool_tau_rejected(self, tau):
+        code = make_rlc(16, 8, seed=2)
+        _, (hard, reliab) = _block(code, 3.0, 2, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="tau"):
+            DecodePolicy(tau=tau)
+        with pytest.raises(ValueError, match="tau"):
+            decode_batch(code, hard, reliab, [None, tau])
 
     def test_length_mismatch_rejected(self):
         code = make_rlc(12, 7, seed=1)
