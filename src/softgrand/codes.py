@@ -44,7 +44,6 @@ class LinearCode:
         self.parity_check = np.ascontiguousarray(parity_check, dtype=np.uint8)
         self.kind = kind
         self.descriptor = dict(descriptor)
-        self._packed_columns = None
         if self.generator.shape != (self.k, self.n):
             raise ValueError("generator must be k x n")
         # encode copies the message into the first k bits.
@@ -56,6 +55,10 @@ class LinearCode:
         # verify anyway so a broken constructor cannot produce a code.
         if np.any((self.generator @ self.parity_check.T) % 2):
             raise ValueError("generator and parity_check are not orthogonal")
+        # Packed here, so a pickled code carries them to worker processes;
+        # a wider code has none and fails at decode.
+        self._packed_columns = (_pack_columns(self.parity_check)
+                                if self.redundancy <= MAX_REDUNDANCY else None)
 
     @property
     def redundancy(self):
@@ -91,6 +94,14 @@ def _pack_column(bits):
         if b:
             value |= 1 << i
     return value
+
+
+def _pack_columns(parity_check):
+    """Every column of H packed as by _pack_column, in the narrowest unsigned type."""
+    r = len(parity_check)
+    dtype = next(t for t in (np.uint16, np.uint32, np.uint64) if r <= np.iinfo(t).bits)
+    bits = parity_check.astype(dtype) << np.arange(r, dtype=dtype)[:, np.newaxis]
+    return np.bitwise_or.reduce(bits, axis=0)
 
 
 def make_rlc(n, k, seed):
@@ -251,7 +262,7 @@ def is_codeword(code, word):
 
 
 def packed_parity_columns(code):
-    """Columns of H packed into integers (bit i = row i), cached on the code.
+    """Columns of H packed into integers (bit i = row i), built with the code.
 
     Lets the decoding loop evaluate syndromes of flip patterns by XORing a
     few integers instead of multiplying matrices.  The dtype is the
@@ -260,12 +271,5 @@ def packed_parity_columns(code):
     need.  Requires n-k <= MAX_REDUNDANCY.
     """
     if code._packed_columns is None:
-        if code.redundancy > MAX_REDUNDANCY:
-            raise ValueError(f"packed syndromes support n-k <= {MAX_REDUNDANCY}")
-        dtype = next(t for t in (np.uint16, np.uint32, np.uint64)
-                     if code.redundancy <= np.iinfo(t).bits)
-        packed = np.zeros(code.n, dtype=dtype)
-        for j in range(code.n):
-            packed[j] = _pack_column(code.parity_check[:, j])
-        code._packed_columns = packed
+        raise ValueError(f"packed syndromes support n-k <= {MAX_REDUNDANCY}")
     return code._packed_columns

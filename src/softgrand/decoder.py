@@ -33,11 +33,13 @@ the confidence; otherwise a chunk is the syndromes and the hit test alone.
 Query 1 and every chunk then go through one settle step, which records
 first hits, lets every open tau abandon at once, and drops the rows that
 stopped.  ``decode_batch`` runs every chunk for a whole block of
-observations at once as (rows, queries) arrays, from query 2 until its
-last row stops; the syndrome and flip-sum histories grow only to the end
-of the chunk in hand, and shrink with the rows still searching.
+observations at once, from query 2 until its last row stops.  Its arrays
+are query-major, (queries, rows), so a parent pointer gathers one
+contiguous vector of every row's syndrome or flip sum; the histories grow
+only to the end of the chunk in hand, and drop the columns of stopped rows
+when they are next moved or once at most half are still searching.
 ``decode_ladder`` is a one-row ``decode_batch`` and ``decode`` its one-tau
-case.  The running sum is accumulated in query order along each row, as a
+case.  The running sum is accumulated in query order for each row, as a
 one-query-at-a-time loop would, so a row's outcome does not depend on the
 other rows of its block; it stops at the first hit, past which no outcome
 reads it.
@@ -90,6 +92,10 @@ _REASONS = {BELOW_TAU: ABANDON_LLR, AT_CAP: ABANDON_CAP}
 # steady-state chunks amortise numpy overhead on deep searches.
 _CHUNK_EDGES = (16, 64, 256, 1024, 4096)
 _CHUNK_STEP = 4096
+# Rows that share one syndrome sequence (the hamming order) find their first
+# hits by a stable sort of the sequence when they number more than this;
+# comparing fewer rows with every query is cheaper.
+_LOOKUP_ROWS = 48
 
 
 def _check_tau(tau):
@@ -192,35 +198,42 @@ def _chunk_bounds(cap):
         lo = min(lo + _CHUNK_STEP, cap)
 
 
-# The per-row search state; a one-row array is shared by every row.
-_ROW_STATE = ("ids", "target", "cols", "syn")
+# The per-row search state; an array with one column is shared by every row.
+_ROW_STATE = ("ids", "live", "target", "open", "cols", "syn")
 # ... and that of the running log-mass, kept only when something reads it.
 _LEDGER_STATE = ("base", "carry", "l", "fold")
+# The per-query histories among them, grown as the search goes deeper.
+_HISTORIES = ("syn", "fold")
 
 
 class _Scan:
-    """Search state of a block of observations, one row each.
+    """Search state of a block of observations, one column each.
 
     Construction settles query 1 for every row, and ``run`` the rest of
-    the search.  ``ids`` lists the block rows still searching.  For each of
-    them, in the same order, the scan holds the frame-ordered reliabilities
-    and parity columns, the no-flip log-probability ``base``, the syndrome
+    the search.  Every per-row array holds its rows on its last axis, in
+    the order of ``ids``, the block rows of its columns; ``live`` marks the
+    columns still searching.  Per column the scan holds the parity columns
+    ``cols`` and the reliabilities ``l`` in the row's frame, as (n, rows)
+    arrays, the no-flip log-probability ``base``, the syndrome ``target``
     to hit, the running log-mass ``carry`` after the last query so far,
     which thresholds are still ``open``, and the syndrome ``syn`` and
-    left-folded flip sum ``fold`` of every query so far (room for them is
-    made up to the end of the chunk in hand); a row leaves these arrays
-    once it has stopped.  In the logistic order ``frame`` holds the
-    reliability ranks of the rows ``ranked``, those that searched past
-    query 1; the scan ranks no others.
+    left-folded flip sum ``fold`` of every query so far, as (queries, rows)
+    arrays, so that following a parent pointer copies a whole row vector
+    (room is made up to the end of the chunk in hand).  A row that stops
+    leaves ``live`` and closes its thresholds; its column is dropped when
+    the histories are next reallocated, or once at most half the columns
+    are live.  In the logistic order ``frame`` holds the reliability ranks
+    of the rows ``ranked``, those that searched past query 1; the scan
+    ranks no others.
     Without a finite threshold or ``confidence`` the scan keeps none of the
     running log-mass state (``base``, ``carry``, ``l``, ``fold``), and its
-    log-masses read 0.  An array with a single row is shared by every row:
-    in the hamming order the parity columns and ``syn``, under an
-    accounting observation ``base`` (and ``carry`` until the first chunk),
-    and under both the reliabilities, ``fold`` and ``carry``.  Per block row
-    it records how the search ended (HIT or AT_CAP, 0 if every threshold
-    abandoned first) with the query and log-mass there, and per threshold
-    and row those of an abandonment (q 0 for none).
+    log-masses read 0.  An array with a single column is shared by every
+    row: in the hamming order ``cols`` and ``syn``, under an accounting
+    observation ``base`` (and ``carry`` until the first chunk), and under
+    both ``l``, ``fold`` and ``carry``.  Per block row it records how the
+    search ended (HIT or AT_CAP, 0 if every threshold abandoned first) with
+    the query and log-mass there, and per threshold and row those of an
+    abandonment (q 0 for none).
     """
 
     def __init__(self, code, hard, reliab, taus, order_kind, max_queries,
@@ -253,7 +266,9 @@ class _Scan:
 
         packed = packed_parity_columns(code)
         self.ids = np.arange(rows)
-        self.target = np.bitwise_xor.reduce(packed * hard, axis=1, keepdims=True)
+        self.live = np.full(rows, True)
+        self.left = rows
+        self.target = np.bitwise_xor.reduce(packed * hard, axis=1)
         self.open = np.full((len(finite), rows), True)
         # Thresholds test the running log-mass; without one only the
         # caller's confidence would read it.
@@ -261,7 +276,7 @@ class _Scan:
         if self.ledger:
             # One row of accounting reliabilities serves every row.
             source = reliab if accounting is None else acct[np.newaxis]
-            self.base = -np.add.reduce(np.log1p(np.exp(-source)), axis=1, keepdims=True)
+            self.base = -np.add.reduce(np.log1p(np.exp(-source)), axis=1)[np.newaxis]
             # The report at a query-1 hit reads the wrong-hit table there.
             softout.log_p_incorrect_prefix(self.redundancy, 1)
 
@@ -274,28 +289,32 @@ class _Scan:
         # Query 1 flips nothing: its syndrome is the hard decision's and its
         # log-mass the no-flip one.  Until it is settled these are the only
         # per-row arrays.
-        self.row_state = ("ids", "target", "base") if self.ledger else ("ids", "target")
-        self._settle(0, self.target[:, 0] == 0, np.zeros(rows, dtype=np.intp),
+        self.row_state = ("ids", "live", "target", "open") + (("base",) if self.ledger else ())
+        self._settle(0, self.target == 0, np.zeros(rows, dtype=np.intp),
                      self.base if self.ledger else None)
         # frame[i] maps searching row i's pattern frame to bit positions;
         # None is the identity frame of the hamming order.
         self.frame = None
         if not len(self.ids):
             return
+        if self.left < len(self.ids):
+            self._compact()
         # Only the rows still searching are ranked and gathered.
         reliab = reliab[self.ids]
         if order_kind == "logistic":
             self.frame = channel._ranks(reliab)
             self.ranked = self.ids
-        self.cols = packed[np.newaxis] if self.frame is None else packed[self.frame]
+        self.cols = (packed[:, np.newaxis] if self.frame is None
+                     else np.ascontiguousarray(packed[self.frame].T))
         # Query 1's syndrome, and below its flip sum, are 0.
-        self.syn = np.zeros((len(self.cols), 1), dtype=packed.dtype)
+        self.syn = np.zeros((1, self.cols.shape[1]), dtype=packed.dtype)
         self.row_state = _ROW_STATE + (_LEDGER_STATE if self.ledger else ())
         if self.ledger:
             source = reliab if accounting is None else acct[np.newaxis]
-            self.l = (source if self.frame is None
-                      else source[np.arange(len(source))[:, np.newaxis], self.frame])
-            self.fold = np.zeros((len(self.l), 1))
+            l = (source if self.frame is None
+                 else source[np.arange(len(source))[:, np.newaxis], self.frame])
+            self.l = np.ascontiguousarray(l.T)
+            self.fold = np.zeros((1, self.l.shape[1]))
             # The running log-mass after query 1.
             self.carry = self.base
 
@@ -307,26 +326,24 @@ class _Scan:
             self.table.extend_to(hi)
             self._chunk(lo, hi)
         if len(self.ids):
-            self.end[self.ids] = AT_CAP
-            self.end_q[self.ids] = self.cap
+            live = self.live
+            ids = self.ids[live]
+            self.end[ids] = AT_CAP
+            self.end_q[ids] = self.cap
             if self.ledger:
-                self.end_cum[self.ids] = self.carry[:, 0]
+                carry = self.carry[0]
+                self.end_cum[ids] = carry[live] if len(carry) > 1 else carry
             self.ids = self.ids[:0]
 
     def _reserve(self, hi):
         """Room in ``syn`` and ``fold`` for the queries before ``hi``."""
-        have = self.syn.shape[1]
-        if have >= hi:
-            return
-        # Doubled, or grown to the chunk end if that is further, so a deep
-        # search moves its histories a few times; nothing more is reserved,
-        # since live rows × history is most of a deep block's memory.
-        size = min(self.cap, max(hi, 2 * have))
-        for name in ("syn", "fold") if self.ledger else ("syn",):
-            old = getattr(self, name)
-            new = np.empty((len(old), size), dtype=old.dtype)
-            new[:, :have] = old
-            setattr(self, name, new)
+        have = len(self.syn)
+        if have < hi:
+            # Doubled, or grown to the chunk end if that is further, so a
+            # deep search moves its histories a few times; nothing more is
+            # reserved, since live rows × history is most of a deep block's
+            # memory.  The move drops the columns of stopped rows.
+            self._compact(min(self.cap, max(hi, 2 * have)))
 
     def _chunk(self, lo, hi):
         """Queries [lo, hi) for every searching row.
@@ -334,68 +351,102 @@ class _Scan:
         A query's syndrome is its parent's XOR the parity column of its last
         index.
         """
-        table, cols = self.table, self.cols
         self._reserve(hi)
-        syn = self.syn
+        table, cols, syn = self.table, self.cols, self.syn
         for g in table.waves(lo, hi):
-            syn[:, g] = syn.take(table.parent[g], axis=1) ^ cols.take(table.last[g], axis=1)
-        eq = syn[:, lo:hi] == self.target
-        hit_i = eq.argmax(axis=1)
-        hit = np.logical_or.reduce(eq, axis=1)
+            syn[g] = syn.take(table.parent[g], axis=0) ^ cols.take(table.last[g], axis=0)
+        hit, hit_i = self._hits(syn[lo:hi])
         cum = None
         if self.ledger:
             # No outcome reads the running sum past a row's first hit, so
             # when every row hits, the sum stops at the last of those hits.
-            m = int(hit_i.max()) + 1 if hit.all() else hi - lo
+            m = int(hit_i[hit].max()) + 1 if np.count_nonzero(hit) == self.left else hi - lo
             cum = self._running_sum(lo, hi, m)
             # Grown even without a threshold: the report at a hit reads it.
             softout.log_p_incorrect_prefix(self.redundancy, hi)
         self._settle(lo, hit, hit_i, cum)
 
+    def _hits(self, syn):
+        """The live rows whose target is among ``syn``, and where each first is.
+
+        ``syn`` holds a run of queries' syndromes, one row each; a row's
+        first hit is its index in ``syn`` (any index for a row that misses).
+        """
+        target = self.target
+        if syn.shape[1] > 1:
+            # Hits are rare, so only they are located: in query order, the
+            # first match of a row is its first hit.
+            q, row = np.divmod(np.flatnonzero(syn == target), len(target))
+            row, first = np.unique(row, return_index=True)
+            hit = np.zeros(len(target), dtype=bool)
+            hit[row] = True
+            hit_i = np.zeros(len(target), dtype=np.intp)
+            hit_i[row] = q[first]
+        elif len(target) > _LOOKUP_ROWS:
+            # The hamming order: every row shares one syndrome sequence, so
+            # a row's first hit is looked up in that sequence sorted stably.
+            order = np.argsort(syn[:, 0], kind="stable")
+            seq = syn[order, 0]
+            at = np.minimum(np.searchsorted(seq, target), len(seq) - 1)
+            hit, hit_i = seq[at] == target, order[at]
+        else:
+            # ... and fewer rows are compared with it in (rows, queries)
+            # form, whose rows argmax reads contiguously.
+            eq = syn[:, 0] == target[:, np.newaxis]
+            hit, hit_i = np.logical_or.reduce(eq, axis=1), eq.argmax(axis=1)
+        return hit & self.live, hit_i
+
     def _running_sum(self, lo, hi, m):
         """Fold queries [lo, hi) and accumulate the running log-mass of [lo, lo + m).
 
         A query's ``fold`` is its parent's plus the reliability at its last
-        index.  Returns the running log-mass per searching row (one row when
-        they share it) and query.
+        index.  Returns the running log-mass per query and searching row
+        (one column when the rows share it).
         """
         table, l, fold = self.table, self.l, self.fold
         for g in table.waves(lo, hi):
-            fold[:, g] = fold.take(table.parent[g], axis=1) + l.take(table.last[g], axis=1)
+            fold[g] = fold.take(table.parent[g], axis=0) + l.take(table.last[g], axis=0)
         terms = self.base - self._flips(lo, lo + m)
         # The running sum goes on from where the previous chunk left it.
-        terms[:, 0] = np.logaddexp(self.carry[:, 0], terms[:, 0])
-        cum = np.logaddexp.accumulate(terms, axis=1)
-        self.carry = cum[:, -1:]
+        terms[0] = np.logaddexp(self.carry[0], terms[0])
+        cum = np.logaddexp.accumulate(terms, axis=0)
+        self.carry = cum[-1:].copy()
         return cum
 
     def _settle(self, lo, hit, hit_i, cum):
         """Record hits and abandonments from query index ``lo`` on; drop stopped rows.
 
-        ``hit`` marks the rows that hit, first at index ``lo + hit_i``;
-        ``cum`` is the running log-mass (one row when shared), None without a
-        ledger.  A threshold abandons at its first crossing no later than the hit.
+        ``hit`` marks the live rows that hit, first at index ``lo + hit_i``;
+        ``cum`` is the running log-mass per query and row (one column when
+        shared), None without a ledger.  A threshold abandons at its first
+        crossing no later than the hit.
         """
-        shared = cum is not None and len(cum) != len(self.ids)
+        shared = cum is not None and cum.shape[1] != len(self.ids)
         if len(self.taus) and np.count_nonzero(self.open):
-            log_u = softout.log_p_incorrect_prefix(self.redundancy, lo + cum.shape[1])
-            below = (cum - log_u[lo:]) / _LN2 < self.taus
-            ab_i = below.argmax(axis=2)
-            last = np.where(hit, hit_i, cum.shape[1])
-            t, r = np.nonzero(self.open & below.any(axis=2) & (ab_i <= last))
+            m = len(cum)
+            log_u = softout.log_p_incorrect_prefix(self.redundancy, lo + m)
+            below = (cum - log_u[lo:, np.newaxis]) / _LN2 < self.taus
+            # A first crossing is searched for only where an open threshold
+            # crossed.
+            crossed = below.any(axis=1)
+            crossed &= self.open.any(axis=1, keepdims=True) if shared else self.open
+            t, c = np.nonzero(crossed)
             if len(t):
+                ab_i = np.full(crossed.shape, m)  # m: no crossing
+                ab_i[t, c] = below[t, :, c].argmax(axis=1)
+                t, r = np.nonzero(self.open & (ab_i <= np.where(hit, hit_i, m - 1)))
                 a = ab_i[t, 0 if shared else r]
                 self.ab_q[self.thresholds[t], self.ids[r]] = a + (lo + 1)
-                self.ab_cum[self.thresholds[t], self.ids[r]] = cum[0 if shared else r, a]
+                self.ab_cum[self.thresholds[t], self.ids[r]] = cum[a, 0 if shared else r]
                 self.open[t, r] = False
-        stopped = hit if self.to_the_end else hit | ~self.open.any(axis=0)
+        stopped = hit if self.to_the_end else hit | (self.live & ~self.open.any(axis=0))
         # Every row that hit has stopped.
         if np.count_nonzero(stopped):
             ids, a = self.ids[hit], hit_i[hit]
             self.end[ids] = HIT
             self.end_q[ids] = a + (lo + 1)
             if self.ledger:
-                self.end_cum[ids] = cum[0 if shared else hit, a]
+                self.end_cum[ids] = cum[a, 0 if shared else hit]
             self._keep(~stopped)
 
     def _flips(self, lo, stop):
@@ -403,29 +454,61 @@ class _Scan:
 
         reduceat adds a segment's later terms from the left and then its
         first, which is ``l[first] + fold[tail]``, while they number at most
-        eight; from nine flips up it sums them pairwise, and so does this.
+        eight; from nine flips up it sums them pairwise, and so does this,
+        along the rows of a (rows, flips) copy.
         """
         table, l = self.table, self.l
         q = slice(lo, stop)
-        flips = l.take(table.first[q], axis=1) + self.fold.take(table.tail[q], axis=1)
+        flips = l.take(table.first[q], axis=0) + self.fold.take(table.tail[q], axis=0)
         (big,) = np.nonzero(table.flips[q] >= 9)
         if len(big):
             entry, pos = table.positions(big + lo)
             starts = np.flatnonzero(np.diff(entry, prepend=-1))
-            flips[:, big] = np.add.reduceat(l.take(pos, axis=1), starts, axis=1)
+            by_row = np.ascontiguousarray(l.take(pos, axis=0).T)
+            flips[big] = np.add.reduceat(by_row, starts, axis=1).T
         return flips
 
     def _keep(self, live):
-        """Drop the rows that stopped searching from the per-row arrays."""
-        if not np.count_nonzero(live):
+        """Keep searching the rows ``live`` marks; the others leave ``live``.
+
+        Their columns are dropped once at most half the columns are live.
+        """
+        self.live &= live
+        self.left = np.count_nonzero(self.live)
+        if not self.left:
             # Once no row is searching nothing reads the other arrays again.
             self.ids = self.ids[:0]
             return
-        for name in self.row_state:
+        self.open &= self.live
+        if 2 * self.left <= len(self.ids):
+            self._compact()
+
+    def _compact(self, size=None):
+        """Drop the columns of stopped rows; with ``size``, regrow the histories to it.
+
+        ``compress`` keeps every array C-ordered, which indexing its last
+        axis with a mask would not, so each query's row vector stays
+        contiguous.
+        """
+        live = self.live
+        drop = self.left < len(self.ids)
+        if drop:
+            names = self.row_state
+        else:
+            names = _HISTORIES if self.ledger else ("syn",)
+        for name in names:
             arr = getattr(self, name)
-            if len(arr) > 1:
-                setattr(self, name, arr[live])
-        self.open = self.open[:, live]
+            # A single column is shared by every row, or is the last row's.
+            cut = drop and arr.shape[-1] > 1
+            if size is not None and name in _HISTORIES:
+                new = np.empty((size, self.left if cut else arr.shape[1]), dtype=arr.dtype)
+                if cut:
+                    arr.compress(live, axis=1, out=new[:len(arr)])
+                else:
+                    new[:len(arr)] = arr
+                setattr(self, name, new)
+            elif cut:
+                setattr(self, name, arr.compress(live, axis=-1))
 
     def results(self):
         """(status, q, log-mass) per threshold and block row, once all stopped.

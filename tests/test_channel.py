@@ -118,6 +118,17 @@ class TestSoftObservation:
         obs = SoftObservation.from_channel_llrs([1.0, -1.0, 1.0])
         assert obs.ranks.tolist() == [0, 1, 2]
 
+    def test_ranks_of_a_block_where_some_rows_tie(self):
+        rng = np.random.default_rng(3)
+        reliab = rng.exponential(2.0, size=(6, 64))
+        reliab[1, [5, 40]] = reliab[1, 20]  # one three-way tie
+        reliab[3] = np.round(reliab[3])  # many ties
+        reliab[4] = 1.5  # every bit tied
+        reliab[5, [0, 63]] = 0.0  # tied at the least reliable end
+        want = [sorted(range(64), key=lambda b: (row[b], b)) for row in reliab]
+        assert _ranks(reliab).tolist() == want
+        assert [_ranks(row).tolist() for row in reliab] == want
+
     def test_from_flip_probs_roundtrip(self):
         hard = np.array([0, 1, 0], dtype=np.uint8)
         obs = SoftObservation.from_flip_probs(hard, [0.25, 0.1, 0.5])

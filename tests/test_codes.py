@@ -1,11 +1,15 @@
 """Code construction, membership, and CRC-division agreement."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from softgrand import codes
 from softgrand.codes import (LinearCode, _crc_full_poly, crc_division_remainder,
                              encode, is_codeword, make_crc, make_rlc,
                              packed_parity_columns, syndrome)
+from softgrand.decoder import decode_batch
 
 
 def gf2_rank(m):
@@ -234,3 +238,30 @@ class TestMembership:
         h = code.parity_check
         assert [int(v) for v in packed] == [
             sum(int(h[i, c]) << i for i in range(code.redundancy)) for c in range(n)]
+
+    def test_unpickled_code_decodes_without_repacking(self, monkeypatch):
+        # A pool task receives its code pickled; the packed columns travel with it.
+        code = make_rlc(40, 28, seed=9)
+        rng = np.random.default_rng(2)
+        hard = rng.integers(0, 2, size=(8, 40), dtype=np.uint8)
+        reliab = rng.exponential(1.0, size=(8, 40))
+        want = decode_batch(code, hard, reliab, [None, 1.0], max_queries=500)
+
+        def repack(parity_check):
+            raise AssertionError("parity columns packed again")
+
+        monkeypatch.setattr(codes, "_pack_columns", repack)
+        copy = pickle.loads(pickle.dumps(code))
+        packed = packed_parity_columns(copy)
+        assert packed.dtype == np.uint16
+        assert np.array_equal(packed, packed_parity_columns(code))
+        got = decode_batch(copy, hard, reliab, [None, 1.0], max_queries=500)
+        assert np.array_equal(got.q, want.q) and np.array_equal(got.status, want.status)
+        assert np.array_equal(got.words, want.words)
+
+    def test_wide_code_constructs_but_does_not_decode(self):
+        code = make_rlc(72, 8, seed=1)  # n-k = 64
+        with pytest.raises(ValueError, match="n-k <= 63"):
+            packed_parity_columns(code)
+        with pytest.raises(ValueError, match="n-k <= 63"):
+            decode_batch(code, np.zeros((1, 72), np.uint8), np.ones((1, 72)), [None])

@@ -409,6 +409,27 @@ class TestBatchDecode:
                 _assert_reference(code, SoftObservation(*row), got, j, i, taus, kind, 200,
                                   None)
 
+    @pytest.mark.parametrize("accounting", ["soft", "bsc"])
+    def test_shared_syndromes_hit_by_lookup(self, accounting, monkeypatch):
+        # In the hamming order more than _LOOKUP_ROWS rows find their first
+        # hits in the one syndrome sequence they share, sorted stably: a
+        # 1024-query chunk of r = 10 syndromes repeats many of them.
+        code = make_rlc(32, 22, seed=3)
+        _, arrays = _block(code, -2.0, 64, np.random.default_rng(4))
+        acct = _grand(code, 1.0)[1] if accounting == "bsc" else None
+        looked_up, hits = [], decoder._Scan._hits
+
+        def spy(scan, syn):
+            looked_up.append(syn.shape[1] == 1 and len(scan.target) > decoder._LOOKUP_ROWS)
+            return hits(scan, syn)
+
+        monkeypatch.setattr(decoder._Scan, "_hits", spy)
+        got = decode_batch(code, *arrays, [None], "hamming", None, acct, confidence=False)
+        monkeypatch.undo()
+        assert any(looked_up) and not all(looked_up)
+        assert (got.q[0] > 1024).any()
+        _assert_batch_equals_ladders(code, arrays, [None, 1.0], "hamming", None, acct)
+
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
     def test_without_confidence_same_outcomes(self, data):
@@ -596,15 +617,96 @@ class TestIncrementalSums:
         vals, off = reference_arrays("logistic", 128, 32768)
         # The nine-flip patterns, which numpy sums pairwise, are in range.
         assert np.diff(off).max() == 9 and (np.diff(off) == 9).sum() == 19
-        syn = np.bitwise_xor.reduceat(scan.cols.take(vals - 1, axis=1), off[:-1], axis=1)
-        syn[:, 0] = 0
-        assert scan.syn.shape == (rows, 32768)
+        # The histories are (queries, rows), C-ordered; cols and l are (n, rows).
+        assert scan.cols.shape == scan.l.shape == (128, rows)
+        syn = np.bitwise_xor.reduceat(scan.cols.take(vals - 1, axis=0), off[:-1], axis=0)
+        syn[0] = 0
+        assert scan.syn.shape == (32768, rows) and scan.syn.flags.c_contiguous
         assert np.array_equal(scan.syn, syn)
-        flips = np.add.reduceat(scan.l.take(vals - 1, axis=1), off[:-1], axis=1)
+        # reduceat sums each pattern along a row of a (rows, patterns) array.
+        by_row = np.ascontiguousarray(scan.l.T)
+        flips = np.add.reduceat(by_row.take(vals - 1, axis=1), off[:-1], axis=1)
         flips[:, 0] = 0.0
         for lo, hi in decoder._chunk_bounds(32768):
             got = scan._flips(lo, hi)
-            assert got.tobytes() == flips[:, lo:hi].tobytes(), (lo, hi)
+            assert got.shape == (hi - lo, rows)
+            assert got.T.tobytes() == flips[:, lo:hi].tobytes(), (lo, hi)
+
+
+class TestColumnCompaction:
+    """Stopped rows leave the (queries, rows) histories in bulk, C order kept."""
+
+    @pytest.mark.parametrize("kind, accounting", [("logistic", "soft"), ("logistic", "bsc"),
+                                                  ("hamming", "soft"), ("hamming", "bsc")])
+    # Some rows hit while a threshold is open that their log-mass, computed
+    # on until their column is dropped, crosses later.
+    @pytest.mark.parametrize("taus, confidence", [((None,), False),
+                                                  ((None, 2.0, 0.5, -1.0, -3.0), True)])
+    def test_rows_stopping_at_varied_depths(self, kind, accounting, taus, confidence,
+                                            monkeypatch):
+        code = make_rlc(32, 22, seed=3)
+        rng = np.random.default_rng(21)
+        # clean rows that stop early, and noisy ones that search deep
+        parts = [_block(code, ebn0, 12, rng)[1] for ebn0 in (4.0, -2.0)]
+        arrays = tuple(np.concatenate(rows) for rows in zip(*parts))
+        acct = _grand(code, 1.0)[1] if accounting == "bsc" else None
+        # 16-query chunks, so that about every other chunk fits the
+        # histories already made and runs with stopped rows' columns masked
+        monkeypatch.setattr(decoder, "_CHUNK_EDGES", ())
+        monkeypatch.setattr(decoder, "_CHUNK_STEP", 16)
+        # (histories regrown, stopped columns among them, past query 1) per
+        # compaction, and whether each chunk ran with stopped columns in place
+        compactions, masked, at = [], [], [0]
+        chunk, settle, compact = decoder._Scan._chunk, decoder._Scan._settle, decoder._Scan._compact
+
+        def spy_compact(scan, size=None):
+            compactions.append((size is not None, scan.left < len(scan.ids), at[0] > 0))
+            compact(scan, size)
+
+        def spy_settle(scan, lo, *args):
+            masked.append(lo > 0 and scan.left < len(scan.ids))
+            at[0] = lo
+            settle(scan, lo, *args)
+
+        def spy_chunk(scan, lo, hi):
+            chunk(scan, lo, hi)
+            # Rows on axis 1, one column each or one shared by all: the
+            # hamming order shares syn, and BSC accounting there fold too.
+            widths = {"syn": 1 if kind == "hamming" else len(scan.ids)}
+            if scan.ledger:
+                widths["fold"] = 1 if (kind, accounting) == ("hamming", "bsc") else len(scan.ids)
+            for name, width in widths.items():
+                history = getattr(scan, name)
+                assert history.flags.c_contiguous and len(history) >= hi
+                # once every row has stopped nothing reads the histories again
+                assert history.shape[1] == width or not len(scan.ids)
+
+        monkeypatch.setattr(decoder._Scan, "_compact", spy_compact)
+        monkeypatch.setattr(decoder._Scan, "_settle", spy_settle)
+        monkeypatch.setattr(decoder._Scan, "_chunk", spy_chunk)
+        got = decode_batch(code, *arrays, taus, kind, None, acct, confidence)
+        monkeypatch.undo()
+        assert (got.q[0] <= 16).any() and (got.q[0] > 1024).any()
+        # columns dropped when the histories are regrown and at half live,
+        # and chunks run with some columns masked
+        assert (True, True, True) in compactions and (False, True, True) in compactions
+        assert any(masked)
+        assert (got.llr_bits is None) != confidence
+        for i, row in enumerate(zip(*arrays)):
+            obs = SoftObservation(*row)
+            ladder = decode_ladder(code, obs, taus, kind, accounting=acct)
+            for j, want in enumerate(ladder):
+                tag = _STATUS_TAGS[got.status[j, i]]
+                assert (tag, got.q[j, i]) == (outcome_tag(want), want.q)
+                if want.decoded:
+                    assert np.array_equal(got.words[i], want.word)
+                if confidence:
+                    assert got.llr_bits[j, i] == want.report.llr_bits
+                    _assert_reference(code, obs, got, j, i, taus, kind, None, acct)
+                else:
+                    policy = DecodePolicy(tau=taus[j], order_kind=kind)
+                    assert reference_decode(code, obs, policy, accounting=acct)[:2] == (
+                        tag, got.q[j, i])
 
 
 class TestDeepBlockMemory:
