@@ -257,6 +257,8 @@ def _ranks(reliab):
     times slower than the default one, runs only on the rows that have them.
     """
     order = np.argsort(reliab, axis=-1)
+    # A second (SIMD) sort of the values costs about half as much as
+    # gathering them through ``order`` on a 256 x 128 block.
     ascending = np.sort(reliab, axis=-1)
     ties = ascending[..., 1:] == ascending[..., :-1]
     if ties.any():

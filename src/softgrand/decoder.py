@@ -369,29 +369,29 @@ class _Scan:
     def _hits(self, syn):
         """The live rows whose target is among ``syn``, and where each first is.
 
-        ``syn`` holds a run of queries' syndromes, one row each; a row's
+        ``syn`` holds a run of queries' syndromes, one query per array row
+        and one column per searching row, or one column they share; a row's
         first hit is its index in ``syn`` (any index for a row that misses).
         """
         target = self.target
         if syn.shape[1] > 1:
-            # Hits are rare, so only they are located: in query order, the
-            # first match of a row is its first hit.
+            # One column per row.  Hits are rare, so only they are located,
+            # and a row's first hit is the least index among its matches.
             q, row = np.divmod(np.flatnonzero(syn == target), len(target))
-            row, first = np.unique(row, return_index=True)
-            hit = np.zeros(len(target), dtype=bool)
-            hit[row] = True
-            hit_i = np.zeros(len(target), dtype=np.intp)
-            hit_i[row] = q[first]
+            hit_i = np.full(len(target), len(syn))
+            np.minimum.at(hit_i, row, q)
+            hit = hit_i < len(syn)
         elif len(target) > _LOOKUP_ROWS:
-            # The hamming order: every row shares one syndrome sequence, so
-            # a row's first hit is looked up in that sequence sorted stably.
+            # The hamming order: the rows share one syndrome sequence, so a
+            # row's first hit is looked up in that sequence sorted stably.
             order = np.argsort(syn[:, 0], kind="stable")
             seq = syn[order, 0]
             at = np.minimum(np.searchsorted(seq, target), len(seq) - 1)
             hit, hit_i = seq[at] == target, order[at]
         else:
-            # ... and fewer rows are compared with it in (rows, queries)
-            # form, whose rows argmax reads contiguously.
+            # One column shared by a few rows, or a lone row's: comparing
+            # it with each row's target, in (rows, queries) form whose rows
+            # argmax reads contiguously, costs less than sorting it.
             eq = syn[:, 0] == target[:, np.newaxis]
             hit, hit_i = np.logical_or.reduce(eq, axis=1), eq.argmax(axis=1)
         return hit & self.live, hit_i
