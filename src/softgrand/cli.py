@@ -301,7 +301,8 @@ def _sidecar_meta(config, code):
 
 def _run_sweep_mode(config, code):
     result = run_sweep(code, config.taus, config.ebn0_points, config.trials,
-                       config.seed, workers=config.workers, decoder=config.decoder)
+                       config.seed, workers=config.workers, decoder=config.decoder,
+                       confidence=config.trials_csv)
     os.makedirs(config.out, exist_ok=True)
     csv_path = os.path.join(config.out, "sweep.csv")
     write_sweep_csv(csv_path, result.stats, meta=_sidecar_meta(config, code))

@@ -112,7 +112,8 @@ def make_rlc(n, k, seed):
     column that is all-zero or that repeats an earlier column of the full
     parity-check matrix.  If the finished A has an all-zero row, the whole
     pass is redrawn from the same stream.  A seed therefore fully
-    determines the code.
+    determines the code.  A shape whose passes all fail (tiny k, large
+    n - k) raises ValueError, as a shape that cannot exist does.
     """
     n, k = int(n), int(k)
     if not 0 < k < n:
@@ -142,7 +143,7 @@ def make_rlc(n, k, seed):
         if not np.any(~cols.any(axis=1)):
             break
     else:
-        raise RuntimeError(f"could not draw an A matrix with no all-zero row for n={n} k={k}")
+        raise ValueError(f"could not draw an A matrix with no all-zero row for n={n} k={k}")
 
     parity_check = np.hstack([cols, np.eye(r, dtype=np.uint8)])
     generator = np.hstack([np.eye(k, dtype=np.uint8), cols.T])

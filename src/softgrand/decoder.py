@@ -27,9 +27,10 @@ with numpy.  Each query's syndrome (packed parity columns XORed as words
 of the narrowest unsigned type that holds n-k bits) and flip sum come from
 those of an earlier query through the order table's parent pointers, as in
 the syndrome reuse of hardware ORBGRAND decoders, and logaddexp.accumulate
-gives the running sum.  The scan keeps that sum only when something reads
-it: a finite tau, whose abandonment test needs it, or a caller that wants
-the confidence; otherwise a chunk is the syndromes and the hit test alone.
+gives the running sum.  The scan keeps that sum only while something reads
+it: a finite tau that may still abandon, whose test needs it, or a caller
+that wants the confidence.  Once neither is left it drops the sum, and
+each chunk from then on is the syndromes and the hit test alone.
 Query 1 and every chunk then go through one settle step, which records
 first hits, lets every open tau abandon at once, and drops the rows that
 stopped.  ``decode_batch`` runs every chunk for a whole block of
@@ -225,15 +226,17 @@ class _Scan:
     are live.  In the logistic order ``frame`` holds the reliability ranks
     of the rows ``ranked``, those that searched past query 1; the scan
     ranks no others.
-    Without a finite threshold or ``confidence`` the scan keeps none of the
-    running log-mass state (``base``, ``carry``, ``l``, ``fold``), and its
-    log-masses read 0.  An array with a single column is shared by every
-    row: in the hamming order ``cols`` and ``syn``, under an accounting
-    observation ``base`` (and ``carry`` until the first chunk), and under
-    both ``l``, ``fold`` and ``carry``.  Per block row it records how the
-    search ended (HIT or AT_CAP, 0 if every threshold abandoned first) with
-    the query and log-mass there, and per threshold and row those of an
-    abandonment (q 0 for none).
+    The running log-mass state (``base``, ``carry``, ``l``, ``fold``) is
+    kept only while something reads it: an open threshold, or the caller's
+    ``confidence``.  Without ``confidence`` it is dropped by the settle step
+    that closes the last threshold (never built without one), and the
+    log-masses recorded after that read 0.  An array with a single column is
+    shared by every row: in the hamming order ``cols`` and ``syn``, under an
+    accounting observation ``base`` (and ``carry`` until the first chunk),
+    and under both ``l``, ``fold`` and ``carry``.  Per block row it records
+    how the search ended (HIT or AT_CAP, 0 if every threshold abandoned
+    first) with the query and log-mass there, and per threshold and row
+    those of an abandonment (q 0 for none).
     """
 
     def __init__(self, code, hard, reliab, taus, order_kind, max_queries,
@@ -270,8 +273,9 @@ class _Scan:
         self.left = rows
         self.target = np.bitwise_xor.reduce(packed * hard, axis=1)
         self.open = np.full((len(finite), rows), True)
-        # Thresholds test the running log-mass; without one only the
-        # caller's confidence would read it.
+        # Open thresholds test the running log-mass; once none is open
+        # only the caller's confidence would read it.
+        self.confidence = confidence
         self.ledger = confidence or bool(finite)
         if self.ledger:
             # One row of accounting reliabilities serves every row.
@@ -440,6 +444,10 @@ class _Scan:
                 self.ab_cum[self.thresholds[t], self.ids[r]] = cum[a, 0 if shared else r]
                 self.open[t, r] = False
         stopped = hit if self.to_the_end else hit | (self.live & ~self.open.any(axis=0))
+        # A stopped row's thresholds close with it.
+        self.open &= ~stopped
+        if self.ledger and not self.confidence and not self.open.any():
+            self._drop_ledger()
         # Every row that hit has stopped.
         if np.count_nonzero(stopped):
             ids, a = self.ids[hit], hit_i[hit]
@@ -448,6 +456,13 @@ class _Scan:
             if self.ledger:
                 self.end_cum[ids] = cum[a, 0 if shared else hit]
             self._keep(~stopped)
+
+    def _drop_ledger(self):
+        """Stop keeping the running log-mass, which nothing reads any more."""
+        self.ledger = False
+        self.row_state = tuple(name for name in self.row_state if name not in _LEDGER_STATE)
+        for name in _LEDGER_STATE:
+            self.__dict__.pop(name, None)
 
     def _flips(self, lo, stop):
         """Flip sums of queries [lo, stop), bit for bit as np.add.reduceat sums them.
@@ -479,7 +494,6 @@ class _Scan:
             # Once no row is searching nothing reads the other arrays again.
             self.ids = self.ids[:0]
             return
-        self.open &= self.live
         if 2 * self.left <= len(self.ids):
             self._compact()
 
@@ -585,9 +599,10 @@ def decode_batch(code, hard, reliab, taus, order_kind="logistic",
     under tau j gets the outcome that a block holding observation i alone
     gives it, and ``softout.llr_bits`` gives the confidence at that
     outcome's query.
-    With ``confidence=False`` the result has no ``llr_bits`` (None), and when
-    every tau is None the scan keeps no running log-mass at all; status, q
-    and words are the same either way.
+    With ``confidence=False`` the result has no ``llr_bits`` (None), and the
+    scan keeps the running log-mass only until every finite tau has closed
+    (not at all when every tau is None); status, q and words are the same
+    either way.
     """
     hard, reliab = channel._observation_arrays(hard, reliab)
     scan = _Scan(code, hard, reliab, taus, order_kind, max_queries, accounting, confidence)

@@ -388,8 +388,8 @@ def _decode_block(code, params, taus, decoder, master_seed, point_key, lo, hi,
 
     Returns (outcome, q, llr_bits) arrays of shape (len(taus), hi - lo).
     With ``confidence=False`` the decoder reports no confidence and
-    ``llr_bits`` stays NaN; when every tau is None the trials then decode
-    on syndromes alone.
+    ``llr_bits`` stays NaN; once no finite tau is open the trials then
+    decode on syndromes alone.
     """
     order_kind, acct = _decoder_setup(decoder, code, params)
     shape = (len(taus), hi - lo)
@@ -419,7 +419,8 @@ class SweepResult:
     ``stats`` is ordered point-major, tau-minor.  ``batches`` maps
     (policy_label, point_index) to a TrialBatch whose first
     ``base_trials`` entries are common-random-number paired across all
-    taus at that point; escalation trials follow.
+    taus at that point; escalation trials follow.  ``confidence`` says
+    whether the batches carry ``llr_bits``; without it they hold NaN.
     """
 
     stats: list
@@ -427,13 +428,17 @@ class SweepResult:
     points: list
     policy_labels: list
     base_trials: int
+    confidence: bool = True
 
 
 def run_sweep(code, taus, ebn0_points, trials_per_point, master_seed, workers=1,
-              decoder="orbgrand"):
+              decoder="orbgrand", confidence=True):
     """Decode seeded trials at every (tau, Eb/N0) cell and aggregate.
 
     ``taus`` lists abandonment thresholds in bits, None for never abandon.
+    With ``confidence=False`` the batches' ``llr_bits`` stay NaN, and each
+    search keeps its running log-mass only while a finite tau may still
+    abandon it; ``stats``, outcomes and query counts are the same either way.
     """
     if trials_per_point < 1:
         raise ValueError("trials_per_point must be >= 1")
@@ -468,13 +473,13 @@ def run_sweep(code, taus, ebn0_points, trials_per_point, master_seed, workers=1,
                 nonlocal pool
                 args = (code, params, [taus[j] for j in active], decoder, master_seed, key)
                 if workers <= 1 or hi - lo < 64:
-                    parts = [_decode_block(*args, lo, hi)]
+                    parts = [_decode_block(*args, lo, hi, confidence)]
                 else:
                     if pool is None:
                         pool = ProcessPoolExecutor(max_workers=min(workers, _cpus()))
                     edges = list(range(lo, hi, _TASK)) + [hi]
                     parts = pool.map(_decode_block, *map(repeat, args),
-                                     edges[:-1], edges[1:])
+                                     edges[:-1], edges[1:], repeat(confidence))
                 for part in parts:
                     for j, cols in zip(active, zip(*part)):
                         batches[(labels[j], pi)].extend(*cols)
@@ -503,7 +508,8 @@ def run_sweep(code, taus, ebn0_points, trials_per_point, master_seed, workers=1,
             pool.shutdown()
 
     return SweepResult(stats=stats, batches=batches, points=points,
-                       policy_labels=labels, base_trials=trials_per_point)
+                       policy_labels=labels, base_trials=trials_per_point,
+                       confidence=confidence)
 
 
 def ks_distance_geometric(samples, p):
@@ -699,8 +705,12 @@ def write_trials_csv(path, result):
 
     The policies at a point mostly share their ``llr_bits`` values, so each
     distinct float64 bit pattern is formatted once per point; 0.0 and -0.0
-    stay apart.
+    stay apart.  A result swept with ``confidence=False`` has no
+    ``llr_bits`` to write, so it raises ValueError.
     """
+    if not result.confidence:
+        raise ValueError("this sweep ran with confidence=False, so it has no "
+                         "llr_bits for trials.csv")
     with open(path, "w") as fh:
         fh.write("policy,ebn0_db,trial,outcome,q,llr_bits,true_noise_found\n")
         for pi, ebn0_db in enumerate(result.points):

@@ -49,7 +49,7 @@ def markers(code128):
 @pytest.fixture(scope="module")
 def sweep(code128):
     return run_sweep(code128, (None, 0.0, 1.0, 2.0), SWEEP_POINTS, SWEEP_TRIALS,
-                     SWEEP_SEED)
+                     SWEEP_SEED, confidence=False)
 
 
 def _by_cell(sweep):

@@ -211,6 +211,12 @@ class TestMainExitCodes:
         assert main(["--mode", "markers", "--code", "crc:64:52:0x5"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_improbable_rlc_shape_exits_2(self, capsys):
+        # k = 1 needs the one column of A to be all ones over 63 rows, which
+        # no bounded number of random draws finds.
+        assert main(["--mode", "markers", "--code", "rlc:64:1:1"]) == 2
+        assert "could not draw an A matrix" in capsys.readouterr().err
+
     def test_statistical_guard_exits_3(self, capsys):
         assert main(["--mode", "fig1", "--code", "rlc:16:8:4",
                      "--ebn0", "12", "--trials", "5"]) == 3
@@ -373,6 +379,26 @@ class TestSweepMode:
         argv2[argv.index(str(tmp_path / "run1"))] = str(tmp_path / "run2")
         assert main(argv2) == 0
         assert sweep.read_bytes() == (tmp_path / "run2" / "sweep.csv").read_bytes()
+        capsys.readouterr()
+
+
+    def test_confidence_only_for_trials_csv(self, tmp_path, monkeypatch, capsys):
+        asked = []
+        sweep = cli.run_sweep
+
+        def spy(*args, **kwargs):
+            asked.append(kwargs["confidence"])
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_sweep", spy)
+        argv = ["--mode", "sweep", "--code", "rlc:16:8:4", "--tau", "none,2",
+                "--ebn0", "1", "--trials", "50", "--seed", "11"]
+        assert main(argv + ["--out", str(tmp_path / "full"), "--trials-csv"]) == 0
+        assert main(argv + ["--out", str(tmp_path / "lean")]) == 0
+        assert asked == [True, False]
+        assert ((tmp_path / "full" / "sweep.csv").read_bytes()
+                == (tmp_path / "lean" / "sweep.csv").read_bytes())
+        assert not (tmp_path / "lean" / "trials.csv").exists()
         capsys.readouterr()
 
 

@@ -327,6 +327,16 @@ def _grand(code, ebn0):
                                                       crossover)
 
 
+def _assert_same_without_confidence(code, arrays, taus, kind, max_queries, acct):
+    """Status, q and words as with the confidence kept, and no llr_bits."""
+    want = decode_batch(code, *arrays, taus, kind, max_queries, acct)
+    got = decode_batch(code, *arrays, taus, kind, max_queries, acct, confidence=False)
+    assert got.llr_bits is None
+    assert np.array_equal(got.status, want.status)
+    assert np.array_equal(got.q, want.q)
+    assert np.array_equal(got.words, want.words)
+
+
 class TestBatchDecode:
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
@@ -441,22 +451,50 @@ class TestBatchDecode:
         rows = data.draw(st.integers(1, 12), label="rows")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32), label="seed"))
         _, arrays = _block(code, ebn0, rows, rng)
-        # Without a finite tau the scan keeps no running sum; with one it
-        # does, and abandonment must come out the same.
-        taus = [None] + data.draw(st.lists(st.floats(-20.0, 60.0), max_size=1), label="tau")
-        caps = st.none() | st.integers(1, 15) | st.integers(16, 64) | st.integers(65, 300)
+        # Without confidence the scan keeps the running sum only while a
+        # finite tau is open, and drops it when the last one closes: at
+        # query 1, inside a chunk, or past query 64.  Abandonment must come
+        # out as with the sum kept to the end.
+        taus = [None] + data.draw(st.lists(st.floats(-20.0, 60.0), min_size=1, max_size=3),
+                                  label="taus")
+        caps = (st.none() | st.integers(1, 15) | st.integers(16, 64) | st.integers(65, 300)
+                | st.integers(301, 4096))
         max_queries = data.draw(caps, label="max_queries")
         kind = data.draw(st.sampled_from(["logistic", "hamming"]), label="kind")
         acct = None
         if data.draw(st.booleans(), label="bsc"):
             crossover = bsc_crossover(ChannelParams(ebn0_db=ebn0, rate=code.rate))
             acct = SoftObservation.from_flip_probs(np.zeros(n, dtype=np.uint8), crossover)
-        want = decode_batch(code, *arrays, taus, kind, max_queries, acct)
-        got = decode_batch(code, *arrays, taus, kind, max_queries, acct, confidence=False)
-        assert got.llr_bits is None
-        assert np.array_equal(got.status, want.status)
-        assert np.array_equal(got.q, want.q)
-        assert np.array_equal(got.words, want.words)
+        _assert_same_without_confidence(code, arrays, taus, kind, max_queries, acct)
+
+    @pytest.mark.parametrize("kind, accounting", [("logistic", "soft"), ("hamming", "soft"),
+                                                  ("hamming", "bsc")])
+    def test_ledger_dropped_when_the_last_tau_closes(self, kind, accounting, monkeypatch):
+        # Clean rows that stop early and noisy ones that search deep; each
+        # tau list's last finite tau closes at query 1, in a chunk inside
+        # the 64-query block, or past it, and rows search on after it.
+        code = make_rlc(32, 22, seed=3)
+        rng = np.random.default_rng(21)
+        parts = [_block(code, ebn0, 12, rng)[1] for ebn0 in (4.0, -2.0)]
+        arrays = tuple(np.concatenate(rows) for rows in zip(*parts))
+        acct = _grand(code, 1.0)[1] if accounting == "bsc" else None
+        # (first query index of the settle that dropped it, rows searching on)
+        drops, settle = [], decoder._Scan._settle
+
+        def spy(scan, lo, *args):
+            kept = scan.ledger
+            settle(scan, lo, *args)
+            if kept and not scan.ledger:
+                drops.append((lo, scan.left))
+
+        monkeypatch.setattr(decoder._Scan, "_settle", spy)
+        for taus in [(None, 60.0), (None, 5.0), (None, 2.0), (None, 0.0, 1.0, 2.0)]:
+            _assert_same_without_confidence(code, arrays, taus, kind, None, acct)
+        monkeypatch.undo()
+        # one drop per tau list, each with rows still searching
+        assert len(drops) == 4 and all(left > 0 for _, left in drops)
+        phases = {"query 1" if lo == 0 else "block" if lo < 64 else "deep" for lo, _ in drops}
+        assert phases == {"query 1", "block", "deep"}
 
     @pytest.mark.parametrize("kind, accounting", [("logistic", "soft"), ("hamming", "bsc"),
                                                   ("hamming", "soft")])
@@ -715,6 +753,8 @@ class TestDeepBlockMemory:
     @pytest.mark.parametrize("taus, confidence, bound_mb", [
         ((None,), False, 6.0),
         ((None, 0.0, 1.0, 2.0), True, 24.0),
+        # Every finite tau closes early, and the ledger goes with them.
+        ((None, 0.0, 1.0, 2.0), False, 6.0),
     ])
     def test_peak_of_a_sweep_block_at_0db(self, taus, confidence, bound_mb):
         code = make_rlc(128, 116, seed=1)

@@ -189,6 +189,64 @@ class TestLockstepBatches:
         assert (_csv_bytes(serial, tmp_path, "serial")
                 == _csv_bytes(pooled, tmp_path, "pooled"))
 
+    def test_without_confidence_pooled_equals_serial(self, small_code, monkeypatch):
+        monkeypatch.setattr(harness, "_TASK", 40)  # several tasks per block
+        monkeypatch.setattr(harness, "_MAX_TRIALS_FACTOR", 4)
+        kwargs = dict(code=small_code, taus=self.TAUS, ebn0_points=[1.0, 4.0],
+                      trials_per_point=96, master_seed=11)
+        serial = run_sweep(workers=1, confidence=False, **kwargs)
+        pooled = run_sweep(workers=2, confidence=False, **kwargs)
+        assert not serial.confidence and not pooled.confidence
+        assert len(pooled.batches[("tau=1000", 1)]) == 384
+        _stats_match(serial.stats, pooled.stats)
+        _batches_match(serial.batches, pooled.batches)
+        assert all(np.isnan(b.llr_bits).all() for b in pooled.batches.values())
+        # The same cells and per-trial outcomes as a sweep that keeps the confidence.
+        full = run_sweep(workers=1, **kwargs)
+        assert full.confidence
+        _stats_match(full.stats, serial.stats)
+        for key, b in full.batches.items():
+            assert np.array_equal(b.outcome, serial.batches[key].outcome)
+            assert np.array_equal(b.q, serial.batches[key].q)
+
+    @pytest.mark.parametrize("decoder", ["orbgrand", "grand"])
+    def test_drops_the_ledger_once_every_tau_closes(self, monkeypatch, decoder):
+        # Without confidence a scan grows its running sum and wrong-hit
+        # table only while a finite tau is open; its rows then search on
+        # with syndromes alone.
+        closed, calls, searched_on = [False], [], []
+        init, settle = _Scan.__init__, _Scan._settle
+
+        def spy_init(scan, *args):
+            closed[0] = False
+            init(scan, *args)
+
+        def spy_settle(scan, *args):
+            settle(scan, *args)
+            closed[0] = not scan.open.any()
+            searched_on.append(closed[0] and scan.left > 0)
+
+        def guarded(real):
+            def call(*args):
+                assert not closed[0], "the ledger grew after every tau closed"
+                calls.append(real.__name__)
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(_Scan, "__init__", spy_init)
+        monkeypatch.setattr(_Scan, "_settle", spy_settle)
+        monkeypatch.setattr(_Scan, "_running_sum", guarded(_Scan._running_sum))
+        monkeypatch.setattr(softout, "log_p_incorrect_prefix",
+                            guarded(softout.log_p_incorrect_prefix))
+        code = make_rlc(32, 22, seed=3)
+        res = run_sweep(code, (None, 0.0, 2.0), [0.0, 2.0], 48, master_seed=5,
+                        decoder=decoder, confidence=False)
+        monkeypatch.undo()
+        assert "_running_sum" in calls and any(searched_on)
+        want = run_sweep(code, (None, 0.0, 2.0), [0.0, 2.0], 48, master_seed=5,
+                         decoder=decoder)
+        _stats_match(want.stats, res.stats)
+
     def test_pool_size_bounded_by_available_cpus(self, small_code, tmp_path, monkeypatch):
         sizes = []
 
@@ -589,6 +647,13 @@ class TestCsvOutputs:
             assert found == ("true" if outcome == "correct" else "false")
             float(llr)  # parses
         assert "correct" in seen
+
+    def test_trials_csv_needs_the_confidence(self, small_code, tmp_path):
+        res = run_sweep(small_code, (None, 2.0), [3.0], 20, master_seed=1,
+                        confidence=False)
+        with pytest.raises(ValueError, match="confidence=False"):
+            write_trials_csv(tmp_path / "t.csv", res)
+        assert not (tmp_path / "t.csv").exists()
 
     def test_trials_csv_field_formats(self, tmp_path):
         """Every field as ``str`` / ``format(.12g)`` writes it, NaN included."""
