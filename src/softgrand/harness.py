@@ -12,8 +12,9 @@ of sweep layout.
 Sweeps and fig1 run trials in lockstep batches: each trial's message and
 noise are drawn from its own seed, then the batch is encoded, transmitted
 and decoded as whole arrays.  The draws are default_rng's bits, but
-SeedSequence's hash-mix runs over the whole batch as uint32 arrays and one
-reused PCG64 takes each trial's state in turn; a first-use check against
+SeedSequence's hash-mix and PCG64's seeding run over the whole batch as
+uint32 and uint64 arrays, and one reused PCG64 takes each trial's state in
+turn through a view of its state memory; a first-use check against
 default_rng falls back to one generator per trial if numpy's internals
 differ.  Each batch gets one ``decode_batch`` call under all the taus,
 which runs every trial's search as (trials, queries) arrays until the
@@ -224,7 +225,6 @@ def _stats_from_batch(label, ebn0_db, batch):
 # SeedSequence's hash-mix constants, pool size and PCG64's multiplier, as
 # numpy's bit_generator.pyx and pcg64.h define them.
 _M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
@@ -292,43 +292,123 @@ def _seed_states(entropy):
     return state.astype("<u4", copy=False).view("<u8")
 
 
-def _array_draws(k, n, master_seed, point_key, lo, hi):
-    """``_loop_draws``' messages and noise from one hash-mix per batch.
+def _limbs(value):
+    """A 128-bit int as uint64 (low, high) words."""
+    return np.uint64(value & (1 << 64) - 1), np.uint64(value >> 64)
 
-    Each trial's PCG64 state follows from its seed words with 128-bit
-    arithmetic and is set on one reused bit generator.  ``integers(0, 2,
-    k, uint8)`` returns the top bit of each little-endian byte of the raw
-    output, so the messages come from ``random_raw`` words in one shift;
-    the noise is the generator's ``standard_normal``, which reads whole
-    uint64s.
+
+_U1, _U32, _U63 = np.uint64(1), np.uint64(32), np.uint64(63)
+_LO32 = np.uint64(_M32)
+_MULT_LO, _MULT_HI = _limbs(_PCG_MULT)
+
+
+def _mul_hi(x, y):
+    """The high 64 bits of each 64x64-bit product, from 32-bit halves."""
+    x0, x1, y0, y1 = x & _LO32, x >> _U32, y & _LO32, y >> _U32
+    lo, cross = x0 * y0, x1 * y0
+    mid = (lo >> _U32) + (cross & _LO32) + x0 * y1
+    return x1 * y1 + (cross >> _U32) + (mid >> _U32)
+
+
+def _add128(a_lo, a_hi, b_lo, b_hi):
+    """(a + b) mod 2^128 on (low, high) uint64 words."""
+    lo = a_lo + b_lo
+    return lo, a_hi + b_hi + (lo < a_lo)
+
+
+def _pcg_states(seeds):
+    """PCG64's (state, inc) for each row of ``generate_state(4, uint64)`` words.
+
+    ``seeds`` is a (rows, 4) uint64 array of words s0..s3; the result is a
+    (rows, 4) uint64 array of state low, state high, inc low and inc high
+    words.  PCG64 seeds as pcg64.h's ``pcg64_srandom_r``: inc is s2:s3
+    shifted up one with the low bit set, and from state 0 it steps (to
+    inc), adds s0:s1 and steps again, all mod 2^128.
     """
+    s0, s1, s2, s3 = seeds.T
+    out = np.empty(seeds.shape, dtype=np.uint64)
+    inc_lo, inc_hi = out[:, 2], out[:, 3]
+    inc_lo[:] = s3 << _U1 | _U1
+    inc_hi[:] = s2 << _U1 | s3 >> _U63
+    lo, hi = _add128(inc_lo, inc_hi, s1, s0)
+    out[:, 0], out[:, 1] = _add128(
+        lo * _MULT_LO, _mul_hi(lo, _MULT_LO) + lo * _MULT_HI + hi * _MULT_LO, inc_lo, inc_hi)
+    return out
+
+
+def _trial_states(master_seed, point_key, lo, hi):
+    """``_pcg_states`` of trials [lo, hi), seeded by (master_seed, point_key, trial)."""
     prefix = _words(master_seed) + _words(point_key)
-    nraw = -(-k // 8)
-    raw = np.empty((hi - lo, nraw), dtype=np.uint64)
-    noise = np.empty((hi - lo, n))
-    bitgen = np.random.PCG64(0)
-    normal = np.random.Generator(bitgen).standard_normal
-    pcg = {}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    states = np.empty((hi - lo, 4), dtype=np.uint64)
     a = lo
     while a < hi:
         # Trials of one word count share an entropy width; a trial of
         # 2^32 or more adds a word.
         width = len(_words(a))
         b = min(hi, 1 << 32 * width)
+        trials = np.arange(a, b, dtype=np.uint64)
         entropy = np.empty((b - a, len(prefix) + width), dtype=np.uint32)
         entropy[:, :len(prefix)] = prefix
         for j in range(width):
-            entropy[:, len(prefix) + j] = [t >> 32 * j & _M32 for t in range(a, b)]
-        for i, (s0, s1, s2, s3) in enumerate(_seed_states(entropy).tolist(), a - lo):
-            # PCG64's seeding: from state 0, step, add the seed, step.
-            inc = ((s2 << 64 | s3) << 1 | 1) & _M128
-            pcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
-            pcg["inc"] = inc
-            bitgen.state = state
-            raw[i] = bitgen.random_raw(nraw)
-            normal(out=noise[i])
+            entropy[:, len(prefix) + j] = trials >> np.uint64(32 * j) & _LO32
+        states[a - lo:b - lo] = _pcg_states(_seed_states(entropy))
         a = b
+    return states
+
+
+# A PCG64 state whose four words differ, to check the state view against.
+_PROBE_STATE = {"state": 0x0123456789ABCDEF_FEDCBA9876543211,
+                "inc": 0x1122334455667788_99AABBCCDDEEFF01}
+
+
+def _state_words(bitgen):
+    """A uint64 view of the four words of ``bitgen``'s ``pcg64_random_t``.
+
+    ``bitgen.ctypes.state_address`` points at numpy's ``pcg64_state``,
+    whose first member points at the generator's state and inc.
+    """
+    import ctypes  # numpy has loaded it already
+    address = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    return np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64)
+
+
+def _state_view(bitgen):
+    """``_state_words(bitgen)`` if it reads back ``_pcg_states``' layout, else None.
+
+    A state is set through the public ``state`` setter and read back
+    through the view; nothing is written through the view here.
+    """
+    words = _state_words(bitgen)
+    bitgen.state = {"bit_generator": "PCG64", "state": _PROBE_STATE,
+                    "has_uint32": 0, "uinteger": 0}
+    want = [*_limbs(_PROBE_STATE["state"]), *_limbs(_PROBE_STATE["inc"])]
+    return words if np.array_equal(words, np.array(want, dtype=np.uint64)) else None
+
+
+def _array_draws(k, n, master_seed, point_key, lo, hi):
+    """``_loop_draws``' messages and noise from one hash-mix per batch.
+
+    Every trial's PCG64 state comes from array arithmetic over the batch
+    and is written through a view of one reused bit generator's state.
+    ``integers(0, 2, k, uint8)`` returns the top bit of each little-endian
+    byte of the raw output, so the messages come from ``random_raw`` words
+    in one shift; the noise is the generator's ``standard_normal``, which
+    reads whole uint64s.  Should the view not read back a state set through
+    the public setter, ``_loop_draws`` draws the batch instead.
+    """
+    bitgen = np.random.PCG64(0)
+    words = _state_view(bitgen)
+    if words is None:
+        return _loop_draws(k, n, master_seed, point_key, lo, hi)
+    nraw = -(-k // 8)
+    raw = np.empty((hi - lo, nraw), dtype=np.uint64)
+    noise = np.empty((hi - lo, n))
+    random_raw = bitgen.random_raw
+    normal = np.random.Generator(bitgen).standard_normal
+    for i, state in enumerate(_trial_states(master_seed, point_key, lo, hi)):
+        words[:] = state
+        raw[i] = random_raw(nraw)
+        normal(out=noise[i])
     msgs = raw.astype("<u8", copy=False).view(np.uint8)[:, :k] >> 7
     return msgs, noise
 
@@ -347,8 +427,12 @@ def _loop_draws(k, n, master_seed, point_key, lo, hi):
 def _array_draws_match():
     """Whether ``_array_draws`` gives ``_loop_draws``' bits with this numpy.
 
-    Two trials: one with entropy shorter than the pool and one longer.
+    First the state view must read back a state set through the public
+    setter, so nothing is written through a view of the wrong layout.
+    Then two trials: one with entropy shorter than the pool and one longer.
     """
+    if _state_view(np.random.PCG64(0)) is None:
+        return False
     probes = [(113, 128, 0, 0, 0, 1),
               (113, 128, 2**64 + 5, _point_key(1.115278), 2**32 + 1, 2**32 + 2)]
     return all(np.array_equal(x, y) for args in probes

@@ -87,6 +87,15 @@ def _csv_bytes(result, tmp_path, name):
             (tmp_path / f"{name}-trials.csv").read_bytes())
 
 
+def _pcg_reference(seed_words):
+    """PCG64's [state lo, state hi, inc lo, inc hi] from s0..s3, in Python ints."""
+    s0, s1, s2, s3 = seed_words
+    mask = (1 << 128) - 1
+    inc = ((s2 << 64 | s3) << 1 | 1) & mask
+    state = ((inc + (s0 << 64 | s1)) * harness._PCG_MULT + inc) & mask
+    return [state & 2**64 - 1, state >> 64, inc & 2**64 - 1, inc >> 64]
+
+
 def _default_rng_draws(k, n, master_seed, point_key, trials):
     """Messages and noise drawn by one default_rng per trial."""
     rngs = [np.random.default_rng(np.random.SeedSequence((master_seed, point_key, t)))
@@ -148,6 +157,72 @@ class TestSeeding:
         neg = run_sweep(small_code, (None, 1.0), [-0.0], 50, master_seed=2)
         pos = run_sweep(small_code, (None, 1.0), [0.0], 50, master_seed=2)
         _batches_match(neg.batches, pos.batches)
+
+    def test_pcg_states_equal_python_ints_on_edge_words(self):
+        top = 2**64 - 1
+        seeds = [
+            (5, top, 9, 3),                  # s1 + inc_lo carries out of the low word
+            (top - 1, top - 2, 1, top),      # and s3's top bit shifts into inc_hi
+            (1, 2, 3, 2**63 + 7),            # s3's top bit set
+            (top, 0, top, 0),                # s0 = s2 = 2^64 - 1
+            (top, top, top, top),
+            (0, 0, 0, 0),
+        ]
+        rng = np.random.default_rng(3)
+        seeds += [tuple(int(w) for w in rng.integers(0, 2**64, 4, dtype=np.uint64))
+                  for _ in range(8)]
+        got = harness._pcg_states(np.array(seeds, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [_pcg_reference(row) for row in seeds]
+
+    @pytest.mark.parametrize("master_seed", [0, 2**64 + 5])
+    def test_trial_states_across_trial_two_to_the_32(self, master_seed):
+        key = harness._point_key(6.0)
+        lo, hi = 2**32 - 1, 2**32 + 1
+        seqs = [np.random.SeedSequence((master_seed, key, t)) for t in range(lo, hi)]
+        want = [_pcg_reference([int(w) for w in seq.generate_state(4, np.uint64)])
+                for seq in seqs]
+        # The reference is PCG64's own seeding.
+        for (state_lo, state_hi, inc_lo, inc_hi), seq in zip(want, seqs):
+            pcg = np.random.PCG64(seq).state["state"]
+            assert pcg == {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo}
+        assert harness._trial_states(master_seed, key, lo, hi).tolist() == want
+
+    def test_mismatched_view_is_never_written(self, small_code, tmp_path, monkeypatch):
+        def sweep_bytes(name):
+            res = run_sweep(small_code, TestLockstepBatches.TAUS, [1.0, 4.0], 40,
+                            master_seed=8)
+            return _csv_bytes(res, tmp_path, name)
+
+        monkeypatch.setattr(harness, "_MAX_TRIALS_FACTOR", 4)
+        monkeypatch.setattr(harness, "_fast_seeding", None)
+        fast = sweep_bytes("fast")
+        assert harness._fast_seeding is True
+
+        writes, state_words = [], harness._state_words
+
+        class SwappedView:
+            # The real words with each 128-bit value's halves swapped, as a
+            # numpy that stored the high word first would lay them out.
+            def __init__(self, bitgen):
+                self.words = state_words(bitgen)
+
+            def __array__(self, dtype=None, copy=None):
+                return self.words[[1, 0, 3, 2]]
+
+            def __setitem__(self, index, value):
+                writes.append(value)
+
+        monkeypatch.setattr(harness, "_fast_seeding", None)
+        monkeypatch.setattr(harness, "_state_words", SwappedView)
+        assert harness._array_draws_match() is False
+        assert sweep_bytes("fallback") == fast
+        assert harness._fast_seeding is False
+        # Called directly, the array seeder falls back too.
+        args = (113, 128, 8, harness._point_key(1.0), 0, 3)
+        assert all(np.array_equal(x, y) for x, y in
+                   zip(harness._array_draws(*args), harness._loop_draws(*args)))
+        assert writes == []
 
 
 class TestLockstepBatches:
