@@ -303,7 +303,6 @@ def _run_sweep_mode(config, code):
     result = run_sweep(code, config.taus, config.ebn0_points, config.trials,
                        config.seed, workers=config.workers, decoder=config.decoder,
                        confidence=config.trials_csv)
-    os.makedirs(config.out, exist_ok=True)
     csv_path = os.path.join(config.out, "sweep.csv")
     write_sweep_csv(csv_path, result.stats, meta=_sidecar_meta(config, code))
     print(f"wrote {csv_path} ({len(result.stats)} cells)")
@@ -317,7 +316,6 @@ def _run_sweep_mode(config, code):
 def _run_fig1_mode(config, code):
     dist = collect_error_query_distribution(code, config.ebn0_points[0], config.trials,
                                             config.seed, decoder=config.decoder)
-    os.makedirs(config.out, exist_ok=True)
     csv_path = os.path.join(config.out, "fig1.csv")
     lo, hi, counts = dist.histogram_log2()
     with open(csv_path, "w") as fh:
@@ -368,6 +366,12 @@ def _run_markers_mode(config, code):
 
 def run(config):
     """Execute a validated RunConfig; returns the process exit code."""
+    if config.mode in ("sweep", "fig1"):
+        # Made before anything is decoded, so an unusable --out costs nothing.
+        try:
+            os.makedirs(config.out, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot use --out {config.out!r}: {e}") from None
     code = _make_code(config)
     if config.mode == "sweep":
         return _run_sweep_mode(config, code)

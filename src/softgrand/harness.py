@@ -462,8 +462,10 @@ def _decoder_setup(decoder, code, params):
     """``decoder``'s pattern order and accounting observation (None if soft) at a point."""
     order_kind, accounting = DECODERS[decoder]
     # BSC accounting: one constant-crossover observation serves every trial.
+    # Clamped as flip_probability clamps: the crossover underflows at high Eb/N0.
     return order_kind, None if accounting == "soft" else SoftObservation.from_flip_probs(
-        np.zeros(code.n, dtype=np.uint8), bsc_crossover(params))
+        np.zeros(code.n, dtype=np.uint8),
+        max(bsc_crossover(params), np.finfo(float).smallest_subnormal))
 
 
 def _decode_block(code, params, taus, decoder, master_seed, point_key, lo, hi,

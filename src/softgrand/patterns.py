@@ -231,28 +231,23 @@ class _OrderTable:
         """Patterns [max(lo, 1), hi) in groups to take in turn, memoised.
 
         Each pattern's parent comes before ``lo`` or in an earlier group.
-        The groups are index arrays, or one slice when no parent falls in
-        the range, as in deep ranges: a parent weighs less by its largest
-        index.
+        The groups are index arrays of one flip count each, in ascending
+        order, since a parent has one flip fewer; or one slice when no
+        parent falls in the range, as in deep ranges: a parent weighs less
+        by its largest index.
         """
         got = self._waves.get((lo, hi))
         if got is not None:
             return got
         start = max(lo, 1)
-        par = self.parent[start:hi]
-        inner = par >= start
-        if not inner.any():
+        if not (self.parent[start:hi] >= start).any():
             got = [slice(start, hi)]
         else:
-            # How many parents in the range a pattern waits for.
-            depth = np.zeros(hi - start, dtype=np.intp)
-            up = par[inner] - start
-            while True:
-                deeper = depth[up] + 1
-                if np.array_equal(deeper, depth[inner]):
-                    break
-                depth[inner] = deeper
-            got = [np.flatnonzero(depth == d) + start for d in range(int(depth.max()) + 1)]
+            flips = self.flips[start:hi]
+            # The flip counts present, ascending; np.unique would import
+            # numpy.ma, about 1.4 MB of peak memory.
+            present = np.flatnonzero(np.bincount(flips))
+            got = [np.flatnonzero(flips == f) + start for f in present]
         self._waves[(lo, hi)] = got
         return got
 

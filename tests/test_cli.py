@@ -223,6 +223,45 @@ class TestMainExitCodes:
         assert "guard failure" in capsys.readouterr().err
 
 
+class TestUnusableOut:
+    """An --out that cannot be a directory exits 2 before anything decodes."""
+
+    @pytest.mark.parametrize("mode", ["sweep", "fig1"])
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_exits_2_before_decoding(self, mode, under_file, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("decoded for an unusable --out")
+
+        monkeypatch.setattr(cli, "run_sweep", never)
+        monkeypatch.setattr(cli, "collect_error_query_distribution", never)
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker / "sub" if under_file else blocker
+        assert main(["--mode", mode, "--code", "rlc:16:8:4", "--ebn0", "3",
+                     "--trials", "5", "--out", str(out)]) == 2
+        assert "cannot use --out" in capsys.readouterr().err
+        assert blocker.read_text() == "kept"
+
+
+class TestGrandAtHighEbn0:
+    """Where the BSC crossover underflows to 0, --decoder grand still decodes."""
+
+    def test_sweep_at_40_db(self, tmp_path, capsys):
+        assert main(["--mode", "sweep", "--code", "rlc:16:8:1", "--ebn0", "40",
+                     "--decoder", "grand", "--trials", "5", "--out", str(tmp_path),
+                     "--trials-csv"]) == 0
+        assert bsc_crossover(ChannelParams(ebn0_db=40.0, rate=0.5)) == 0.0
+        rows = (tmp_path / "trials.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3:6] for row in rows] == [["correct", "1", "8"]] * 5
+        capsys.readouterr()
+
+    def test_oracle_at_60_db(self, capsys):
+        assert main(["--mode", "oracle", "--code", "rlc:8:4:3", "--ebn0", "60",
+                     "--decoder", "grand"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out and "FAIL" not in out
+
+
 class TestRejectedValues:
     """Non-finite thresholds or Eb/N0 and over-wide codes exit 2, no numbers."""
 

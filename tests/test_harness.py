@@ -608,6 +608,22 @@ class TestErrorQueryDistribution:
             collect_error_query_distribution(make_rlc(16, 8, 1), 0.0, 5, -1)
 
 
+class TestDecoderSetup:
+    @pytest.mark.parametrize("n, k, ebn0, underflows", [
+        (16, 8, 35.0, True), (16, 8, 300.0, True), (128, 116, 29.0, True),
+        (128, 116, 28.9, False), (128, 116, -3.0, False)])
+    def test_bsc_accounting_reliabilities_are_finite(self, n, k, ebn0, underflows):
+        params = ChannelParams(ebn0_db=ebn0, rate=k / n)
+        order_kind, acct = harness._decoder_setup("grand", make_rlc(n, k, 1), params)
+        assert order_kind == "hamming"
+        assert np.isfinite(acct.reliab).all() and (acct.reliab > 0).all()
+        p = bsc_crossover(params)
+        assert (p == 0) == underflows
+        if p > 0:
+            # Where the crossover does not underflow its bits are used as is.
+            assert acct.reliab.tolist() == [math.log1p(-p) - math.log(p)] * n
+
+
 class TestExhaustiveOracle:
     @pytest.mark.parametrize("kind", ["logistic", "hamming"])
     def test_ledger_matches_brute_force(self, kind):

@@ -244,6 +244,32 @@ class TestTableInternals:
         assert_pointers(again)
 
 
+class TestWaves:
+    """A range's groups let each pattern follow its parent's value."""
+
+    @pytest.mark.parametrize("kind", ["hamming", "logistic"])
+    @pytest.mark.parametrize("n", [5, 12, 128])
+    def test_parents_come_first(self, kind, n):
+        cap = min(1 << 15, 1 << n)
+        table = patterns._OrderTable(kind, n)
+        table.extend_to(cap)
+        for lo, hi in [(0, min(300, cap))] + list(decoder._chunk_bounds(cap)):
+            start = max(lo, 1)
+            groups = table.waves(lo, hi)
+            assert table.waves(lo, hi) is groups  # memoised
+            members = [np.arange(hi)[g] for g in groups]
+            # The groups partition [start, hi) ...
+            assert np.array_equal(np.sort(np.concatenate(members)), np.arange(start, hi))
+            # ... and each pattern's parent lies before start or in an
+            # earlier group.
+            known = np.arange(hi) < start
+            for group in members:
+                assert known[table.parent[group]].all(), (lo, hi)
+                known[group] = True
+            if (table.parent[start:hi] < start).all():
+                assert len(groups) == 1 and isinstance(groups[0], slice)
+
+
 class TestPatternProbability:
     def test_matches_direct_product(self):
         rng = np.random.default_rng(5)
