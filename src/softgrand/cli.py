@@ -38,6 +38,9 @@ MAX_EBN0_POINTS = 10_000
 
 _FLAG_KEYS = ("mode", "code", "decoder", "tau", "ebn0", "trials", "seed",
               "workers", "out", "trials_csv")
+# A sidecar's config block also names the package version that wrote it, so
+# a config file may too; the version is read and otherwise ignored.
+_CONFIG_KEYS = _FLAG_KEYS + ("version",)
 
 
 class ConfigError(ValueError):
@@ -210,12 +213,12 @@ def parse_and_validate(argv=None):
             raise ConfigError(f"cannot read config {args.config!r}: {e}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(file_cfg) - set(_FLAG_KEYS))
+        unknown = sorted(set(file_cfg) - set(_CONFIG_KEYS))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         # Flags arrive as strings; type() keeps bool, an int subclass, out of tau.
         for key, v in file_cfg.items():
-            if key in ("mode", "code", "decoder", "out") and type(v) is not str:
+            if key in ("mode", "code", "decoder", "out", "version") and type(v) is not str:
                 raise ConfigError(f"{key} must be a string, got {v!r}")
             if key == "tau" and type(v) not in (str, int, float):
                 raise ConfigError(f"tau must be a string or a number, got {v!r}")
@@ -271,6 +274,8 @@ def parse_and_validate(argv=None):
     trials_csv = merged.get("trials_csv", False)
     if type(trials_csv) is not bool:
         raise ConfigError(f"trials_csv must be true or false, got {trials_csv!r}")
+    if trials_csv and mode != "sweep":
+        raise ConfigError(f"--trials-csv is for mode sweep only, got mode {mode}")
 
     return RunConfig(mode=mode, code_kind=kind, n=n, k=k, code_seed=code_seed,
                      poly=poly, decoder=decoder, taus=taus, ebn0_points=points,

@@ -40,9 +40,9 @@ first hits, lets every open tau abandon at once, and drops the rows that
 stopped.  ``decode_batch`` runs every chunk for a whole block of
 observations at once, from query 2 until its last row stops.  Its arrays
 are query-major, (queries, rows), so a parent pointer gathers one
-contiguous vector of every row's syndrome or flip sum; the histories grow
-only to the end of the chunk in hand, and drop the columns of stopped rows
-when they are next moved or once at most half are still searching.
+contiguous vector of every row's syndrome or flip sum; the histories hold
+room for at most twice the queries so far, and a row's column is dropped
+from every array by the settle step at which it stops.
 ``decode_ladder`` is a one-row ``decode_batch`` and ``decode`` its one-tau
 case.  The running sum is accumulated in query order for each row, as a
 one-query-at-a-time loop would, so a row's outcome does not depend on the
@@ -200,7 +200,7 @@ def _chunk_bounds(cap):
 
 
 # The per-row search state; an array with one column is shared by every row.
-_ROW_STATE = ("ids", "live", "target", "open", "cols", "syn")
+_ROW_STATE = ("ids", "target", "open", "cols", "syn")
 # ... and that of the running log-mass, kept only when something reads it.
 _LEDGER_STATE = ("base", "carry", "l", "fold")
 # The per-query histories among them, grown as the search goes deeper.
@@ -211,21 +211,19 @@ class _Scan:
     """Search state of a block of observations, one column each.
 
     Construction settles query 1 for every row, and ``run`` the rest of
-    the search.  Every per-row array holds its rows on its last axis, in
-    the order of ``ids``, the block rows of its columns; ``live`` marks the
-    columns still searching.  Per column the scan holds the parity columns
-    ``cols`` and the reliabilities ``l`` in the row's frame, as (n, rows)
-    arrays, the no-flip log-probability ``base``, the syndrome ``target``
-    to hit, the running log-mass ``carry`` after the last query so far,
-    which thresholds are still ``open``, and the syndrome ``syn`` and
-    left-folded flip sum ``fold`` of every query so far, as (queries, rows)
-    arrays, so that following a parent pointer copies a whole row vector
-    (room is made up to the end of the chunk in hand).  A row that stops
-    leaves ``live`` and closes its thresholds; its column is dropped when
-    the histories are next reallocated, or once at most half the columns
-    are live.  In the logistic order ``frame`` holds the reliability ranks
-    of the rows ``ranked``, those that searched past query 1; the scan
-    ranks no others.
+    the search.  Every per-row array holds the rows still searching on its
+    last axis, in the order of ``ids``, their block rows.  Per column the
+    scan holds the parity columns ``cols`` and the reliabilities ``l`` in
+    the row's frame, as (n, rows) arrays, the no-flip log-probability
+    ``base``, the syndrome ``target`` to hit, the running log-mass ``carry``
+    after the last query so far, which thresholds are still ``open``, and
+    the syndrome ``syn`` and left-folded flip sum ``fold`` of every query so
+    far, as (queries, rows) arrays, so that following a parent pointer
+    copies a whole row vector (with room for at most twice the queries so
+    far).  A row that stops closes its thresholds, and the settle step that
+    stops it drops its column from every per-row array.  In the logistic
+    order ``frame`` holds the reliability ranks of the rows ``ranked``,
+    those that searched past query 1; the scan ranks no others.
     The running log-mass state (``base``, ``carry``, ``l``, ``fold``) is
     kept only while something reads it: an open threshold, or the caller's
     ``confidence``.  Without ``confidence`` it is dropped by the settle step
@@ -269,8 +267,6 @@ class _Scan:
 
         packed = packed_parity_columns(code)
         self.ids = np.arange(rows)
-        self.live = np.full(rows, True)
-        self.left = rows
         self.target = np.bitwise_xor.reduce(packed * hard, axis=1)
         self.open = np.full((len(finite), rows), True)
         # Open thresholds test the running log-mass; once none is open
@@ -293,16 +289,14 @@ class _Scan:
         # Query 1 flips nothing: its syndrome is the hard decision's and its
         # log-mass the no-flip one.  Until it is settled these are the only
         # per-row arrays.
-        self.row_state = ("ids", "live", "target", "open") + (("base",) if self.ledger else ())
-        self._settle(0, self.target == 0, np.zeros(rows, dtype=np.intp),
+        self.row_state = ("ids", "target", "open") + (("base",) if self.ledger else ())
+        self._settle(0, 1, self.target == 0, np.zeros(rows, dtype=np.intp),
                      self.base if self.ledger else None)
         # frame[i] maps searching row i's pattern frame to bit positions;
         # None is the identity frame of the hamming order.
         self.frame = None
         if not len(self.ids):
             return
-        if self.left < len(self.ids):
-            self._compact()
         # Only the rows still searching are ranked and gathered.
         reliab = reliab[self.ids]
         if order_kind == "logistic":
@@ -330,24 +324,25 @@ class _Scan:
             self.table.extend_to(hi)
             self._chunk(lo, hi)
         if len(self.ids):
-            live = self.live
-            ids = self.ids[live]
-            self.end[ids] = AT_CAP
-            self.end_q[ids] = self.cap
+            self.end[self.ids] = AT_CAP
+            self.end_q[self.ids] = self.cap
             if self.ledger:
-                carry = self.carry[0]
-                self.end_cum[ids] = carry[live] if len(carry) > 1 else carry
+                self.end_cum[self.ids] = self.carry[0]
             self.ids = self.ids[:0]
 
     def _reserve(self, hi):
         """Room in ``syn`` and ``fold`` for the queries before ``hi``."""
-        have = len(self.syn)
-        if have < hi:
-            # Doubled, or grown to the chunk end if that is further, so a
-            # deep search moves its histories a few times; nothing more is
-            # reserved, since live rows × history is most of a deep block's
-            # memory.  The move drops the columns of stopped rows.
-            self._compact(min(self.cap, max(hi, 2 * have)))
+        for name in _HISTORIES if self.ledger else ("syn",):
+            arr = getattr(self, name)
+            have = len(arr)
+            if have < hi:
+                # Doubled, or grown to the chunk end if that is further, so
+                # a deep search moves its histories a few times; nothing
+                # more is reserved, since searching rows × history is most
+                # of a deep block's memory.
+                new = np.empty((min(self.cap, max(hi, 2 * have)), arr.shape[1]), dtype=arr.dtype)
+                new[:have] = arr
+                setattr(self, name, new)
 
     def _chunk(self, lo, hi):
         """Queries [lo, hi) for every searching row.
@@ -364,14 +359,14 @@ class _Scan:
         if self.ledger:
             # No outcome reads the running sum past a row's first hit, so
             # when every row hits, the sum stops at the last of those hits.
-            m = int(hit_i[hit].max()) + 1 if np.count_nonzero(hit) == self.left else hi - lo
+            m = int(hit_i[hit].max()) + 1 if np.count_nonzero(hit) == len(self.ids) else hi - lo
             cum = self._running_sum(lo, hi, m)
             # Grown even without a threshold: the report at a hit reads it.
             softout.log_p_incorrect_prefix(self.redundancy, hi)
-        self._settle(lo, hit, hit_i, cum)
+        self._settle(lo, hi, hit, hit_i, cum)
 
     def _hits(self, syn):
-        """The live rows whose target is among ``syn``, and where each first is.
+        """The rows whose target is among ``syn``, and where each first is.
 
         ``syn`` holds a run of queries' syndromes, one query per array row
         and one column per searching row, or one column they share; a row's
@@ -391,7 +386,7 @@ class _Scan:
             # form, whose rows argmax reads contiguously.
             eq = syn[:, 0] == target[:, np.newaxis]
             hit, hit_i = np.logical_or.reduce(eq, axis=1), eq.argmax(axis=1)
-        return hit & self.live, hit_i
+        return hit, hit_i
 
     def _running_sum(self, lo, hi, m):
         """Fold queries [lo, hi) and accumulate the running log-mass of [lo, lo + m).
@@ -410,10 +405,10 @@ class _Scan:
         self.carry = cum[-1:].copy()
         return cum
 
-    def _settle(self, lo, hit, hit_i, cum):
-        """Record hits and abandonments from query index ``lo`` on; drop stopped rows.
+    def _settle(self, lo, hi, hit, hit_i, cum):
+        """Record hits and abandonments among query indices [lo, hi); drop stopped rows.
 
-        ``hit`` marks the live rows that hit, first at index ``lo + hit_i``;
+        ``hit`` marks the rows that hit, first at index ``lo + hit_i``;
         ``cum`` is the running log-mass per query and row (one column when
         shared), None without a ledger.  A threshold abandons at its first
         crossing no later than the hit.
@@ -436,7 +431,7 @@ class _Scan:
                 self.ab_q[self.thresholds[t], self.ids[r]] = a + (lo + 1)
                 self.ab_cum[self.thresholds[t], self.ids[r]] = cum[a, 0 if shared else r]
                 self.open[t, r] = False
-        stopped = hit if self.to_the_end else hit | (self.live & ~self.open.any(axis=0))
+        stopped = hit if self.to_the_end else hit | ~self.open.any(axis=0)
         # A stopped row's thresholds close with it.
         self.open &= ~stopped
         if self.ledger and not self.confidence and not self.open.any():
@@ -448,7 +443,7 @@ class _Scan:
             self.end_q[ids] = a + (lo + 1)
             if self.ledger:
                 self.end_cum[ids] = cum[a, 0 if shared else hit]
-            self._keep(~stopped)
+            self._keep(~stopped, hi)
 
     def _drop_ledger(self):
         """Stop keeping the running log-mass, which nothing reads any more."""
@@ -476,49 +471,29 @@ class _Scan:
             flips[big] = np.add.reduceat(by_row, starts, axis=1).T
         return flips
 
-    def _keep(self, live):
-        """Keep searching the rows ``live`` marks; the others leave ``live``.
+    def _keep(self, keep, written):
+        """Keep searching the rows ``keep`` marks, and drop the others' columns.
 
-        Their columns are dropped once at most half the columns are live.
+        An array with a single column among several rows is shared by them
+        and stays.  The histories keep their ``written`` queries, in arrays
+        with room for as many more (up to the cap), so the chunks that
+        follow seldom move them again.  ``take`` keeps every array C-ordered,
+        which indexing its last axis with a mask would not, so each query's
+        row vector stays contiguous.
         """
-        self.live &= live
-        self.left = np.count_nonzero(self.live)
-        if not self.left:
-            # Once no row is searching nothing reads the other arrays again.
-            self.ids = self.ids[:0]
-            return
-        if 2 * self.left <= len(self.ids):
-            # Chunks work on dead columns too.  Compacting only as the
-            # histories grow was faster for fig1 but slower for deep sweeps
-            # that keep the ledger (7 % on rlc:128:116 at 0 dB, tau=none).
-            self._compact()
-
-    def _compact(self, size=None):
-        """Drop the columns of stopped rows; with ``size``, regrow the histories to it.
-
-        ``compress`` keeps every array C-ordered, which indexing its last
-        axis with a mask would not, so each query's row vector stays
-        contiguous.
-        """
-        live = self.live
-        drop = self.left < len(self.ids)
-        if drop:
-            names = self.row_state
-        else:
-            names = _HISTORIES if self.ledger else ("syn",)
-        for name in names:
+        width, kept = len(self.ids), np.flatnonzero(keep)
+        for name in self.row_state:
             arr = getattr(self, name)
-            # A single column is shared by every row, or is the last row's.
-            cut = drop and arr.shape[-1] > 1
-            if size is not None and name in _HISTORIES:
-                new = np.empty((size, self.left if cut else arr.shape[1]), dtype=arr.dtype)
-                if cut:
-                    arr.compress(live, axis=1, out=new[:len(arr)])
-                else:
-                    new[:len(arr)] = arr
-                setattr(self, name, new)
-            elif cut:
-                setattr(self, name, arr.compress(live, axis=-1))
+            if arr.shape[-1] != width:
+                continue
+            if name in _HISTORIES:
+                new = np.empty((min(self.cap, 2 * written), len(kept)), dtype=arr.dtype)
+                # Only under mode "raise" does take stage its output in a
+                # copy; the indices are in range either way.
+                arr[:written].take(kept, axis=1, out=new[:written], mode="clip")
+            else:
+                new = arr.take(kept, axis=-1)
+            setattr(self, name, new)
 
     def results(self):
         """(status, q, log-mass) per threshold and block row, once all stopped.

@@ -183,12 +183,44 @@ class TestConfigFile:
         ({"code": 16}, "code must be a string"),
         ({"tau": True}, "tau must be a string or a number"),
         ({"tau": [1, 2]}, "tau must be a string or a number"),
+        ({"version": 1}, "version must be a string"),
     ])
     def test_wrong_json_types_exit_2(self, tmp_path, capsys, payload, message):
         path = self._write(tmp_path, {"mode": "sweep", "code": "rlc:16:8:1",
                                       "ebn0": "1", **payload})
         assert main(["--config", path, "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode, name, extra", [
+        ("sweep", "sweep.csv", ["--tau", "none,1", "--ebn0", "2,3", "--trials-csv"]),
+        ("fig1", "fig1.csv", ["--ebn0", "-6"]),
+    ])
+    def test_sidecar_config_replays_the_run(self, tmp_path, capsys, mode, name, extra):
+        argv = ["--mode", mode, "--code", "rlc:16:8:4", "--trials", "40", "--seed", "11",
+                *extra]
+        assert main(argv + ["--out", str(tmp_path / "first")]) == 0
+        side = json.loads((tmp_path / "first" / f"{name}.json").read_text())
+        assert "version" in side["config"]
+        path = self._write(tmp_path, side["config"])
+        assert main(["--config", path, "--out", str(tmp_path / "again")]) == 0
+        outputs = [name, "trials.csv"] if mode == "sweep" else [name]
+        for out in outputs:
+            assert ((tmp_path / "first" / out).read_bytes()
+                    == (tmp_path / "again" / out).read_bytes())
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("mode", ["fig1", "oracle", "markers"])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_trials_csv_only_in_sweep_mode(self, tmp_path, capsys, mode, via_config):
+        keys = {"mode": mode, "code": "rlc:8:4:3", "ebn0": "1", "trials": 5}
+        if via_config:
+            argv = ["--config", self._write(tmp_path, {**keys, "trials_csv": True})]
+        else:
+            argv = [arg for key, v in keys.items() for arg in (f"--{key}", str(v))]
+            argv.append("--trials-csv")
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "--trials-csv is for mode sweep only" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

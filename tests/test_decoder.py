@@ -476,7 +476,7 @@ class TestBatchDecode:
             kept = scan.ledger
             settle(scan, lo, *args)
             if kept and not scan.ledger:
-                drops.append((lo, scan.left))
+                drops.append((lo, len(scan.ids)))
 
         monkeypatch.setattr(decoder._Scan, "_settle", spy)
         for taus in [(None, 60.0), (None, 5.0), (None, 2.0), (None, 0.0, 1.0, 2.0)]:
@@ -663,12 +663,12 @@ class TestIncrementalSums:
 
 
 class TestColumnCompaction:
-    """Stopped rows leave the (queries, rows) histories in bulk, C order kept."""
+    """A stopped row's column leaves every per-row array when it stops, C order kept."""
 
     @pytest.mark.parametrize("kind, accounting", [("logistic", "soft"), ("logistic", "bsc"),
                                                   ("hamming", "soft"), ("hamming", "bsc")])
     # Some rows hit while a threshold is open that their log-mass, computed
-    # on until their column is dropped, crosses later.
+    # on until they stop, would cross later.
     @pytest.mark.parametrize("taus, confidence", [((None,), False),
                                                   ((None, 2.0, 0.5, -1.0, -3.0), True)])
     def test_rows_stopping_at_varied_depths(self, kind, accounting, taus, confidence,
@@ -679,47 +679,41 @@ class TestColumnCompaction:
         parts = [_block(code, ebn0, 12, rng)[1] for ebn0 in (4.0, -2.0)]
         arrays = tuple(np.concatenate(rows) for rows in zip(*parts))
         acct = _grand(code, 1.0)[1] if accounting == "bsc" else None
-        # 16-query chunks, so that about every other chunk fits the
-        # histories already made and runs with stopped rows' columns masked
+        # 16-query chunks, so that rows stop in many chunks, some of which
+        # regrow the histories and some of which fit them
         monkeypatch.setattr(decoder, "_CHUNK_EDGES", ())
         monkeypatch.setattr(decoder, "_CHUNK_STEP", 16)
-        # (histories regrown, stopped columns among them, past query 1) per
-        # compaction, and whether each chunk ran with stopped columns in place
-        compactions, masked, at = [], [], [0]
-        chunk, settle, compact = decoder._Scan._chunk, decoder._Scan._settle, decoder._Scan._compact
-
-        def spy_compact(scan, size=None):
-            compactions.append((size is not None, scan.left < len(scan.ids), at[0] > 0))
-            compact(scan, size)
-
-        def spy_settle(scan, lo, *args):
-            masked.append(lo > 0 and scan.left < len(scan.ids))
-            at[0] = lo
-            settle(scan, lo, *args)
+        # The arrays with one column shared by every row: the hamming order
+        # shares the syndromes, BSC accounting the no-flip log-mass, and
+        # both together the whole ledger.
+        shared = {"cols", "syn"} if kind == "hamming" else set()
+        if accounting == "bsc":
+            shared |= {"base", "l", "fold", "carry"} if kind == "hamming" else {"base"}
+        # (rows searching before, after) each chunk
+        searching, chunk = [], decoder._Scan._chunk
 
         def spy_chunk(scan, lo, hi):
+            before = len(scan.ids)
             chunk(scan, lo, hi)
-            # Rows on axis 1, one column each or one shared by all: the
-            # hamming order shares syn, and BSC accounting there fold too.
-            widths = {"syn": 1 if kind == "hamming" else len(scan.ids)}
-            if scan.ledger:
-                widths["fold"] = 1 if (kind, accounting) == ("hamming", "bsc") else len(scan.ids)
-            for name, width in widths.items():
-                history = getattr(scan, name)
-                assert history.flags.c_contiguous and len(history) >= hi
-                # once every row has stopped nothing reads the histories again
-                assert history.shape[1] == width or not len(scan.ids)
+            searching.append((before, len(scan.ids)))
+            if not len(scan.ids):
+                # once every row has stopped nothing reads the arrays again
+                return
+            # every column is a row still searching: none has hit
+            assert not scan.end[scan.ids].any()
+            for name in scan.row_state:
+                arr = getattr(scan, name)
+                assert arr.flags.c_contiguous, name
+                assert arr.shape[-1] == (1 if name in shared else len(scan.ids)), name
+            for name in ("syn", "fold") if scan.ledger else ("syn",):
+                assert len(getattr(scan, name)) >= hi
 
-        monkeypatch.setattr(decoder._Scan, "_compact", spy_compact)
-        monkeypatch.setattr(decoder._Scan, "_settle", spy_settle)
         monkeypatch.setattr(decoder._Scan, "_chunk", spy_chunk)
         got = decode_batch(code, *arrays, taus, kind, None, acct, confidence)
         monkeypatch.undo()
         assert (got.q[0] <= 16).any() and (got.q[0] > 1024).any()
-        # columns dropped when the histories are regrown and at half live,
-        # and chunks run with some columns masked
-        assert (True, True, True) in compactions and (False, True, True) in compactions
-        assert any(masked)
+        # chunks after which some rows stopped and others searched on
+        assert any(0 < after < before for before, after in searching)
         assert (got.llr_bits is None) != confidence
         for i, row in enumerate(zip(*arrays)):
             obs = SoftObservation(*row)

@@ -1,8 +1,8 @@
 """The demos run to the end against the current package.
 
-Demos 01-04 and 06 run in one child interpreter, each through ``runpy`` as
+Every demo runs in one child interpreter, each through ``runpy`` as
 ``__main__``, in a temporary working directory that takes the files they
-write.  Demo 05 is a half-minute sweep and is left to be run by hand.
+write.
 """
 
 import os
@@ -14,7 +14,8 @@ import softgrand
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 FAST = ["01_code_construction.py", "02_channel_markers.py", "03_query_order.py",
-        "04_confidence_trace.py", "06_error_query_distribution.py"]
+        "04_confidence_trace.py", "05_wiretap_operating_points.py",
+        "06_error_query_distribution.py"]
 
 RUNNER = """\
 import runpy, sys

@@ -299,7 +299,7 @@ class TestLockstepBatches:
         def spy_settle(scan, *args):
             settle(scan, *args)
             closed[0] = not scan.open.any()
-            searched_on.append(closed[0] and scan.left > 0)
+            searched_on.append(closed[0] and len(scan.ids) > 0)
 
         def guarded(real):
             def call(*args):
