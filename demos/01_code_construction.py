@@ -7,9 +7,9 @@ import numpy as np
 
 from softgrand import codes
 
-# a random linear code: parity-check H = [A | I] drawn from a seeded stream,
-# generator G = [I | A^T], so the first k bits of every code word are the
-# message itself
+# a random linear code is its parity-check matrix H = [A | I], drawn from a
+# seeded stream; G = [I | A^T] generates it, so the first k bits of every
+# code word are the message itself
 rlc = codes.make_rlc(16, 8, seed=4)
 print("random linear code:", rlc.descriptor)
 print("rate =", rlc.rate, " redundancy =", rlc.redundancy)
@@ -18,8 +18,10 @@ for row in rlc.parity_check_hex_rows():
     print("   ", row)
 print("H fingerprint:", rlc.parity_check_sha256()[:16], "...")
 
-# orthogonality: every generator row has zero syndrome
-print("G H^T == 0:", not (rlc.generator @ rlc.parity_check.T % 2).any())
+# orthogonality: every row of the generator built from H has zero syndrome
+A = rlc.parity_check[:, :rlc.k]
+G = np.hstack([np.eye(rlc.k, dtype=np.uint8), A.T])
+print("G H^T == 0:", not (G @ rlc.parity_check.T % 2).any())
 
 # encode a message and check membership
 msg = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)

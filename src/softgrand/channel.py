@@ -279,7 +279,7 @@ def transmit(code_word, params, rng):
     accepts; results are reproducible bit-exactly for a fixed seed.
     """
     rng = np.random.default_rng(rng)
-    bits = np.asarray(code_word, dtype=np.uint8)
+    bits = _as_bits(code_word, "code word bits")
     hard, reliab = transmit_arrays(bits[np.newaxis],
                                    rng.standard_normal((1, len(bits))), params)
     return SoftObservation(hard[0], reliab[0])
@@ -293,7 +293,10 @@ def transmit_arrays(code_words, noise, params):
     draw.  Every row is computed with the same float operations, so
     batching changes no bit.
     """
-    symbols = 1.0 - 2.0 * np.asarray(code_words, dtype=np.uint8)
+    code_words = _as_bits(code_words, "code word bits")
+    if np.shape(noise) != code_words.shape:
+        raise ValueError(f"noise shape {np.shape(noise)} != code word shape {code_words.shape}")
+    symbols = 1.0 - 2.0 * code_words
     sigma2 = params.sigma2
     y = symbols + noise * np.sqrt(sigma2)
     return _llr_arrays(2.0 * y / sigma2)

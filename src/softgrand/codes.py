@@ -1,10 +1,10 @@
 """Binary linear block codes over GF(2): random linear codes and CRC codes.
 
 Code words, messages and noise patterns are plain numpy arrays of 0/1
-values (dtype uint8).  A code is described by a systematic generator
-matrix ``G = [I_k | P]`` and the matching parity-check matrix
-``H = [P^T | I_{n-k}]``, so membership testing is a syndrome computation
-and never a codebook lookup.
+values (dtype uint8).  A code is its parity-check matrix
+``H = [A | I_{n-k}]``: membership testing is a syndrome computation and
+never a codebook lookup, and ``[I_k | A^T]`` generates the code, so a code
+word is its k message bits followed by ``A`` times them.
 """
 
 from __future__ import annotations
@@ -29,32 +29,28 @@ MAX_REDUNDANCY = 63
 
 
 class LinearCode:
-    """An (n, k) binary linear block code in systematic form.
+    """An (n, k) binary linear block code, given by ``H = [A | I_{n-k}]``.
 
-    Immutable after construction; instances can be shared freely across
-    worker processes.  ``kind`` is "rlc" or "crc"; ``descriptor`` holds the
-    construction parameters (seed or polynomial) so a code can be rebuilt
-    from run metadata.
+    ``[I_k | A^T]`` generates the code: ``encode`` copies a message into the
+    first k bits and reads the parity bits through A.  Immutable after
+    construction; instances can be shared freely across worker processes.
+    ``kind`` is "rlc" or "crc"; ``descriptor`` holds the construction
+    parameters (seed or polynomial) so a code can be rebuilt from run
+    metadata.
     """
 
-    def __init__(self, n, k, generator, parity_check, kind, descriptor):
+    def __init__(self, n, k, parity_check, kind, descriptor):
         self.n = int(n)
         self.k = int(k)
-        self.generator = np.ascontiguousarray(generator, dtype=np.uint8)
         self.parity_check = np.ascontiguousarray(parity_check, dtype=np.uint8)
         self.kind = kind
         self.descriptor = dict(descriptor)
-        if self.generator.shape != (self.k, self.n):
-            raise ValueError("generator must be k x n")
-        # encode copies the message into the first k bits.
-        if not np.array_equal(self.generator[:, :self.k], np.eye(self.k, dtype=np.uint8)):
-            raise ValueError("generator must be systematic, [I | P]")
         if self.parity_check.shape != (self.n - self.k, self.n):
             raise ValueError("parity_check must be (n-k) x n")
-        # G H^T = 0 over GF(2) is forced by the systematic construction;
-        # verify anyway so a broken constructor cannot produce a code.
-        if np.any((self.generator @ self.parity_check.T) % 2):
-            raise ValueError("generator and parity_check are not orthogonal")
+        # The identity block is what makes [I | A^T] a generator of the code.
+        if not np.array_equal(self.parity_check[:, self.k:],
+                              np.eye(self.n - self.k, dtype=np.uint8)):
+            raise ValueError("parity_check must be systematic, [A | I]")
         # Packed here, so a pickled code carries them to worker processes;
         # a wider code has none and fails at decode.
         self._packed_columns = (_pack_columns(self.parity_check)
@@ -87,17 +83,8 @@ class LinearCode:
         return f"LinearCode({self.kind}[{self.n},{self.k}])"
 
 
-def _pack_column(bits):
-    """Pack a column (length r <= MAX_REDUNDANCY) into an int, bit i = row i."""
-    value = 0
-    for i, b in enumerate(bits):
-        if b:
-            value |= 1 << i
-    return value
-
-
 def _pack_columns(parity_check):
-    """Every column of H packed as by _pack_column, in the narrowest unsigned type."""
+    """Every column of H as an integer (bit i = row i), in the narrowest unsigned type."""
     r = len(parity_check)
     dtype = next(t for t in (np.uint16, np.uint32, np.uint64) if r <= np.iinfo(t).bits)
     bits = parity_check.astype(dtype) << np.arange(r, dtype=dtype)[:, np.newaxis]
@@ -125,7 +112,7 @@ def make_rlc(n, k, seed):
         raise ValueError(f"n={n} distinct nonzero columns of height {r} do not exist")
 
     rng = np.random.default_rng(seed)
-    identity_cols = {1 << i for i in range(r)}
+    identity_cols = {col.tobytes() for col in np.eye(r, dtype=np.uint8)}
     # 20000 passes keeps even near-degenerate shapes (tiny k, large r, where
     # almost every draw leaves some row uncovered) below ~1e-6 failure odds
     # for the shapes this library targets.
@@ -135,10 +122,10 @@ def make_rlc(n, k, seed):
         for c in range(k):
             while True:
                 col = rng.integers(0, 2, size=r, dtype=np.uint8)
-                packed = _pack_column(col)
-                if packed != 0 and packed not in taken:
+                key = col.tobytes()
+                if col.any() and key not in taken:
                     break
-            taken.add(packed)
+            taken.add(key)
             cols[:, c] = col
         if not np.any(~cols.any(axis=1)):
             break
@@ -146,8 +133,7 @@ def make_rlc(n, k, seed):
         raise ValueError(f"could not draw an A matrix with no all-zero row for n={n} k={k}")
 
     parity_check = np.hstack([cols, np.eye(r, dtype=np.uint8)])
-    generator = np.hstack([np.eye(k, dtype=np.uint8), cols.T])
-    return LinearCode(n, k, generator, parity_check, "rlc",
+    return LinearCode(n, k, parity_check, "rlc",
                       {"kind": "rlc", "n": n, "k": k, "seed": int(seed)})
 
 
@@ -193,8 +179,8 @@ def make_crc(n, k, poly_koopman):
 
     A code word is the k message bits followed by the (n-k)-bit remainder
     of message(x) * x^(n-k) divided by the polynomial; a word belongs to
-    the code iff the polynomial divides it.  The generator/parity-check
-    matrices are derived from that definition, so matrix membership and
+    the code iff the polynomial divides it.  Column i of A is the
+    remainder of the unit message with bit i set, so matrix membership and
     division membership agree bit-exactly.
     """
     n, k = int(n), int(k)
@@ -203,17 +189,12 @@ def make_crc(n, k, poly_koopman):
     r = n - k
     full_poly = _crc_full_poly(poly_koopman, r)
 
-    generator = np.zeros((k, n), dtype=np.uint8)
+    cols = np.empty((r, k), dtype=np.uint8)
     for i in range(k):
-        rem = crc_remainder(1 << (k - 1 - i) << r, n, full_poly, r)
-        generator[i, i] = 1
-        generator[i, k:] = _int_to_bits(rem, r)
-    parity = generator[:, k:]
-    parity_check = np.hstack([parity.T, np.eye(r, dtype=np.uint8)])
-    code = LinearCode(n, k, generator, parity_check, "crc",
+        cols[:, i] = _int_to_bits(crc_remainder(1 << (k - 1 - i) << r, n, full_poly, r), r)
+    parity_check = np.hstack([cols, np.eye(r, dtype=np.uint8)])
+    return LinearCode(n, k, parity_check, "crc",
                       {"kind": "crc", "n": n, "k": k, "poly": hex(int(poly_koopman))})
-    code._full_poly = full_poly
-    return code
 
 
 def crc_division_remainder(code, word):
@@ -223,7 +204,9 @@ def crc_division_remainder(code, word):
     word = _as_bits(word, "word bits")
     if word.shape != (code.n,):
         raise ValueError("word length mismatch")
-    return crc_remainder(_bits_to_int(word), code.n, code._full_poly, code.redundancy)
+    r = code.redundancy
+    return crc_remainder(_bits_to_int(word), code.n,
+                         _crc_full_poly(int(code.descriptor["poly"], 16), r), r)
 
 
 def _as_bits(bits, what):
@@ -243,10 +226,10 @@ def encode(code, message):
     message = _as_bits(message, "message bits")
     if message.ndim not in (1, 2) or message.shape[-1] != code.k:
         raise ValueError(f"message must have length k={code.k}")
-    # Only the parity block needs the product.  uint8 sums wrap modulo 256,
-    # which keeps their parity.  Not a BLAS product: its threads
-    # oversubscribe the cores under a process pool.
-    parity = np.einsum("...k,kr->...r", message, code.generator[:, code.k:]) & 1
+    # The parity bits are A times the message, A read from H.  uint8 sums
+    # wrap modulo 256, which keeps their parity.  Not a BLAS product: its
+    # threads oversubscribe the cores under a process pool.
+    parity = np.einsum("...k,rk->...r", message, code.parity_check[:, :code.k]) & 1
     return np.concatenate((message, parity), axis=-1)
 
 

@@ -85,6 +85,35 @@ class TestTransmit:
             assert np.array_equal(reliab, want.reliab)
             assert np.array_equal(_ranks(reliab), want.ranks)
 
+    @pytest.mark.parametrize("word", [[2, 0, 1, 3], [0.7, 0, 1, 1]])
+    def test_transmit_rejects_non_bits(self, word):
+        # Cast to uint8 unchecked, a 2 became symbol -3 with reliability
+        # 11.6 at 3 dB, and 0.7 was read as 0.
+        params = ChannelParams(ebn0_db=3.0, rate=0.5)
+        with pytest.raises(ValueError, match="code word bits must be 0 or 1"):
+            transmit(word, params, 0)
+
+    def test_transmit_arrays_rejects_non_bits(self):
+        # A 5 gave the hard decision 1.
+        params = ChannelParams(ebn0_db=3.0, rate=0.5)
+        with pytest.raises(ValueError, match="code word bits must be 0 or 1"):
+            transmit_arrays([[5, 1]], np.zeros((1, 2)), params)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (2,)])
+    def test_transmit_arrays_rejects_mismatched_noise(self, shape):
+        params = ChannelParams(ebn0_db=3.0, rate=0.5)
+        with pytest.raises(ValueError, match="noise shape"):
+            transmit_arrays(np.zeros((1, 2), dtype=np.uint8), np.zeros(shape), params)
+
+    def test_bit_dtypes_draw_the_same_observation(self):
+        params = ChannelParams(ebn0_db=3.0, rate=0.5)
+        cw = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=np.uint8)
+        want = transmit(cw, params, 7)
+        for word in (cw.astype(bool), cw.astype(float), cw.tolist()):
+            got = transmit(word, params, 7)
+            assert np.array_equal(got.hard, want.hard)
+            assert np.array_equal(got.reliab, want.reliab)
+
     def test_llr_statistics(self):
         # lambda | bit=0 is Gaussian with mean 2/sigma^2 and variance 4/sigma^2
         params = ChannelParams(ebn0_db=2.0, rate=0.5)

@@ -33,18 +33,36 @@ def gf2_rank(m):
 
 
 class TestLinearCode:
-    def test_orthogonality_enforced(self):
-        code = make_rlc(8, 4, seed=3)
-        bad = code.parity_check.copy()
-        bad[0, 0] ^= 1
-        with pytest.raises(ValueError):
-            LinearCode(8, 4, code.generator, bad, "rlc", {})
+    def test_systematic_parity_check_enforced(self):
+        # encode copies the message into the first k bits and reads the
+        # parity bits through A, which holds only while H = [A | I].
+        h = make_rlc(8, 4, seed=3).parity_check
+        with pytest.raises(ValueError, match=r"must be \(n-k\) x n"):
+            LinearCode(8, 4, h[:, :7], "rlc", {})
+        with pytest.raises(ValueError, match=r"must be \(n-k\) x n"):
+            LinearCode(8, 5, h, "rlc", {})
+        flipped = h.copy()
+        flipped[0, 5] ^= 1
+        for bad in (flipped, h[::-1]):
+            with pytest.raises(ValueError, match="systematic"):
+                LinearCode(8, 4, bad, "rlc", {})
+        assert np.array_equal(LinearCode(8, 4, h, "rlc", {}).parity_check, h)
 
-    def test_systematic_generator_enforced(self):
-        # encode copies the message into the first k bits of a code word.
-        code = make_rlc(8, 4, seed=3)
-        with pytest.raises(ValueError, match="systematic"):
-            LinearCode(8, 4, code.generator[::-1], code.parity_check, "rlc", {})
+    @pytest.mark.parametrize("spec, digest", [
+        ((make_rlc, 128, 116, 1),
+         "30a21ce87d6273e5cd612058d3ab8ff6dba136f1d261c4dd084b6f6a9ad1fb5f"),
+        ((make_rlc, 16, 8, 5),
+         "ded84297c0421bade27122b5c4aac704c20c1b653c9d9d9c8cd80ee6c4ba4a27"),
+        ((make_crc, 64, 52, 0xBAE),
+         "0dbee5e52219485c130dcaebbe6e1d85eb4773bdd3b613ebc4b6f45b4dd07619"),
+        ((make_crc, 16, 8, 0x97),
+         "5c82518775027338b1019247ae33dd7fb3ac8de8c9f8e3b798f88bf84ebdda85"),
+    ], ids=["rlc-128-116-1", "rlc-16-8-5", "crc-64-52-0xBAE", "crc-16-8-0x97"])
+    def test_parity_check_digest_pinned(self, spec, digest):
+        # The run sidecars and the benchmark's checks compare this digest;
+        # pinning it here keeps code construction from drifting.
+        make, *args = spec
+        assert make(*args).parity_check_sha256() == digest
 
     def test_rate_and_redundancy(self):
         code = make_rlc(128, 116, seed=1)
@@ -70,7 +88,6 @@ class TestRlc:
         a = make_rlc(128, 116, seed=1)
         b = make_rlc(128, 116, seed=1)
         assert np.array_equal(a.parity_check, b.parity_check)
-        assert np.array_equal(a.generator, b.generator)
 
     def test_column_conditioning(self):
         code = make_rlc(32, 20, seed=7)
@@ -83,7 +100,6 @@ class TestRlc:
 
     def test_systematic_layout(self):
         code = make_rlc(12, 7, seed=2)
-        assert np.array_equal(code.generator[:, :7], np.eye(7, dtype=np.uint8))
         assert np.array_equal(code.parity_check[:, 7:], np.eye(5, dtype=np.uint8))
 
     def test_systematic_encoding_at_production_size(self):
@@ -179,15 +195,16 @@ class TestMembership:
         pytest.param(64, 52, 0xBAE, id="crc-64-52"),
     ])
     def test_encode_block_matches_rows(self, n, k, poly):
-        # encode multiplies only the parity block; every word, encoded alone
-        # or in a block, is still the full generator product.  At k=576
-        # parity sums pass 255, past the range of uint8.
+        # encode multiplies only by A; every word, encoded alone or in a
+        # block, is still the product with the generator [I | A^T].  At
+        # k=576 parity sums pass 255, past the range of uint8.
         code = make_rlc(n, k, seed=1) if poly is None else make_crc(n, k, poly)
         msgs = np.random.default_rng(4).integers(0, 2, (40, k), dtype=np.uint8)
         msgs[0] = 1
         block = encode(code, msgs)
         assert block.dtype == np.uint8
-        exact = (msgs.astype(np.int64) @ code.generator.astype(np.int64)) % 2
+        generator = np.hstack([np.eye(k, dtype=np.int64), code.parity_check[:, :k].T])
+        exact = (msgs.astype(np.int64) @ generator) % 2
         for msg, cw, want in zip(msgs, block, exact):
             assert np.array_equal(cw, want)
             assert np.array_equal(cw, encode(code, msg))

@@ -36,6 +36,14 @@ GOLDEN = {
          "--trials", "150", "--trials-csv"],
         {"sweep.csv": "424f8ce3d43f76f4f055e630ddd2ea646cb3611b0110f3f7b0f4ea532db88ff9",
          "trials.csv": "0bee13cbfa37baf3abbf33728c802a5d8eb96b5f9d6cb1f564613c3ccf516dd6"}),
+    # Deep searches that carry the confidence ledger: at 0-1 dB the
+    # tau=none rows run through 4096-query chunks, and the last bit of a
+    # flip sum shows in trials.csv.
+    "deep_ledger_sweep": (
+        ["--mode", "sweep", "--tau", "none,0,2", "--ebn0", "0:1:3",
+         "--trials", "200", "--trials-csv"],
+        {"sweep.csv": "ca0a12a539e1a17578f5d61b467ebaa89c0eb040acd4aae6080e8875106093f3",
+         "trials.csv": "d906214ace9ccc8f1130bec164a6b26160001f6465963cb8615014077773b989"}),
 }
 
 
