@@ -33,9 +33,10 @@ def gf2_rank(m):
 
 
 class TestLinearCode:
-    def test_systematic_parity_check_enforced(self):
-        # encode copies the message into the first k bits and reads the
-        # parity bits through A, which holds only while H = [A | I].
+    def test_orthogonality_enforced(self):
+        # [I | A^T] is orthogonal to H only while H's last n-k columns are
+        # the identity, so an H without that block is refused and every
+        # unit message encodes to a word of zero syndrome.
         h = make_rlc(8, 4, seed=3).parity_check
         with pytest.raises(ValueError, match=r"must be \(n-k\) x n"):
             LinearCode(8, 4, h[:, :7], "rlc", {})
@@ -43,10 +44,21 @@ class TestLinearCode:
             LinearCode(8, 5, h, "rlc", {})
         flipped = h.copy()
         flipped[0, 5] ^= 1
-        for bad in (flipped, h[::-1]):
-            with pytest.raises(ValueError, match="systematic"):
-                LinearCode(8, 4, bad, "rlc", {})
-        assert np.array_equal(LinearCode(8, 4, h, "rlc", {}).parity_check, h)
+        with pytest.raises(ValueError, match="systematic"):
+            LinearCode(8, 4, flipped, "rlc", {})
+        code = LinearCode(8, 4, h, "rlc", {})
+        assert np.array_equal(code.parity_check, h)
+        generator = encode(code, np.eye(4, dtype=np.uint8))
+        assert not ((generator.astype(np.int64) @ h.T.astype(np.int64)) % 2).any()
+
+    def test_systematic_generator_enforced(self):
+        # encode copies the message into the first k bits and reads the
+        # parity bits through A, which holds only while H = [A | I].
+        code = make_rlc(8, 4, seed=3)
+        with pytest.raises(ValueError, match="systematic"):
+            LinearCode(8, 4, code.parity_check[::-1], "rlc", {})
+        msgs = np.random.default_rng(2).integers(0, 2, (16, 4), dtype=np.uint8)
+        assert np.array_equal(encode(code, msgs)[:, :4], msgs)
 
     @pytest.mark.parametrize("spec, digest", [
         ((make_rlc, 128, 116, 1),
