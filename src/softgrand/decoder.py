@@ -277,8 +277,6 @@ class _Scan:
             # One row of accounting reliabilities serves every row.
             source = reliab if accounting is None else acct[np.newaxis]
             self.base = -np.add.reduce(np.log1p(np.exp(-source)), axis=1)[np.newaxis]
-            # The report at a query-1 hit reads the wrong-hit table there.
-            softout.log_p_incorrect_prefix(self.redundancy, 1)
 
         self.end = np.zeros(rows, dtype=np.int8)
         self.end_q = np.zeros(rows, dtype=np.int64)
@@ -361,8 +359,6 @@ class _Scan:
             # when every row hits, the sum stops at the last of those hits.
             m = int(hit_i[hit].max()) + 1 if np.count_nonzero(hit) == len(self.ids) else hi - lo
             cum = self._running_sum(lo, hi, m)
-            # Grown even without a threshold: the report at a hit reads it.
-            softout.log_p_incorrect_prefix(self.redundancy, hi)
         self._settle(lo, hi, hit, hit_i, cum)
 
     def _hits(self, syn):
@@ -416,8 +412,8 @@ class _Scan:
         shared = cum is not None and cum.shape[1] != len(self.ids)
         if len(self.taus) and np.count_nonzero(self.open):
             m = len(cum)
-            log_u = softout.log_p_incorrect_prefix(self.redundancy, lo + m)
-            below = (cum - log_u[lo:, np.newaxis]) / _LN2 < self.taus
+            log_u = softout._log_p_incorrect(self.redundancy, np.arange(lo + 1, lo + m + 1))
+            below = (cum - log_u[:, np.newaxis]) / _LN2 < self.taus
             # A first crossing is searched for only where an open threshold
             # crossed.
             crossed = below.any(axis=1)

@@ -7,8 +7,8 @@ correct-decoding probability is the running sum of the guessed patterns'
 probabilities, maintained in the log domain one term per query.  The
 incorrect-decoding probability uses a geometric model in which each query
 independently lands on a wrong code word with probability 2^-r, r being the
-number of redundant bits; it is a function of r and q alone, so it can be
-tabulated.  The confidence value reported is the base-2 log ratio of the
+number of redundant bits; it is a closed form in r and q, evaluated where it
+is read.  The confidence value reported is the base-2 log ratio of the
 two, and a value of t means odds of 2^t to 1 that the decoding is correct.
 
 ``geometric_cdf`` here is the package's one linear-domain form of the
@@ -32,7 +32,6 @@ __all__ = [
     "geometric_cdf",
     "p_incorrect_cum",
     "log_p_incorrect_cum",
-    "log_p_incorrect_prefix",
     "llr_bits",
     "confidence_llr",
 ]
@@ -68,12 +67,12 @@ def record_query(ledger, pattern_log_prob):
     return ledger
 
 
-def _check_rq(redundancy, q):
+def _check_rq(redundancy, q, least=0):
     if redundancy < 1:
         raise ValueError(f"redundancy must be >= 1, got {redundancy}")
-    q = np.min(q, initial=0)  # < 0 iff some q < 0
-    if q < 0:
-        raise ValueError(f"query count must be >= 0, got {q}")
+    q = np.asarray(q).min(initial=least)  # < least iff some q < least
+    if q < least:
+        raise ValueError(f"query count must be >= {least}, got {q}")
 
 
 def geometric_cdf(p, q):
@@ -92,6 +91,21 @@ def p_incorrect_cum(redundancy, q):
     return geometric_cdf(2.0 ** -redundancy, q)
 
 
+def _log_p_incorrect(redundancy, q):
+    """log_p_incorrect_cum of a query-count array, unchecked, for counts the caller built.
+
+    t near 0 is the common case (q well below 2^r), so log1p(-e^t) is
+    evaluated only when some t is at or below -ln 2.
+    """
+    tq = q * math.log1p(-(2.0 ** -redundancy))
+    near = np.log(-np.expm1(tq))
+    if tq.min(initial=0.0) > -_LN2:
+        return near
+    # log1p(-1) only occurs in the branch np.where discards.
+    with np.errstate(divide="ignore"):
+        return np.where(tq > -_LN2, near, np.log1p(-np.exp(tq)))
+
+
 def log_p_incorrect_cum(redundancy, q):
     """Natural log of p_incorrect_cum for an int or an int array ``q``.
 
@@ -100,26 +114,10 @@ def log_p_incorrect_cum(redundancy, q):
     gives -inf.  An int gives a float, an array an array.
     """
     _check_rq(redundancy, q)
-    tq = np.asarray(q, dtype=float) * math.log1p(-(2.0 ** -redundancy))
-    # log(0) = -inf at q = 0 is meant; log1p(-1) only occurs in the branch
-    # np.where discards.
+    # log(0) = -inf at q = 0 is meant.
     with np.errstate(divide="ignore"):
-        out = np.where(tq > -_LN2, np.log(-np.expm1(tq)), np.log1p(-np.exp(tq)))
+        out = _log_p_incorrect(redundancy, np.asarray(q, dtype=float))
     return float(out) if out.ndim == 0 else out
-
-
-# redundancy -> log_p_incorrect_cum(redundancy, q) for q = 1..len, grown on
-# demand to the longest prefix a decode has asked for.
-_LOG_U = {}
-
-
-def log_p_incorrect_prefix(redundancy, stop):
-    """log_p_incorrect_cum(redundancy, q) for q = 1..stop, indexed by q - 1."""
-    table = _LOG_U.get(redundancy, np.zeros(0))
-    if len(table) < stop:
-        more = log_p_incorrect_cum(redundancy, np.arange(len(table) + 1, stop + 1))
-        table = _LOG_U[redundancy] = np.concatenate((table, more))
-    return table[:stop]
 
 
 @dataclass(frozen=True)
@@ -134,19 +132,11 @@ def llr_bits(redundancy, q, cum_log):
     """Confidence in bits at query q >= 1 given the natural-log correct mass.
 
     ``q`` and ``cum_log`` are numbers or arrays of one shape, and give a
-    float or an array.  The wrong-hit term comes from the prefix table when
-    it reaches every q and from the same expression otherwise, so the value
-    does not depend on how far the table has grown.
+    float or an array.
     """
     q = np.asarray(q)
-    if q.min(initial=1) < 1:
-        raise ValueError(f"query count must be >= 1, got {q.min()}")
-    table = _LOG_U.get(redundancy, np.zeros(0))
-    if q.max(initial=0) <= len(table):
-        log_u = table[q - 1]
-    else:
-        log_u = log_p_incorrect_cum(redundancy, q)
-    return (cum_log - log_u) / _LN2
+    _check_rq(redundancy, q, least=1)
+    return (cum_log - _log_p_incorrect(redundancy, q)) / _LN2
 
 
 def confidence_llr(ledger):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_order import reference_arrays
 
-from softgrand import channel, decoder, harness, patterns, softout
+from softgrand import channel, decoder, harness, patterns
 from softgrand.channel import (ChannelParams, SoftObservation, bsc_crossover,
                                transmit_arrays)
 from softgrand.codes import encode, is_codeword, make_rlc
@@ -56,11 +57,27 @@ class TestCleanDecode:
         code = make_rlc(128, 88, seed=1)
         cw, obs = random_observation(code, 8.0, np.random.default_rng(0))
         assert np.array_equal(obs.hard, cw)
-        out = decode(code, obs, DecodePolicy(tau=None))
+        tracemalloc.start()
+        try:
+            out = decode(code, obs, DecodePolicy(tau=None))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert out.decoded and out.q == 1
         assert np.array_equal(out.word, cw)
-        # The wrong-hit table, if grown at all, stays small.
-        assert len(softout._LOG_U.get(40, ())) <= 16
+        # Nothing is tabulated toward the cap: 100 kB holds 12 500 doubles.
+        assert peak <= 100_000
+
+    def test_largest_redundancy_clean_block_raises_no_warning(self):
+        # r = 63, where (1 - 2^-r)^q rounds to 1 in the wrong-hit term.
+        code = make_rlc(96, 33, seed=1)
+        cw, obs = random_observation(code, 12.0, np.random.default_rng(0))
+        assert np.array_equal(obs.hard, cw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = decode(code, obs, DecodePolicy(tau=None))
+        assert out.decoded and out.q == 1
+        assert math.isfinite(out.report.llr_bits)
 
 
 class TestAbandonment:
@@ -183,9 +200,8 @@ class TestReferenceEquivalence:
             crossover = bsc_crossover(ChannelParams(ebn0_db=ebn0, rate=code.rate))
             acct = SoftObservation.from_flip_probs(obs.hard, crossover)
         policy = DecodePolicy(tau=tau, max_queries=max_queries, order_kind=kind)
-        # Start from empty tables so each example grows them from scratch.
+        # Start from an empty order-table cache so each example grows its table.
         patterns.order_table.cache_clear()
-        softout._LOG_U.clear()
         out = decode(code, obs, policy, accounting=acct)
         tag, q, ref_word, ref_llr = reference_decode(code, obs, policy, accounting=acct)
         assert outcome_tag(out) == tag and out.q == q
@@ -362,7 +378,6 @@ class TestBatchDecode:
             crossover = bsc_crossover(ChannelParams(ebn0_db=ebn0, rate=code.rate))
             acct = SoftObservation.from_flip_probs(np.zeros(n, dtype=np.uint8), crossover)
         patterns.order_table.cache_clear()
-        softout._LOG_U.clear()
         _assert_batch_equals_ladders(code, arrays, taus, kind, max_queries, acct)
 
     @pytest.mark.parametrize("kind, accounting", [("logistic", "soft"), ("hamming", "bsc")])
@@ -508,7 +523,6 @@ class TestBatchDecode:
     def test_empty_block(self):
         code = make_rlc(16, 8, seed=2)
         _, (hard, reliab) = _block(code, 3.0, 2, np.random.default_rng(1))
-        softout._LOG_U.clear()  # no chunk runs, so the wrong-hit table holds query 1 at most
         got = decode_batch(code, hard[:0], reliab[:0], [None, 1.0])
         assert got.status.shape == got.q.shape == got.llr_bits.shape == (2, 0)
         assert got.words.shape == (0, 16)
@@ -746,7 +760,7 @@ class TestDeepBlockMemory:
         params = ChannelParams(ebn0_db=0.0, rate=code.rate)
         _, (hard, reliab) = harness._trial_batch(code, params, 0, harness._point_key(0.0),
                                                  0, 256)
-        # Grown first, so the order and wrong-hit tables are not counted.
+        # Grown first, so the order table is not counted.
         want = decode_batch(code, hard, reliab, taus, confidence=confidence)
         tracemalloc.start()
         try:

@@ -286,9 +286,9 @@ class TestLockstepBatches:
 
     @pytest.mark.parametrize("decoder", ["orbgrand", "grand"])
     def test_drops_the_ledger_once_every_tau_closes(self, monkeypatch, decoder):
-        # Without confidence a scan grows its running sum and wrong-hit
-        # table only while a finite tau is open; its rows then search on
-        # with syndromes alone.
+        # Without confidence a scan keeps its running sum and evaluates the
+        # wrong-hit term only while a finite tau is open; its rows then
+        # search on with syndromes alone.
         closed, calls, searched_on = [False], [], []
         init, settle = _Scan.__init__, _Scan._settle
 
@@ -303,7 +303,7 @@ class TestLockstepBatches:
 
         def guarded(real):
             def call(*args):
-                assert not closed[0], "the ledger grew after every tau closed"
+                assert not closed[0], "the ledger was read after every tau closed"
                 calls.append(real.__name__)
                 return real(*args)
             return call
@@ -311,8 +311,7 @@ class TestLockstepBatches:
         monkeypatch.setattr(_Scan, "__init__", spy_init)
         monkeypatch.setattr(_Scan, "_settle", spy_settle)
         monkeypatch.setattr(_Scan, "_running_sum", guarded(_Scan._running_sum))
-        monkeypatch.setattr(softout, "log_p_incorrect_prefix",
-                            guarded(softout.log_p_incorrect_prefix))
+        monkeypatch.setattr(softout, "_log_p_incorrect", guarded(softout._log_p_incorrect))
         code = make_rlc(32, 22, seed=3)
         res = run_sweep(code, (None, 0.0, 2.0), [0.0, 2.0], 48, master_seed=5,
                         decoder=decoder, confidence=False)
@@ -559,11 +558,11 @@ class TestErrorQueryDistribution:
     @pytest.mark.parametrize("decoder", ["orbgrand", "grand"])
     def test_never_builds_the_confidence_ledger(self, monkeypatch, decoder):
         # fig1 keeps only query counts, so its decodes skip the running sum
-        # and the wrong-hit table that the confidence needs.
+        # and the wrong-hit term that the confidence needs.
         def ledger(*args):
             raise AssertionError("fig1 built the confidence ledger")
 
-        monkeypatch.setattr(softout, "log_p_incorrect_prefix", ledger)
+        monkeypatch.setattr(softout, "_log_p_incorrect", ledger)
         monkeypatch.setattr(softout, "llr_bits", ledger)
         monkeypatch.setattr(_Scan, "_running_sum", ledger)
         code = make_rlc(24, 16, seed=4)

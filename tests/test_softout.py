@@ -1,6 +1,7 @@
 """Confidence accounting: running sums, wrong-hit model, LLR reports."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from softgrand.channel import SoftObservation
 from softgrand.patterns import QueryOrder, pattern_log_probability, query_patterns
 from softgrand import softout
 from softgrand.softout import (ConfidenceLedger, confidence_llr, llr_bits,
-                               log_p_incorrect_cum, log_p_incorrect_prefix,
-                               p_incorrect_cum, record_query)
+                               log_p_incorrect_cum, p_incorrect_cum, record_query)
 
 
 class TestRecordQuery:
@@ -144,50 +144,36 @@ class TestIncorrectModel:
                                                                             qs).tolist()
 
 
-class TestPrefixTable:
-    def test_grows_on_demand_and_matches_model(self):
-        r = 17
-        softout._LOG_U.pop(r, None)
-        short = log_p_incorrect_prefix(r, 16)
-        assert len(softout._LOG_U[r]) == 16
-        longer = log_p_incorrect_prefix(r, 300)
-        assert len(softout._LOG_U[r]) == 300
-        assert longer[:16].tolist() == short.tolist()
-        assert len(log_p_incorrect_prefix(r, 40)) == 40
-        assert len(softout._LOG_U[r]) == 300  # never shrinks, never overshoots
-        assert longer.tolist() == [log_p_incorrect_cum(r, q) for q in range(1, 301)]
-
-    def test_report_is_the_same_with_or_without_the_table(self):
-        r = 19
-        softout._LOG_U.pop(r, None)
-        before = [llr_bits(r, q, -0.25) for q in (1, 5, 64)]
-        log_p_incorrect_prefix(r, 64)
-        assert [llr_bits(r, q, -0.25) for q in (1, 5, 64)] == before
-
-    @pytest.mark.parametrize("grown", [0, 40, 300])
-    def test_llr_bits_array_matches_scalar_calls(self, grown):
-        # q past the table's end in the 0 and 40 cases, within it at 300
+class TestLlrBits:
+    def test_array_matches_scalar_calls(self):
         r = 23
-        softout._LOG_U.pop(r, None)
-        log_p_incorrect_prefix(r, grown)
         qs = np.array([[1, 2, 17], [64, 200, 41]])
         cums = np.array([[-0.25, -3.0, -1e-9], [-40.5, -0.0, -7.125]])
         got = llr_bits(r, qs, cums)
         assert got.shape == qs.shape
         want = [llr_bits(r, int(q), float(c)) for q, c in zip(qs.flat, cums.flat)]
         assert got.ravel().tobytes() == np.array(want).tobytes()
-        assert len(softout._LOG_U.get(r, ())) == grown  # reading never grows it
 
-    @pytest.mark.parametrize("grown", [0, 100])
-    def test_llr_bits_rejects_query_counts_below_one(self, grown):
-        # With a table grown to 100, q = 0 and q = -3 would index it from
-        # its end; without one, q = 0 indexes an empty table.
-        r = 29
-        softout._LOG_U.pop(r, None)
-        log_p_incorrect_prefix(r, grown)
+    def test_rejects_query_counts_below_one(self):
         for q in (0, -3, np.array([0, 1]), np.array([[2, 5], [1, -1]])):
             with pytest.raises(ValueError, match="query count must be >= 1"):
-                llr_bits(r, q, -1.0)
+                llr_bits(29, q, -1.0)
+
+    def test_rejects_redundancy_below_one(self):
+        for r in (0, -2):
+            with pytest.raises(ValueError, match="redundancy must be >= 1"):
+                llr_bits(r, np.array([1, 2]), -1.0)
+            with pytest.raises(ValueError, match="redundancy must be >= 1"):
+                log_p_incorrect_cum(r, 1)
+
+    def test_largest_redundancy_raises_no_warning(self):
+        # At r = 63, (1 - 2^-r)^q rounds to 1 for small q, where the far
+        # branch's log1p(-e^t) would see -1.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_p_incorrect_cum(63, 1) == pytest.approx(-63 * math.log(2.0))
+            got = llr_bits(63, np.array([1, 2]), np.array([-0.5, -0.25]))
+        assert np.isfinite(got).all()
 
 
 class TestConfidenceLlr:
