@@ -144,21 +144,38 @@ class TestIncorrectModel:
                                                                             qs).tolist()
 
 
-class TestLlrBits:
-    def test_array_matches_scalar_calls(self):
+class TestPrefixTable:
+    """The wrong-hit term is evaluated where it is read, from no stored
+    prefix table: whatever depth was evaluated before leaves no state that
+    changes a later report or lets a bad query count through."""
+
+    @pytest.mark.parametrize("evaluated", [0, 40, 300])
+    def test_llr_bits_array_matches_scalar_calls(self, evaluated):
+        # q past the earlier evaluations in the 0 and 40 cases, within them at 300
         r = 23
+        if evaluated:
+            llr_bits(r, np.arange(1, evaluated + 1), -1.0)
         qs = np.array([[1, 2, 17], [64, 200, 41]])
         cums = np.array([[-0.25, -3.0, -1e-9], [-40.5, -0.0, -7.125]])
         got = llr_bits(r, qs, cums)
         assert got.shape == qs.shape
         want = [llr_bits(r, int(q), float(c)) for q, c in zip(qs.flat, cums.flat)]
         assert got.ravel().tobytes() == np.array(want).tobytes()
+        assert not hasattr(softout, "_LOG_U")
 
-    def test_rejects_query_counts_below_one(self):
+    @pytest.mark.parametrize("evaluated", [0, 100])
+    def test_llr_bits_rejects_query_counts_below_one(self, evaluated):
+        # A table grown to 100 would have let q = 0 and q = -3 index it
+        # from its end; with no table, earlier evaluations change nothing.
+        r = 29
+        if evaluated:
+            llr_bits(r, np.arange(1, evaluated + 1), -1.0)
         for q in (0, -3, np.array([0, 1]), np.array([[2, 5], [1, -1]])):
             with pytest.raises(ValueError, match="query count must be >= 1"):
-                llr_bits(29, q, -1.0)
+                llr_bits(r, q, -1.0)
 
+
+class TestLlrBits:
     def test_rejects_redundancy_below_one(self):
         for r in (0, -2):
             with pytest.raises(ValueError, match="redundancy must be >= 1"):
