@@ -9,7 +9,7 @@ import numpy as np
 
 from softgrand.channel import ChannelParams, transmit
 from softgrand.codes import encode, make_rlc
-from softgrand.decoder import decode_ladder
+from softgrand.decoder import decode_batch
 from softgrand.patterns import (QueryOrder, pattern_log_probability,
                                 query_patterns, realized_positions)
 from softgrand.softout import (ConfidenceLedger, confidence_llr, record_query)
@@ -38,19 +38,19 @@ print("confidence LLR after q queries:")
 for q in (1, 2, 5, 10, 50, 200, 1000, 2000):
     print(f"  q = {q:>5}: {trace[q - 1]:+.3f} bits")
 
-# the decoder reports the same number at its stopping point; one scan
-# serves every threshold, since only the abandonment test depends on tau
+# the decoder reports the same number at its stopping point; one scan of a
+# one-row block serves every threshold, since only the abandonment test
+# depends on tau: row j of the result is the outcome under taus[j]
 taus = (None, 0.0, 2.0, 6.0)
-out, *thresholded = decode_ladder(code, obs, taus)
-print(f"\ntau=None: decoded at q={out.q}, llr={out.report.llr_bits:+.3f} bits, "
-      f"correct={bool(np.array_equal(out.word, cw))}")
-for tau, res in zip(taus[1:], thresholded):
-    if res.decoded:
-        print(f"tau={tau:g}: decoded at q={res.q} "
-              f"(llr {res.report.llr_bits:+.3f} >= {tau:g} throughout)")
+batch = decode_batch(code, obs.hard[np.newaxis], obs.reliab[np.newaxis], taus)
+decoded, qs, llrs = batch.decoded[:, 0], batch.q[:, 0], batch.llr_bits[:, 0]
+print(f"\ntau=None: decoded at q={qs[0]}, llr={llrs[0]:+.3f} bits, "
+      f"correct={bool(np.array_equal(batch.words[0], cw))}")
+for tau, hit, q, llr in zip(taus[1:], decoded[1:], qs[1:], llrs[1:]):
+    if hit:
+        print(f"tau={tau:g}: decoded at q={q} (llr {llr:+.3f} >= {tau:g} throughout)")
     else:
-        print(f"tau={tau:g}: abandoned at q={res.q} ({res.reason}, "
-              f"llr {res.report.llr_bits:+.3f} < {tau:g})")
+        print(f"tau={tau:g}: abandoned at q={q} (llr {llr:+.3f} < {tau:g})")
 
 # optional picture of the trace
 try:
@@ -63,7 +63,7 @@ else:
     qs = np.arange(1, len(trace) + 1)
     plt.figure(figsize=(6, 4))
     plt.semilogx(qs, trace, lw=1.5)
-    plt.axvline(out.q, color="tab:green", ls="--", label=f"decode q={out.q}")
+    plt.axvline(qs[0], color="tab:green", ls="--", label=f"decode q={qs[0]}")
     for tau, color in ((0.0, "tab:orange"), (2.0, "tab:red")):
         plt.axhline(tau, color=color, ls=":", label=f"tau={tau:g}")
     plt.xlabel("queries q")

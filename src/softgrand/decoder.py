@@ -43,8 +43,9 @@ are query-major, (queries, rows), so a parent pointer gathers one
 contiguous vector of every row's syndrome or flip sum; the histories hold
 room for at most twice the queries so far, and a row's column is dropped
 from every array by the settle step at which it stops.
-``decode_ladder`` is a one-row ``decode_batch`` and ``decode`` its one-tau
-case.  The running sum is accumulated in query order for each row, as a
+``decode`` is a one-row, one-tau ``decode_batch``, and a one-row
+``decode_batch`` decodes an observation under a list of thresholds in one
+scan.  The running sum is accumulated in query order for each row, as a
 one-query-at-a-time loop would, so a row's outcome does not depend on the
 other rows of its block; it stops at the first hit, past which no outcome
 reads it.
@@ -80,7 +81,6 @@ __all__ = [
     "DecodeOutcome",
     "decode",
     "decode_batch",
-    "decode_ladder",
     "resolve_max_queries",
 ]
 
@@ -522,34 +522,16 @@ def decode(code, obs, policy, accounting=None):
 
     ``accounting`` optionally supplies the observation whose flip
     probabilities feed the confidence ledger (defaults to ``obs`` itself,
-    the matched case).
+    the matched case).  The outcome is the single cell of a one-row,
+    one-tau ``decode_batch``.
     """
-    (out,) = decode_ladder(code, obs, (policy.tau,), policy.order_kind,
-                           policy.max_queries, accounting)
-    return out
-
-
-def decode_ladder(code, obs, taus, order_kind="logistic", max_queries=None,
-                  accounting=None):
-    """Decode one observation under every threshold in ``taus`` in one scan.
-
-    Returns one DecodeOutcome per entry of ``taus`` (None = never abandon),
-    equal to what ``decode`` returns for a policy with that tau and the given
-    order and cap: column 0 of a one-row ``decode_batch``.
-    """
-    got = decode_batch(code, obs.hard[np.newaxis], obs.reliab[np.newaxis], taus,
-                       order_kind, max_queries, accounting)
-    word = got.words[0]
-    outcomes = []
-    for status, q, llr in zip(got.status[:, 0].tolist(), got.q[:, 0].tolist(),
-                              got.llr_bits[:, 0].tolist()):
-        report = LlrReport(llr_bits=llr, q=q)
-        if status == HIT:
-            outcomes.append(DecodeOutcome(decoded=True, q=q, word=word, report=report))
-        else:
-            outcomes.append(DecodeOutcome(decoded=False, q=q, report=report,
-                                          reason=_REASONS[status]))
-    return outcomes
+    got = decode_batch(code, obs.hard[np.newaxis], obs.reliab[np.newaxis], (policy.tau,),
+                       policy.order_kind, policy.max_queries, accounting)
+    status, q = int(got.status[0, 0]), int(got.q[0, 0])
+    report = LlrReport(llr_bits=float(got.llr_bits[0, 0]), q=q)
+    if status == HIT:
+        return DecodeOutcome(decoded=True, q=q, word=got.words[0], report=report)
+    return DecodeOutcome(decoded=False, q=q, report=report, reason=_REASONS[status])
 
 
 def decode_batch(code, hard, reliab, taus, order_kind="logistic",

@@ -121,6 +121,16 @@ def _cpus():
         return os.cpu_count() or 1
 
 
+def _count(name, value, least):
+    """``value`` as an int, if it is an integer >= ``least`` and not a bool.
+
+    A numpy integer becomes a Python int, whose seed words do not wrap.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _tau_label(tau):
     """The policy name of a threshold in sweep outputs: tau=none, tau=2, ..."""
     return "tau=none" if tau is None else f"tau={tau:g}"
@@ -526,10 +536,9 @@ def run_sweep(code, taus, ebn0_points, trials_per_point, master_seed, workers=1,
     search keeps its running log-mass only while a finite tau may still
     abandon it; ``stats``, outcomes and query counts are the same either way.
     """
-    if trials_per_point < 1:
-        raise ValueError("trials_per_point must be >= 1")
-    if master_seed < 0:
-        raise ValueError("master_seed must be a nonnegative integer")
+    trials_per_point = _count("trials_per_point", trials_per_point, 1)
+    master_seed = _count("master_seed", master_seed, 0)
+    workers = _count("workers", workers, 1)
     if decoder not in DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}")
     if not taus:
@@ -549,7 +558,9 @@ def run_sweep(code, taus, ebn0_points, trials_per_point, master_seed, workers=1,
     stats = []
     # One pool serves every block of the sweep, so each worker builds its
     # order table once; it starts with the first block large enough to split,
-    # with no more workers than the CPUs this process may use.
+    # with no more workers than the CPUs this process may use.  A pool of one
+    # would only add a fork and pickling, so then every block runs here.
+    pool_size = min(workers, _cpus())
     pool = None
     try:
         for pi, (ebn0_db, params) in enumerate(zip(points, point_params)):
@@ -558,11 +569,11 @@ def run_sweep(code, taus, ebn0_points, trials_per_point, master_seed, workers=1,
             def run_block(lo, hi, active):
                 nonlocal pool
                 args = (code, params, [taus[j] for j in active], decoder, master_seed, key)
-                if workers <= 1 or hi - lo < 64:
+                if pool_size <= 1 or hi - lo < 64:
                     parts = [_decode_block(*args, lo, hi, confidence)]
                 else:
                     if pool is None:
-                        pool = ProcessPoolExecutor(max_workers=min(workers, _cpus()))
+                        pool = ProcessPoolExecutor(max_workers=pool_size)
                     edges = list(range(lo, hi, _TASK)) + [hi]
                     parts = pool.map(_decode_block, *map(repeat, args),
                                      edges[:-1], edges[1:], repeat(confidence))
@@ -650,10 +661,8 @@ def collect_error_query_distribution(code, ebn0_db, target_errors, seed,
     ``_MIN_ERROR_RATE`` at any trial from ``_CHECK_AFTER`` on the run aborts
     rather than spin forever.
     """
-    if target_errors < 1:
-        raise ValueError("target_errors must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    target_errors = _count("target_errors", target_errors, 1)
+    seed = _count("seed", seed, 0)
     if decoder not in DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}")
     params = ChannelParams(ebn0_db=ebn0_db, rate=code.rate)

@@ -87,7 +87,7 @@ class _OrderTable:
     smallest and largest 0-based frame indices and ``flips[i]`` how many it
     has.  The empty pattern, index 0, has all five 0.  These arrays are the
     only record of a pattern: its frame indices are the ``last`` entries
-    along its parent chain, which ``positions`` and ``pattern`` walk back.
+    along its parent chain, which ``positions`` walks back.
 
     The table is built level by level over flip counts: every m-flip set is
     an (m-1)-flip set extended by a larger index, so extending each level in
@@ -216,17 +216,6 @@ class _OrderTable:
             pat = self.parent[pat]
         return np.repeat(np.arange(len(sizes)), sizes), pos
 
-    def pattern(self, i):
-        if i >= self.count:
-            raise IndexError(i)
-        positions = []
-        while i:
-            positions.append(int(self.last[i]))
-            i = self.parent[i]
-        positions.reverse()
-        weight = len(positions) if self.kind == "hamming" else sum(positions) + len(positions)
-        return QueryPattern(positions=tuple(positions), weight=weight)
-
     def waves(self, lo, hi):
         """Patterns [max(lo, 1), hi) in groups to take in turn, memoised.
 
@@ -273,11 +262,21 @@ def query_patterns(order, start=0):
     The sequence is a pure function of (kind, n), so iteration can stop and
     resume at any index; nothing about an observation is captured.
     """
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
     table = order_table(order)
-    for i in range(int(start), 1 << order.n):
-        if i >= table.count:
-            table.extend_to(i + 1024)
-        yield table.pattern(i)
+    end = 1 << order.n
+    for lo in range(int(start), end, 1024):
+        hi = min(lo + 1024, end)
+        table.extend_to(hi)
+        sizes = table.flips[lo:hi].tolist()
+        pos = table.positions(np.arange(lo, hi))[1].tolist()
+        at = 0
+        for size in sizes:
+            positions = tuple(pos[at:at + size])
+            at += size
+            weight = size if order.kind == "hamming" else sum(positions) + size
+            yield QueryPattern(positions=positions, weight=weight)
 
 
 def realized_positions(pattern, order, obs):

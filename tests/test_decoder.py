@@ -17,14 +17,19 @@ from softgrand.channel import (ChannelParams, SoftObservation, bsc_crossover,
                                transmit_arrays)
 from softgrand.codes import encode, is_codeword, make_rlc
 from softgrand.decoder import (ABANDON_CAP, ABANDON_LLR, AT_CAP, BELOW_TAU, HIT,
-                               DecodePolicy, decode, decode_batch, decode_ladder,
-                               resolve_max_queries)
+                               DecodePolicy, decode, decode_batch, resolve_max_queries)
 from softgrand.softout import p_incorrect_cum
 
 
 def _obs_for_word(word, flips):
     return SoftObservation.from_flip_probs(np.asarray(word, dtype=np.uint8),
                                            flips)
+
+
+def _one_row(code, obs, taus, kind="logistic", max_queries=None, acct=None):
+    """One observation under every threshold in ``taus``: a one-row decode_batch."""
+    return decode_batch(code, obs.hard[np.newaxis], obs.reliab[np.newaxis], taus, kind,
+                        max_queries, acct)
 
 
 class TestCleanDecode:
@@ -240,41 +245,30 @@ class TestThresholdLadder:
         if data.draw(st.booleans(), label="bsc"):
             crossover = bsc_crossover(ChannelParams(ebn0_db=ebn0, rate=code.rate))
             acct = SoftObservation.from_flip_probs(obs.hard, crossover)
-        ladder = decode_ladder(code, obs, taus, kind, max_queries, accounting=acct)
-        assert len(ladder) == len(taus)
-        for tau, got in zip(taus, ladder):
+        got = _one_row(code, obs, taus, kind, max_queries, acct)
+        assert got.status.shape == got.q.shape == got.llr_bits.shape == (len(taus), 1)
+        for j, tau in enumerate(taus):
             policy = DecodePolicy(tau=tau, max_queries=max_queries, order_kind=kind)
-            want = decode(code, obs, policy, accounting=acct)
-            assert (outcome_tag(got), got.q) == (outcome_tag(want), want.q)
-            assert np.array_equal(got.word, want.word)
-            assert got.report.llr_bits == want.report.llr_bits
+            _assert_cell_is(got, j, 0, decode(code, obs, policy, accounting=acct))
         # the first threshold also against the scalar reference
-        policy = DecodePolicy(tau=taus[0], max_queries=max_queries, order_kind=kind)
-        tag, q, ref_word, ref_llr = reference_decode(code, obs, policy, accounting=acct)
-        assert (outcome_tag(ladder[0]), ladder[0].q) == (tag, q)
-        assert np.array_equal(ladder[0].word, ref_word)
-        assert ladder[0].report.llr_bits == pytest.approx(ref_llr, rel=1e-12, abs=1e-12)
+        _assert_reference(code, obs, got, 0, 0, taus, kind, max_queries, acct)
 
     @pytest.mark.parametrize("kind", ["logistic", "hamming"])
     def test_deep_ladder_matches_reference(self, kind):
         code = make_rlc(128, 116, seed=1)
         _, obs = random_observation(code, 1.0, np.random.default_rng(31))
         taus = [None, -5.0, -3.0, 3.0]  # hits and abandonments past query 64
-        ladder = decode_ladder(code, obs, taus, kind, 4000)
-        assert ladder[0].q > 64
-        for tau, got in zip(taus, ladder):
-            policy = DecodePolicy(tau=tau, max_queries=4000, order_kind=kind)
-            tag, q, ref_word, ref_llr = reference_decode(code, obs, policy)
-            assert (outcome_tag(got), got.q) == (tag, q)
-            assert np.array_equal(got.word, ref_word)
-            assert got.report.llr_bits == pytest.approx(ref_llr, rel=1e-12, abs=1e-12)
+        got = _one_row(code, obs, taus, kind, 4000)
+        assert got.q[0, 0] > 64
+        for j in range(len(taus)):
+            _assert_reference(code, obs, got, j, 0, taus, kind, 4000, None)
 
     @pytest.mark.parametrize("taus", [[math.nan], [0.0, math.inf]])
     def test_ladder_rejects_non_finite_tau(self, taus):
         code = make_rlc(16, 8, seed=2)
         obs = _obs_for_word(np.zeros(16, dtype=np.uint8), 0.05)
         with pytest.raises(ValueError, match="finite"):
-            decode_ladder(code, obs, taus)
+            _one_row(code, obs, taus)
 
     def test_monotone_behaviour_under_shared_noise(self):
         code = make_rlc(16, 8, seed=7)
@@ -306,23 +300,32 @@ def _block(code, ebn0, rows, rng):
 _STATUS_TAGS = {HIT: "decoded", BELOW_TAU: "abandon_llr", AT_CAP: "abandon_cap"}
 
 
-def _assert_batch_equals_ladders(code, arrays, taus, kind, max_queries, acct):
+def _assert_cell_is(got, j, i, want):
+    """Row i under threshold j of a BatchOutcome is the DecodeOutcome ``want``."""
+    tag = _STATUS_TAGS[got.status[j, i]]
+    assert (tag, got.q[j, i]) == (outcome_tag(want), want.q)
+    assert got.decoded[j, i] == want.decoded
+    if want.decoded:
+        assert np.array_equal(got.words[i], want.word)
+    else:
+        assert want.word is None
+    # bit for bit
+    assert got.llr_bits[j, i].tobytes() == np.float64(want.report.llr_bits).tobytes()
+
+
+def _assert_batch_equals_rows(code, arrays, taus, kind, max_queries, acct):
+    """Each row of a block decodes as a one-row block of its own, bit for bit."""
     got = decode_batch(code, *arrays, taus, kind, max_queries, acct)
     shape = (len(taus), len(arrays[0]))
     assert got.status.shape == got.q.shape == got.llr_bits.shape == shape
     for i, row in enumerate(zip(*arrays)):
         obs = SoftObservation(*row)
-        ladder = decode_ladder(code, obs, taus, kind, max_queries, accounting=acct)
-        for j, want in enumerate(ladder):
-            tag = _STATUS_TAGS[got.status[j, i]]
-            assert (tag, got.q[j, i]) == (outcome_tag(want), want.q)
-            assert got.decoded[j, i] == want.decoded
-            if want.decoded:
-                assert np.array_equal(got.words[i], want.word)
-            # bit for bit
-            assert got.llr_bits[j, i].tobytes() == np.float64(want.report.llr_bits).tobytes()
-        # decode_ladder is a one-row decode_batch, so the first threshold of
-        # every row is also held against the scalar reference
+        alone = _one_row(code, obs, taus, kind, max_queries, acct)
+        assert np.array_equal(got.status[:, i], alone.status[:, 0])
+        assert np.array_equal(got.q[:, i], alone.q[:, 0])
+        assert got.llr_bits[:, i].tobytes() == alone.llr_bits[:, 0].tobytes()
+        assert np.array_equal(got.words[i], alone.words[0])
+        # the first threshold of every row also against the scalar reference
         _assert_reference(code, obs, got, 0, i, taus, kind, max_queries, acct)
 
 
@@ -378,7 +381,7 @@ class TestBatchDecode:
             crossover = bsc_crossover(ChannelParams(ebn0_db=ebn0, rate=code.rate))
             acct = SoftObservation.from_flip_probs(np.zeros(n, dtype=np.uint8), crossover)
         patterns.order_table.cache_clear()
-        _assert_batch_equals_ladders(code, arrays, taus, kind, max_queries, acct)
+        _assert_batch_equals_rows(code, arrays, taus, kind, max_queries, acct)
 
     @pytest.mark.parametrize("kind, accounting", [("logistic", "soft"), ("hamming", "bsc")])
     def test_deep_rows_resume_after_the_block(self, kind, accounting, monkeypatch):
@@ -404,7 +407,7 @@ class TestBatchDecode:
         # One walk from query 2: the rows still searching after query 64 go
         # on in the block's own scan.
         assert starts == [1]
-        _assert_batch_equals_ladders(code, arrays, taus, kind, 3000, acct)
+        _assert_batch_equals_rows(code, arrays, taus, kind, 3000, acct)
 
     @pytest.mark.parametrize("kind", ["logistic", "hamming"])
     def test_lone_deep_row_continues_in_place(self, kind):
@@ -418,7 +421,7 @@ class TestBatchDecode:
         taus = [None, 2.0, -5.0]
         got = decode_batch(code, hard, reliab, taus, kind, 3000)
         assert (got.q[0] > 64).tolist() == [False] * 4 + [True, False]
-        _assert_batch_equals_ladders(code, (hard, reliab), taus, kind, 3000, None)
+        _assert_batch_equals_rows(code, (hard, reliab), taus, kind, 3000, None)
 
     @pytest.mark.parametrize("kind", ["logistic", "hamming"])
     def test_wide_syndromes_match_the_reference(self, kind):
@@ -444,7 +447,7 @@ class TestBatchDecode:
         acct = _grand(code, 1.0)[1] if accounting == "bsc" else None
         got = decode_batch(code, *arrays, [None], "hamming", None, acct, confidence=False)
         assert (got.q[0] > 1024).any()
-        _assert_batch_equals_ladders(code, arrays, [None, 1.0], "hamming", None, acct)
+        _assert_batch_equals_rows(code, arrays, [None, 1.0], "hamming", None, acct)
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
@@ -533,7 +536,7 @@ class TestBatchDecode:
         with pytest.raises(ValueError, match="taus must not be empty"):
             decode_batch(code, hard, reliab, ())
         with pytest.raises(ValueError, match="taus must not be empty"):
-            decode_ladder(code, SoftObservation(hard[0], reliab[0]), ())
+            _one_row(code, SoftObservation(hard[0], reliab[0]), ())
         with pytest.raises(ValueError, match="finite"):
             decode_batch(code, hard, reliab, [math.nan])
         with pytest.raises(ValueError, match="length"):
@@ -599,7 +602,7 @@ class TestQueryOne:
             # accounting all rows share one query-1 confidence instead.
             assert below.all(axis=0).any()
         for taus in self.TAUS:
-            _assert_batch_equals_ladders(code, arrays, taus, kind, 300, acct)
+            _assert_batch_equals_rows(code, arrays, taus, kind, 300, acct)
             got = decode_batch(code, *arrays, taus, kind, 300, acct)
             for i, row in enumerate(zip(*arrays)):
                 for j in range(1, len(taus)):
@@ -624,8 +627,7 @@ class TestQueryOne:
         for frame, i in zip(scan.frame, scan.ranked):
             assert frame.tolist() == sorted(range(128), key=lambda b: (reliab[i, b], b))
             assert np.array_equal(frame, SoftObservation(hard[i], reliab[i]).ranks)
-        _assert_batch_equals_ladders(code, (hard, reliab), [None, 2.0], "logistic", 300,
-                                     None)
+        _assert_batch_equals_rows(code, (hard, reliab), [None, 2.0], "logistic", 300, None)
 
 
 @pytest.mark.parametrize("cap", [1, 2, 15, 16, 17, 64, 65, 4097, 32768])
@@ -731,14 +733,14 @@ class TestColumnCompaction:
         assert (got.llr_bits is None) != confidence
         for i, row in enumerate(zip(*arrays)):
             obs = SoftObservation(*row)
-            ladder = decode_ladder(code, obs, taus, kind, accounting=acct)
-            for j, want in enumerate(ladder):
+            alone = _one_row(code, obs, taus, kind, None, acct)
+            for j in range(len(taus)):
                 tag = _STATUS_TAGS[got.status[j, i]]
-                assert (tag, got.q[j, i]) == (outcome_tag(want), want.q)
-                if want.decoded:
-                    assert np.array_equal(got.words[i], want.word)
+                assert (got.status[j, i], got.q[j, i]) == (alone.status[j, 0], alone.q[j, 0])
+                if got.decoded[j, i]:
+                    assert np.array_equal(got.words[i], alone.words[0])
                 if confidence:
-                    assert got.llr_bits[j, i] == want.report.llr_bits
+                    assert got.llr_bits[j, i] == alone.llr_bits[j, 0]
                     _assert_reference(code, obs, got, j, i, taus, kind, None, acct)
                 else:
                     policy = DecodePolicy(tau=taus[j], order_kind=kind)

@@ -340,17 +340,23 @@ class TestLockstepBatches:
         monkeypatch.setattr(harness, "_MAX_TRIALS_FACTOR", 4)
         kwargs = dict(code=small_code, taus=self.TAUS, ebn0_points=[1.0],
                       trials_per_point=96, master_seed=11)
-        assert 1 <= harness._cpus() <= os.cpu_count()
+        cpus = harness._cpus()
+        assert 1 <= cpus <= os.cpu_count()
         huge = run_sweep(workers=10**9, **kwargs)
-        assert sizes == [harness._cpus()]
+        # A pool of one would add a fork and pickling and split nothing.
+        assert sizes == ([cpus] if cpus > 1 else [])
+        sizes.clear()
         monkeypatch.setattr(harness, "_cpus", lambda: 3)
         run_sweep(workers=10**9, **kwargs)
         run_sweep(workers=2, **kwargs)
-        assert sizes[1:] == [3, 2]
+        assert sizes == [3, 2]
         serial = run_sweep(workers=1, **kwargs)
-        assert len(sizes) == 3
-        assert (_csv_bytes(serial, tmp_path, "serial")
-                == _csv_bytes(huge, tmp_path, "huge"))
+        monkeypatch.setattr(harness, "_cpus", lambda: 1)
+        one_cpu = run_sweep(workers=10**9, **kwargs)
+        assert sizes == [3, 2]
+        want = _csv_bytes(serial, tmp_path, "serial")
+        assert _csv_bytes(huge, tmp_path, "huge") == want
+        assert _csv_bytes(one_cpu, tmp_path, "one_cpu") == want
 
     @pytest.mark.parametrize("decoder", ["orbgrand", "grand"])
     def test_sweep_matches_per_trial_decoding(self, small_code, decoder):
@@ -435,7 +441,28 @@ class TestSweepStatistics:
         assert by_label["tau=none"].trials == 50
         assert res.base_trials == 50
 
-    def test_input_validation(self, small_code):
+    def test_input_validation(self, small_code, tmp_path, monkeypatch):
+        want = run_sweep(small_code, (None, 2.0), [1.0], 20, master_seed=3)
+        # numpy integers are integers
+        got = run_sweep(small_code, (None, 2.0), [1.0], np.int64(20), master_seed=np.uint8(3))
+        assert _csv_bytes(got, tmp_path, "numpy") == _csv_bytes(want, tmp_path, "int")
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a block was decoded")
+
+        # a bool or a non-integer count is rejected before anything is built
+        monkeypatch.setattr(harness, "_decode_block", fail)
+        monkeypatch.setattr(harness, "ChannelParams", fail)
+        for trials in (True, np.True_, 10.0, 2.5, "10"):
+            with pytest.raises(ValueError, match="trials_per_point must be an integer"):
+                run_sweep(small_code, (None,), [1.0], trials, master_seed=1)
+        for seed in (True, False, 1.5, 1.0, None):
+            with pytest.raises(ValueError, match="master_seed must be an integer"):
+                run_sweep(small_code, (None,), [1.0], 10, master_seed=seed)
+        for workers in (True, 2.5, 0):
+            with pytest.raises(ValueError, match="workers must be an integer"):
+                run_sweep(small_code, (None,), [1.0], 10, master_seed=1, workers=workers)
+        monkeypatch.undo()
         with pytest.raises(ValueError):
             run_sweep(small_code, (None,), [1.0], 0, master_seed=1)
         with pytest.raises(ValueError):
@@ -605,6 +632,16 @@ class TestErrorQueryDistribution:
         # A negative seed has no SeedSequence words: splitting it never ends.
         with pytest.raises(ValueError, match="seed"):
             collect_error_query_distribution(make_rlc(16, 8, 1), 0.0, 5, -1)
+        for seed in (True, 1.5, 2.0):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                collect_error_query_distribution(make_rlc(16, 8, 1), 0.0, 5, seed)
+        for target in (True, 5.0, 0):
+            with pytest.raises(ValueError, match="target_errors must be an integer"):
+                collect_error_query_distribution(make_rlc(16, 8, 1), 0.0, target, 1)
+        got = collect_error_query_distribution(make_rlc(16, 8, 1), 0.0, np.int64(5),
+                                               np.uint8(1))
+        want = collect_error_query_distribution(make_rlc(16, 8, 1), 0.0, 5, 1)
+        assert got.queries.tolist() == want.queries.tolist()
 
 
 class TestDecoderSetup:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from reference_order import partitions_fixed, reference_arrays
+from reference_order import partitions_fixed, pattern_stream, reference_arrays
 
 from softgrand import decoder, patterns
 from softgrand.channel import SoftObservation
@@ -118,9 +118,12 @@ class TestResumability:
     @pytest.mark.parametrize("kind", ["hamming", "logistic"])
     def test_start_offset_matches_prefix_skip(self, kind):
         order = QueryOrder(kind, 16)
-        full = take(order, 900)
-        for start in (0, 1, 17, 255, 256, 777):
-            assert take(order, 10, start=start) == full[start:start + 10]
+        full = take(order, 2100)
+        # patterns are read 1024 at a time from start, so 1030 cross a read
+        for start in (0, 1, 17, 255, 256, 777, 1023, 1024):
+            assert take(order, 1030, start=start) == full[start:start + 1030]
+        with pytest.raises(ValueError, match="start"):
+            take(order, 1, start=-1)
 
 
 class TestTableBuild:
@@ -191,8 +194,10 @@ class TestTableInternals:
             table = order_table(QueryOrder(kind, 9))
             table.extend_to(81)
             entry, pos = table.positions(idx)
+            # the reference is 1-based
+            ref = list(itertools.islice(pattern_stream(kind, 9), 81))
             for e, i in enumerate(idx):
-                assert tuple(pos[entry == e].tolist()) == table.pattern(i).positions
+                assert tuple(pos[entry == e].tolist()) == tuple(p - 1 for p in ref[i])
             entry, pos = table.positions(idx[:0])
             assert len(entry) == len(pos) == 0
 
