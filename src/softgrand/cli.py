@@ -149,7 +149,7 @@ def _parse_taus(text):
             taus.append(None)
             continue
         try:
-            tau = float(tok)
+            tau = float(tok) + 0.0  # -0 is the threshold 0
         except ValueError:
             raise ConfigError(f"bad tau value {tok!r}") from None
         if not math.isfinite(tau):
@@ -238,6 +238,8 @@ def parse_and_validate(argv=None):
     kind, n, k, code_seed, poly = _parse_code(merged["code"])
     if mode in ("sweep", "fig1") and n - k > MAX_REDUNDANCY:
         raise ConfigError(f"mode {mode} needs n-k <= {MAX_REDUNDANCY}, got {n - k}")
+    if mode == "oracle" and n > 12:
+        raise ConfigError(f"oracle mode needs n <= 12, got n={n}")
 
     decoder = merged.get("decoder", "orbgrand")
     if decoder not in DECODERS:
@@ -343,8 +345,6 @@ def _run_fig1_mode(config, code):
 
 
 def _run_oracle_mode(config, code):
-    if code.n > 12:
-        raise ConfigError(f"oracle mode needs n <= 12, got n={code.n}")
     # Trial 0 of the point as a sweep draws it, under the decoder's own ledger.
     params = ChannelParams(ebn0_db=config.ebn0_points[0], rate=code.rate)
     order_kind, acct = _decoder_setup(config.decoder, code, params)

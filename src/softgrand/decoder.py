@@ -84,8 +84,6 @@ __all__ = [
     "resolve_max_queries",
 ]
 
-_LN2 = math.log(2.0)
-
 ABANDON_LLR = "llr_below_tau"
 ABANDON_CAP = "query_cap_reached"
 
@@ -412,8 +410,8 @@ class _Scan:
         shared = cum is not None and cum.shape[1] != len(self.ids)
         if len(self.taus) and np.count_nonzero(self.open):
             m = len(cum)
-            log_u = softout._log_p_incorrect(self.redundancy, np.arange(lo + 1, lo + m + 1))
-            below = (cum - log_u[:, np.newaxis]) / _LN2 < self.taus
+            qs = np.arange(lo + 1, lo + m + 1)[:, np.newaxis]
+            below = softout._llr_bits(self.redundancy, qs, cum) < self.taus
             # A first crossing is searched for only where an open threshold
             # crossed.
             crossed = below.any(axis=1)

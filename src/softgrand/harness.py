@@ -18,8 +18,9 @@ turn through a view of its state memory; a first-use check against
 default_rng falls back to one generator per trial if numpy's internals
 differ.  Each batch gets one ``decode_batch`` call under all the taus,
 which runs every trial's search as (trials, queries) arrays until the
-last trial stops.  fig1 decodes the trials of a tau=None sweep at its
-point.
+last trial stops.  A sweep maps a block's batches over a process pool,
+``_TASK // _BATCH`` per task, only for a block of two or more tasks.
+fig1 decodes the trials of a tau=None sweep at its point.
 Results do not depend on the batch size or the worker count.
 
 Points where a threshold abandons almost everything escalate their trial
@@ -86,7 +87,7 @@ DECODERS = {
 # Trials per lockstep batch.  Fixed, so that the memory a block holds does
 # not grow with the block: escalation blocks reach thousands of trials.
 _BATCH = 256
-# Trials per pool task.
+# Trials per pool task, a whole number of batches.
 _TASK = 512
 # A sweep point escalates while a tau abandons more than this share of its
 # trials and has fewer than _MIN_CONDITIONAL_EVENTS non-abandoned ones, up
@@ -133,7 +134,7 @@ def _count(name, value, least):
 
 def _tau_label(tau):
     """The policy name of a threshold in sweep outputs: tau=none, tau=2, ..."""
-    return "tau=none" if tau is None else f"tau={tau:g}"
+    return "tau=none" if tau is None else f"tau={tau + 0.0:g}"  # -0.0 is 0.0
 
 
 @dataclass
@@ -480,32 +481,22 @@ def _decoder_setup(decoder, code, params):
 
 def _decode_block(code, params, taus, decoder, master_seed, point_key, lo, hi,
                   confidence=True):
-    """Run trials [lo, hi) at one point under each of ``taus``.
+    """Run trials [lo, hi) at one point under each of ``taus``, as one lockstep batch.
 
     Returns (outcome, q, llr_bits) arrays of shape (len(taus), hi - lo).
     With ``confidence=False`` the decoder reports no confidence and
-    ``llr_bits`` stays NaN; once no finite tau is open the trials then
-    decode on syndromes alone.
+    ``llr_bits`` is NaN; once no finite tau is open the trials then decode
+    on syndromes alone.
     """
     order_kind, acct = _decoder_setup(decoder, code, params)
-    shape = (len(taus), hi - lo)
-    outcome = np.empty(shape, dtype=np.int8)
-    q = np.empty(shape, dtype=np.int64)
-    llr_bits = np.full(shape, math.nan)
-    for b_lo in range(lo, hi, _BATCH):
-        b_hi = min(b_lo + _BATCH, hi)
-        cws, (hard, reliab) = _trial_batch(code, params, master_seed, point_key,
-                                           b_lo, b_hi)
-        rows = slice(b_lo - lo, b_hi - lo)
-        res = decode_batch(code, hard, reliab, taus, order_kind,
-                           accounting=acct, confidence=confidence)
-        correct = (res.words == cws).all(axis=1)
-        outcome[:, rows] = np.where(res.decoded, np.where(correct, CORRECT, INCORRECT),
-                                    ABANDONED)
-        q[:, rows] = res.q
-        if confidence:
-            llr_bits[:, rows] = res.llr_bits
-    return outcome, q, llr_bits
+    cws, (hard, reliab) = _trial_batch(code, params, master_seed, point_key, lo, hi)
+    res = decode_batch(code, hard, reliab, taus, order_kind, accounting=acct,
+                       confidence=confidence)
+    correct = (res.words == cws).all(axis=1)
+    outcome = np.where(res.decoded, np.where(correct, CORRECT, INCORRECT),
+                       ABANDONED).astype(np.int8)
+    llr_bits = res.llr_bits if confidence else np.full(res.q.shape, math.nan)
+    return outcome, res.q, llr_bits
 
 
 @dataclass
@@ -557,10 +548,11 @@ def run_sweep(code, taus, ebn0_points, trials_per_point, master_seed, workers=1,
     batches = {(lbl, pi): TrialBatch() for lbl in labels for pi in range(len(points))}
     stats = []
     # One pool serves every block of the sweep, so each worker builds its
-    # order table once; it starts with the first block large enough to split,
-    # with no more workers than the CPUs this process may use.  A pool of one
-    # would only add a fork and pickling, so then every block runs here.
+    # order table once.  It starts with the first block of two or more pool
+    # tasks, with no more workers than the CPUs this process may use; a
+    # smaller block or a pool of one would only add a fork and pickling.
     pool_size = min(workers, _cpus())
+    per_task = max(1, _TASK // _BATCH)
     pool = None
     try:
         for pi, (ebn0_db, params) in enumerate(zip(points, point_params)):
@@ -569,17 +561,17 @@ def run_sweep(code, taus, ebn0_points, trials_per_point, master_seed, workers=1,
             def run_block(lo, hi, active):
                 nonlocal pool
                 args = (code, params, [taus[j] for j in active], decoder, master_seed, key)
-                if pool_size <= 1 or hi - lo < 64:
-                    parts = [_decode_block(*args, lo, hi, confidence)]
-                else:
+                edges = list(range(lo, hi, _BATCH)) + [hi]
+                tasks = (*map(repeat, args), edges[:-1], edges[1:], repeat(confidence))
+                if pool_size > 1 and len(edges) - 1 > per_task:
                     if pool is None:
                         pool = ProcessPoolExecutor(max_workers=pool_size)
-                    edges = list(range(lo, hi, _TASK)) + [hi]
-                    parts = pool.map(_decode_block, *map(repeat, args),
-                                     edges[:-1], edges[1:], repeat(confidence))
-                for part in parts:
-                    for j, cols in zip(active, zip(*part)):
-                        batches[(labels[j], pi)].extend(*cols)
+                    parts = pool.map(_decode_block, *tasks, chunksize=per_task)
+                else:
+                    parts = map(_decode_block, *tasks)
+                cols = [np.concatenate(col, axis=1) for col in zip(*parts)]
+                for j, *cell in zip(active, *cols):
+                    batches[(labels[j], pi)].extend(*cell)
 
             run_block(0, trials_per_point, range(len(taus)))
             total = trials_per_point

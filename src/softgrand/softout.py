@@ -136,6 +136,11 @@ def llr_bits(redundancy, q, cum_log):
     """
     q = np.asarray(q)
     _check_rq(redundancy, q, least=1)
+    return _llr_bits(redundancy, q, cum_log)
+
+
+def _llr_bits(redundancy, q, cum_log):
+    """llr_bits unchecked, for query counts >= 1 the caller built."""
     return (cum_log - _log_p_incorrect(redundancy, q)) / _LN2
 
 

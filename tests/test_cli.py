@@ -57,6 +57,14 @@ class TestFlagParsing:
                                   "--ebn0", "1", "--tau", "none,0,1.5"])
         assert cfg.taus == (None, 0.0, 1.5)
 
+    def test_minus_zero_tau_is_zero(self, capsys):
+        cfg = parse_and_validate(["--mode", "sweep", "--code", "rlc:16:8",
+                                  "--ebn0", "1", "--tau", "-0"])
+        assert math.copysign(1.0, cfg.taus[0]) == 1.0 and cfg.tau_string() == "0"
+        assert main(["--mode", "sweep", "--code", "rlc:16:8", "--ebn0", "1",
+                     "--tau", "0,-0"]) == 2
+        assert "distinct labels" in capsys.readouterr().err
+
     def test_decoder_selection(self):
         cfg = parse_and_validate(["--mode", "sweep", "--code", "rlc:16:8",
                                   "--ebn0", "1", "--decoder", "grand"])
@@ -418,6 +426,15 @@ class TestOracleMode:
         assert main(["--mode", "oracle", "--code", "rlc:16:8",
                      "--ebn0", "2"]) == 2
         assert "n <= 12" in capsys.readouterr().err
+
+    def test_size_checked_before_the_code_is_built(self, capsys, monkeypatch):
+        # rlc:64:1 takes its builder's full redraw budget to fail.
+        def never(*args, **kwargs):
+            raise AssertionError("built a code too large for the oracle")
+
+        monkeypatch.setattr(cli, "make_rlc", never)
+        assert main(["--mode", "oracle", "--code", "rlc:64:1:1", "--ebn0", "1"]) == 2
+        assert "oracle mode needs n <= 12, got n=64" in capsys.readouterr().err
 
 
 class TestSweepMode:

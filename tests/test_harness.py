@@ -37,6 +37,31 @@ def _batches_match(a, b):
         assert np.array_equal(a[key].llr_bits, b[key].llr_bits, equal_nan=True)
 
 
+def _several_tasks_per_block(monkeypatch):
+    """Pool tasks of two 16-trial batches, so a block of 96 trials makes three."""
+    monkeypatch.setattr(harness, "_BATCH", 16)
+    monkeypatch.setattr(harness, "_TASK", 32)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Pools in ``harness`` run every task in this process; lists each pool's size."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+        def shutdown(self, wait=True):
+            pass
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
 @pytest.fixture(scope="module")
 def small_code():
     return make_rlc(16, 8, seed=4)
@@ -62,7 +87,8 @@ class TestSweepDeterminism:
         assert np.array_equal(a.q, b.q)
         assert np.array_equal(a.llr_bits, b.llr_bits, equal_nan=True)
 
-    def test_parallel_matches_serial(self, small_code):
+    def test_parallel_matches_serial(self, small_code, monkeypatch):
+        _several_tasks_per_block(monkeypatch)
         kwargs = dict(code=small_code, taus=(None, 2.0),
                       ebn0_points=[2.0], trials_per_point=128, master_seed=3)
         serial = run_sweep(workers=1, **kwargs)
@@ -251,7 +277,7 @@ class TestLockstepBatches:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(harness, "_TASK", 40)  # several tasks per block
+        _several_tasks_per_block(monkeypatch)
         monkeypatch.setattr(harness, "_MAX_TRIALS_FACTOR", 4)
         kwargs = dict(code=small_code, taus=self.TAUS, ebn0_points=[1.0, 4.0],
                       trials_per_point=96, master_seed=11)
@@ -265,7 +291,7 @@ class TestLockstepBatches:
                 == _csv_bytes(pooled, tmp_path, "pooled"))
 
     def test_without_confidence_pooled_equals_serial(self, small_code, monkeypatch):
-        monkeypatch.setattr(harness, "_TASK", 40)  # several tasks per block
+        _several_tasks_per_block(monkeypatch)
         monkeypatch.setattr(harness, "_MAX_TRIALS_FACTOR", 4)
         kwargs = dict(code=small_code, taus=self.TAUS, ebn0_points=[1.0, 4.0],
                       trials_per_point=96, master_seed=11)
@@ -321,22 +347,10 @@ class TestLockstepBatches:
                          decoder=decoder)
         _stats_match(want.stats, res.stats)
 
-    def test_pool_size_bounded_by_available_cpus(self, small_code, tmp_path, monkeypatch):
-        sizes = []
-
-        class InlinePool:
-            """Records its requested size and runs every task in this process."""
-
-            def __init__(self, max_workers=None):
-                sizes.append(max_workers)
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-            def shutdown(self, wait=True):
-                pass
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    def test_pool_size_bounded_by_available_cpus(self, small_code, tmp_path, monkeypatch,
+                                                 inline_pool):
+        sizes = inline_pool
+        _several_tasks_per_block(monkeypatch)
         monkeypatch.setattr(harness, "_MAX_TRIALS_FACTOR", 4)
         kwargs = dict(code=small_code, taus=self.TAUS, ebn0_points=[1.0],
                       trials_per_point=96, master_seed=11)
@@ -357,6 +371,23 @@ class TestLockstepBatches:
         want = _csv_bytes(serial, tmp_path, "serial")
         assert _csv_bytes(huge, tmp_path, "huge") == want
         assert _csv_bytes(one_cpu, tmp_path, "one_cpu") == want
+
+    def test_pool_starts_only_for_a_block_of_several_tasks(self, small_code, tmp_path,
+                                                           monkeypatch, inline_pool):
+        # A tau=none sweep does not escalate, so its one block per point is
+        # the base trials: 512 trials are one pool task of two batches, and
+        # 513 trials are two tasks.
+        monkeypatch.setattr(harness, "_cpus", lambda: 2)
+        kwargs = dict(code=small_code, taus=(None,), ebn0_points=[1.0, 4.0],
+                      master_seed=11)
+        for trials, pools in ((512, []), (513, [2])):
+            serial = run_sweep(workers=1, trials_per_point=trials, **kwargs)
+            assert inline_pool == []
+            pooled = run_sweep(workers=2, trials_per_point=trials, **kwargs)
+            assert inline_pool == pools
+            assert (_csv_bytes(serial, tmp_path, "serial")
+                    == _csv_bytes(pooled, tmp_path, "pooled"))
+            inline_pool.clear()
 
     @pytest.mark.parametrize("decoder", ["orbgrand", "grand"])
     def test_sweep_matches_per_trial_decoding(self, small_code, decoder):
@@ -467,8 +498,9 @@ class TestSweepStatistics:
             run_sweep(small_code, (None,), [1.0], 0, master_seed=1)
         with pytest.raises(ValueError):
             run_sweep(small_code, (None,), [1.0], 10, master_seed=-1)
-        with pytest.raises(ValueError, match="unique"):
-            run_sweep(small_code, (1.0, 1.0), [1.0], 10, master_seed=1)
+        for taus in ((1.0, 1.0), (0.0, -0.0)):
+            with pytest.raises(ValueError, match="unique"):
+                run_sweep(small_code, taus, [1.0], 10, master_seed=1)
         with pytest.raises(ValueError, match="empty"):
             run_sweep(small_code, (), [1.0], 10, master_seed=1)
         with pytest.raises(ValueError, match="ebn0_points must not be empty"):
@@ -491,6 +523,7 @@ class TestSweepStatistics:
         assert harness._tau_label(None) == "tau=none"
         assert harness._tau_label(2.0) == "tau=2"
         assert harness._tau_label(0.5) == "tau=0.5"
+        assert harness._tau_label(-0.0) == "tau=0"
 
 
 class TestBinomialHalfwidth:
