@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .channel import EBN0_LIMIT_DB, ChannelParams, SoftObservation, capacity_markers
 from .codes import MAX_REDUNDANCY, make_crc, make_rlc
-from .harness import (DECODERS, GuardError, _decoder_setup, _point_key, _tau_label,
-                      _trial_batch, collect_error_query_distribution,
+from .harness import (DECODERS, ORACLE_MAX_N, GuardError, _decoder_setup, _point_key,
+                      _tau_label, _trial_batch, collect_error_query_distribution,
                       oracle_exact_accounting, run_sweep, write_sidecar, write_sweep_csv,
                       write_trials_csv)
 
@@ -72,7 +72,11 @@ class RunConfig:
         return f"crc:{self.n}:{self.k}:{hex(self.poly)}"
 
     def tau_string(self):
-        return ",".join("none" if t is None else format(t, "g") for t in self.taus)
+        # %g where it parses back to the same float, so a sidecar replays
+        # exactly; repr otherwise.
+        return ",".join("none" if t is None else
+                        format(t, "g") if float(format(t, "g")) == t else repr(t)
+                        for t in self.taus)
 
     def echo(self):
         """Canonical key/value form, written into output sidecars."""
@@ -200,9 +204,28 @@ def _check_ebn0_limit(points, text):
                           f"got {text!r}")
 
 
+def _join_values(parser, argv):
+    """``argv`` with each flag that takes a value joined to it as ``flag=value``.
+
+    argparse takes a token that begins with '-' as a value only when it
+    looks like a plain negative number, so ``--ebn0 -3:1:-1`` would fail.
+    Here a flag takes the next token unless that token is an option string.
+    """
+    options = parser._option_string_actions
+    out = []
+    for tok in argv:
+        last = out[-1] if out else None
+        if last in options and options[last].nargs != 0 and tok not in options:
+            out[-1] = f"{last}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def parse_and_validate(argv=None):
     """Resolve flags plus optional config file into a RunConfig."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(_join_values(parser, sys.argv[1:] if argv is None else argv))
 
     merged = {}
     if args.config is not None:
@@ -238,8 +261,8 @@ def parse_and_validate(argv=None):
     kind, n, k, code_seed, poly = _parse_code(merged["code"])
     if mode in ("sweep", "fig1") and n - k > MAX_REDUNDANCY:
         raise ConfigError(f"mode {mode} needs n-k <= {MAX_REDUNDANCY}, got {n - k}")
-    if mode == "oracle" and n > 12:
-        raise ConfigError(f"oracle mode needs n <= 12, got n={n}")
+    if mode == "oracle" and n > ORACLE_MAX_N:
+        raise ConfigError(f"oracle mode needs n <= {ORACLE_MAX_N}, got n={n}")
 
     decoder = merged.get("decoder", "orbgrand")
     if decoder not in DECODERS:
@@ -301,7 +324,7 @@ def _sidecar_meta(config, code):
         "code": code.descriptor,
         "parity_check_sha256": code.parity_check_sha256(),
         "markers": capacity_markers(code.rate),
-        # The trials' seeding reads numpy internals (see harness._array_draws).
+        # The trials' seeding reads numpy internals (see harness._generator).
         "numpy": np.__version__,
     }
 

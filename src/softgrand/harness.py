@@ -14,12 +14,13 @@ noise are drawn from its own seed, then the batch is encoded, transmitted
 and decoded as whole arrays.  The draws are default_rng's bits, but
 SeedSequence's hash-mix and PCG64's seeding run over the whole batch as
 uint32 and uint64 arrays, and one reused PCG64 takes each trial's state in
-turn through a view of its state memory; a first-use check against
-default_rng falls back to one generator per trial if numpy's internals
-differ.  Each batch gets one ``decode_batch`` call under all the taus,
-which runs every trial's search as (trials, queries) arrays until the
-last trial stops.  A sweep maps a block's batches over a process pool,
-``_TASK // _BATCH`` per task, only for a block of two or more tasks.
+turn through a view of its state memory.  That generator is built and
+checked against default_rng once per process; if numpy's internals
+differ, each trial gets its own generator instead.  Each batch gets one
+``decode_batch`` call under all the taus, which runs every trial's search
+as (trials, queries) arrays until the last trial stops.  A sweep maps a
+block's batches over a process pool, ``_TASK // _BATCH`` per task, only
+for a block of two or more tasks.
 fig1 decodes the trials of a tau=None sweep at its point.
 Results do not depend on the batch size or the worker count.
 
@@ -34,6 +35,7 @@ re-exported here.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -63,6 +65,7 @@ __all__ = [
     "ErrorQueryDistribution",
     "collect_error_query_distribution",
     "OracleReport",
+    "ORACLE_MAX_N",
     "oracle_exact_accounting",
     "binomial_halfwidth",
     "geometric_cdf",
@@ -95,6 +98,8 @@ _TASK = 512
 _ESCALATE_ABANDON_FRAC = 0.98
 _MIN_CONDITIONAL_EVENTS = 100
 _MAX_TRIALS_FACTOR = 8
+# oracle_exact_accounting enumerates all 2^n error patterns up to this n.
+ORACLE_MAX_N = 12
 # fig1 refuses points whose hard-decision crossover is below this: a clean
 # channel produces almost no incorrect decodings.
 _MIN_CROSSOVER = 1e-3
@@ -243,10 +248,6 @@ _XSHIFT = 16
 _POOL = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-# Whether _array_draws gives _loop_draws' bits with this numpy; None until
-# the first batch of the process checks.
-_fast_seeding = None
-
 
 def _words(value):
     """A nonnegative int as SeedSequence splits it: little-endian 32-bit words."""
@@ -383,39 +384,45 @@ def _state_words(bitgen):
     return np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64)
 
 
-def _state_view(bitgen):
-    """``_state_words(bitgen)`` if it reads back ``_pcg_states``' layout, else None.
+@functools.cache
+def _generator():
+    """The process's PCG64 as (state words, random_raw, standard_normal), or None.
 
-    A state is set through the public ``state`` setter and read back
-    through the view; nothing is written through the view here.
+    The state view must first read back a state set through the public
+    ``state`` setter, so nothing is ever written through a view of another
+    layout; then two trials, one with entropy shorter than the pool and one
+    longer, must give ``_loop_draws``' bits.  None means numpy's internals
+    differ, and trials draw with ``_loop_draws``.
     """
+    bitgen = np.random.PCG64(0)
     words = _state_words(bitgen)
     bitgen.state = {"bit_generator": "PCG64", "state": _PROBE_STATE,
                     "has_uint32": 0, "uinteger": 0}
     want = [*_limbs(_PROBE_STATE["state"]), *_limbs(_PROBE_STATE["inc"])]
-    return words if np.array_equal(words, np.array(want, dtype=np.uint64)) else None
+    if not np.array_equal(words, np.array(want, dtype=np.uint64)):
+        return None
+    gen = (words, bitgen.random_raw, np.random.Generator(bitgen).standard_normal)
+    probes = [(113, 128, 0, 0, 0, 1),
+              (113, 128, 2**64 + 5, _point_key(1.115278), 2**32 + 1, 2**32 + 2)]
+    match = all(np.array_equal(x, y) for args in probes
+                for x, y in zip(_array_draws(gen, *args), _loop_draws(*args)))
+    return gen if match else None
 
 
-def _array_draws(k, n, master_seed, point_key, lo, hi):
+def _array_draws(gen, k, n, master_seed, point_key, lo, hi):
     """``_loop_draws``' messages and noise from one hash-mix per batch.
 
-    Every trial's PCG64 state comes from array arithmetic over the batch
-    and is written through a view of one reused bit generator's state.
-    ``integers(0, 2, k, uint8)`` returns the top bit of each little-endian
-    byte of the raw output, so the messages come from ``random_raw`` words
-    in one shift; the noise is the generator's ``standard_normal``, which
-    reads whole uint64s.  Should the view not read back a state set through
-    the public setter, ``_loop_draws`` draws the batch instead.
+    ``gen`` is ``_generator()``'s checked generator.  Every trial's PCG64
+    state comes from array arithmetic over the batch and is written through
+    its state view.  ``integers(0, 2, k, uint8)`` returns the top bit of each
+    little-endian byte of the raw output, so the messages come from
+    ``random_raw`` words in one shift; the noise is the generator's
+    ``standard_normal``, which reads whole uint64s.
     """
-    bitgen = np.random.PCG64(0)
-    words = _state_view(bitgen)
-    if words is None:
-        return _loop_draws(k, n, master_seed, point_key, lo, hi)
+    words, random_raw, normal = gen
     nraw = -(-k // 8)
     raw = np.empty((hi - lo, nraw), dtype=np.uint64)
     noise = np.empty((hi - lo, n))
-    random_raw = bitgen.random_raw
-    normal = np.random.Generator(bitgen).standard_normal
     for i, state in enumerate(_trial_states(master_seed, point_key, lo, hi)):
         words[:] = state
         raw[i] = random_raw(nraw)
@@ -435,36 +442,20 @@ def _loop_draws(k, n, master_seed, point_key, lo, hi):
     return msgs, noise
 
 
-def _array_draws_match():
-    """Whether ``_array_draws`` gives ``_loop_draws``' bits with this numpy.
-
-    First the state view must read back a state set through the public
-    setter, so nothing is written through a view of the wrong layout.
-    Then two trials: one with entropy shorter than the pool and one longer.
-    """
-    if _state_view(np.random.PCG64(0)) is None:
-        return False
-    probes = [(113, 128, 0, 0, 0, 1),
-              (113, 128, 2**64 + 5, _point_key(1.115278), 2**32 + 1, 2**32 + 2)]
-    return all(np.array_equal(x, y) for args in probes
-               for x, y in zip(_array_draws(*args), _loop_draws(*args)))
-
-
 def _trial_batch(code, params, master_seed, point_key, lo, hi):
     """Code words and (hard, reliab) arrays of trials [lo, hi) at one point.
 
     Each trial draws its message, then its noise, from its own seed, as
     ``default_rng(SeedSequence((master_seed, point_key, trial)))`` would:
-    ``_array_draws`` seeds the whole batch with array operations, and
-    ``_loop_draws`` builds one generator per trial where the first-use check
-    finds that numpy's internals differ.  The rest is whole-array work, so a
-    trial's bits do not depend on the batch.
+    ``_array_draws`` seeds the whole batch with array operations through
+    the process's checked generator, and ``_loop_draws`` builds one
+    generator per trial where ``_generator()`` finds that numpy's internals
+    differ.  The rest is whole-array work, so a trial's bits do not depend
+    on the batch.
     """
-    global _fast_seeding
-    if _fast_seeding is None:
-        _fast_seeding = _array_draws_match()
-    draws = _array_draws if _fast_seeding else _loop_draws
-    msgs, noise = draws(code.k, code.n, master_seed, point_key, lo, hi)
+    gen = _generator()
+    args = (code.k, code.n, master_seed, point_key, lo, hi)
+    msgs, noise = _loop_draws(*args) if gen is None else _array_draws(gen, *args)
     cws = encode(code, msgs)
     return cws, transmit_arrays(cws, noise, params)
 
@@ -722,10 +713,10 @@ class OracleReport:
 
 
 def oracle_exact_accounting(code, obs, order_kind="logistic"):
-    """Brute-force per-q accounting for n <= 12 blocks; see OracleReport."""
+    """Brute-force per-q accounting for n <= ORACLE_MAX_N blocks; see OracleReport."""
     n = code.n
-    if n > 12:
-        raise ValueError(f"exhaustive oracle needs n <= 12, got {n}")
+    if n > ORACLE_MAX_N:
+        raise ValueError(f"exhaustive oracle needs n <= {ORACLE_MAX_N}, got {n}")
     if obs.n != n:
         raise ValueError(f"observation length {obs.n} != code length {n}")
     total = 1 << n

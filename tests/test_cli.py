@@ -65,6 +65,26 @@ class TestFlagParsing:
                      "--tau", "0,-0"]) == 2
         assert "distinct labels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--ebn0", "-3:1:-1"),
+        ("--ebn0", "-3,-2"),
+        ("--tau", "-1,none"),
+        ("--tau", "-1e3"),
+    ])
+    def test_values_that_begin_with_a_minus(self, flag, value):
+        # argparse alone reads these only in the --flag=value form.
+        argv = ["--mode", "sweep", "--code", "rlc:16:8:1", "--trials", "3"]
+        if flag == "--tau":
+            argv += ["--ebn0", "1"]
+        spaced = parse_and_validate(argv + [flag, value])
+        assert spaced == parse_and_validate(argv + [f"{flag}={value}"])
+
+    def test_flag_before_a_flag_still_wants_a_value(self):
+        with pytest.raises(SystemExit) as e:
+            parse_and_validate(["--mode", "sweep", "--code", "rlc:16:8", "--ebn0",
+                                "--trials", "5"])
+        assert e.value.code == 2
+
     def test_decoder_selection(self):
         cfg = parse_and_validate(["--mode", "sweep", "--code", "rlc:16:8",
                                   "--ebn0", "1", "--decoder", "grand"])
@@ -173,6 +193,14 @@ class TestConfigFile:
             path = self._write(tmp_path, {"mode": mode, "code": "rlc:8:4", "ebn0": "1",
                                           "tau": "none"})
             assert parse_and_validate(["--config", path]).taus == (None,)
+
+    @pytest.mark.parametrize("tau", [1 / 3, 0.1234567, -0.5, 1e-20])
+    def test_sidecar_keeps_tau_exactly(self, tmp_path, tau):
+        cfg = parse_and_validate(["--mode", "sweep", "--code", "rlc:16:8", "--ebn0", "1",
+                                  f"--tau={tau!r},none"])
+        assert cfg.taus == (tau, None)
+        replay = parse_and_validate(["--config", self._write(tmp_path, cfg.echo())])
+        assert replay.taus == (tau, None)
 
     def test_trials_csv_via_config(self, tmp_path):
         path = self._write(tmp_path, {"mode": "sweep", "code": "rlc:16:8",
@@ -314,6 +342,7 @@ class TestRejectedValues:
         ["--ebn0", "3", "--tau", "none,0,nan"],
         ["--ebn0", "nan"],
         ["--ebn0=-inf"],
+        ["--ebn0", "-inf"],
         ["--ebn0", "3,nan,4"],
         ["--ebn0", "nan:1:3"],
         ["--ebn0", "0:1:inf"],

@@ -133,6 +133,14 @@ def _default_rng_draws(k, n, master_seed, point_key, trials):
 class TestSeeding:
     """The array seeder gives default_rng's bits, and its fallback the same."""
 
+    @pytest.fixture(autouse=True)
+    def fresh_generator(self):
+        # Each test checks the generator anew, and leaves no patched result
+        # in the cache.
+        harness._generator.cache_clear()
+        yield
+        harness._generator.cache_clear()
+
     @pytest.mark.parametrize("k", [1, 5, 113, 116])
     @pytest.mark.parametrize("ebn0_db", [0.0, 6.0])
     @pytest.mark.parametrize("master_seed", [0, 2**31 + 17, 2**32 + 3, 2**64 + 5])
@@ -140,7 +148,8 @@ class TestSeeding:
         # Eb/N0 0.0 is a one-word key: with a one-word master seed the
         # entropy is shorter than SeedSequence's pool.
         key = harness._point_key(ebn0_db)
-        msgs, noise = harness._array_draws(k, 128, master_seed, key, 5, 9)
+        msgs, noise = harness._array_draws(harness._generator(), k, 128, master_seed, key,
+                                           5, 9)
         want_msgs, want_noise = _default_rng_draws(k, 128, master_seed, key, range(5, 9))
         assert msgs.dtype == np.uint8 and msgs.shape == (4, k)
         assert np.array_equal(msgs, want_msgs)
@@ -152,7 +161,8 @@ class TestSeeding:
         # entropy widths.
         key = harness._point_key(6.0)
         lo = 2**32 - 2
-        msgs, noise = harness._array_draws(113, 128, master_seed, key, lo, lo + 4)
+        msgs, noise = harness._array_draws(harness._generator(), 113, 128, master_seed,
+                                           key, lo, lo + 4)
         want_msgs, want_noise = _default_rng_draws(113, 128, master_seed, key,
                                                    range(lo, lo + 4))
         assert np.array_equal(msgs, want_msgs)
@@ -165,18 +175,15 @@ class TestSeeding:
             return _csv_bytes(res, tmp_path, name)
 
         monkeypatch.setattr(harness, "_MAX_TRIALS_FACTOR", 4)
-        monkeypatch.setattr(harness, "_fast_seeding", None)
+        assert harness._generator() is not None
         fast = sweep_bytes("fast")
-        assert harness._fast_seeding is True
 
         def unused(*args):
             raise AssertionError("the array seeder ran after a failed check")
 
-        monkeypatch.setattr(harness, "_fast_seeding", None)
-        monkeypatch.setattr(harness, "_array_draws_match", lambda: False)
+        monkeypatch.setattr(harness, "_generator", lambda: None)
         monkeypatch.setattr(harness, "_array_draws", unused)
         assert sweep_bytes("fallback") == fast
-        assert harness._fast_seeding is False
 
     def test_negative_zero_is_the_point_zero(self, small_code):
         assert harness._point_key(-0.0) == harness._point_key(0.0) == 0
@@ -221,9 +228,8 @@ class TestSeeding:
             return _csv_bytes(res, tmp_path, name)
 
         monkeypatch.setattr(harness, "_MAX_TRIALS_FACTOR", 4)
-        monkeypatch.setattr(harness, "_fast_seeding", None)
+        assert harness._generator() is not None
         fast = sweep_bytes("fast")
-        assert harness._fast_seeding is True
 
         writes, state_words = [], harness._state_words
 
@@ -239,16 +245,25 @@ class TestSeeding:
             def __setitem__(self, index, value):
                 writes.append(value)
 
-        monkeypatch.setattr(harness, "_fast_seeding", None)
+        harness._generator.cache_clear()
         monkeypatch.setattr(harness, "_state_words", SwappedView)
-        assert harness._array_draws_match() is False
+        assert harness._generator() is None
         assert sweep_bytes("fallback") == fast
-        assert harness._fast_seeding is False
-        # Called directly, the array seeder falls back too.
-        args = (113, 128, 8, harness._point_key(1.0), 0, 3)
-        assert all(np.array_equal(x, y) for x, y in
-                   zip(harness._array_draws(*args), harness._loop_draws(*args)))
         assert writes == []
+
+    def test_view_checked_once_per_process(self, small_code, monkeypatch):
+        calls, state_words = [], harness._state_words
+
+        def counted(bitgen):
+            calls.append(bitgen)
+            return state_words(bitgen)
+
+        monkeypatch.setattr(harness, "_state_words", counted)
+        # Three 256-trial batches at one point, then a second sweep.
+        res = run_sweep(small_code, (None,), [3.0], 3 * harness._BATCH, master_seed=4)
+        assert res.stats[0].trials == 3 * harness._BATCH
+        run_sweep(small_code, (None,), [4.0], harness._BATCH, master_seed=4)
+        assert len(calls) == 1
 
 
 class TestLockstepBatches:
