@@ -96,8 +96,9 @@ class RunConfig:
 
 
 def _build_parser():
+    # No abbreviations: _join_values matches flags exactly.
     p = argparse.ArgumentParser(
-        prog="softgrand",
+        prog="softgrand", allow_abbrev=False,
         description="Guess-and-check decoding experiments with soft-output "
                     "confidence and abandonment.")
     p.add_argument("--mode", choices=("sweep", "fig1", "oracle", "markers"),

@@ -40,8 +40,8 @@ first hits, lets every open tau abandon at once, and drops the rows that
 stopped.  ``decode_batch`` runs every chunk for a whole block of
 observations at once, from query 2 until its last row stops.  Its arrays
 are query-major, (queries, rows), so a parent pointer gathers one
-contiguous vector of every row's syndrome or flip sum; the histories hold
-room for at most twice the queries so far, and a row's column is dropped
+contiguous vector of every row's syndrome or flip sum; ``_Rows`` holds
+them, with the room its histories keep, and a row's column is dropped
 from every array by the settle step at which it stops.
 ``decode`` is a one-row, one-tau ``decode_batch``, and a one-row
 ``decode_batch`` decodes an observation under a list of thresholds in one
@@ -197,42 +197,87 @@ def _chunk_bounds(cap):
         lo = min(lo + _CHUNK_STEP, cap)
 
 
-# The per-row search state; an array with one column is shared by every row.
-_ROW_STATE = ("ids", "target", "open", "cols", "syn")
-# ... and that of the running log-mass, kept only when something reads it.
-_LEDGER_STATE = ("base", "carry", "l", "fold")
-# The per-query histories among them, grown as the search goes deeper.
-_HISTORIES = ("syn", "fold")
+class _Rows(dict):
+    """A scan's per-row arrays by name, and the room its histories keep.
+
+    Each array holds the rows still searching on its last axis, in the
+    order of ``ids``, or one column that every row shares.  The histories
+    ``syn`` and ``fold`` hold room for at most twice the queries so far, up
+    to the cap: ``reserve`` doubles them, or grows them to the chunk end if
+    that is further, and ``keep`` leaves room for as many queries again as
+    were written.  So a deep search moves them a few times, and a deep
+    block, whose memory is mostly searching rows × history, stays within
+    about twice the rows still searching × queries so far.
+    """
+
+    histories = frozenset(("syn", "fold"))
+
+    def __init__(self, cap, **arrays):
+        super().__init__(arrays)
+        self.cap = cap
+
+    def reserve(self, hi):
+        """Room in the histories for the queries before ``hi``."""
+        for name in self.histories & self.keys():
+            arr = self[name]
+            if len(arr) < hi:
+                new = np.empty((min(self.cap, max(hi, 2 * len(arr))), arr.shape[1]), arr.dtype)
+                new[:len(arr)] = arr
+                self[name] = new
+
+    def keep(self, kept, written):
+        """Keep the columns ``kept`` and the histories' ``written`` queries.
+
+        A single column among several rows is shared and stays.  ``take``
+        keeps every array C-ordered, so each query's row vector stays
+        contiguous, as a mask on the last axis would not.
+        """
+        width = len(self["ids"])
+        for name, arr in self.items():
+            if arr.shape[-1] != width:
+                continue
+            if name in self.histories:
+                new = np.empty((min(self.cap, 2 * written), len(kept)), dtype=arr.dtype)
+                # Only under mode "raise" does take stage its output in a
+                # copy; the indices are in range either way.
+                arr[:written].take(kept, axis=1, out=new[:written], mode="clip")
+            else:
+                new = arr.take(kept, axis=-1)
+            self[name] = new
+
+    def drop(self, names):
+        """Stop holding the arrays ``names``, those of them held."""
+        for name in names:
+            self.pop(name, None)
 
 
 class _Scan:
     """Search state of a block of observations, one column each.
 
-    Construction settles query 1 for every row, and ``run`` the rest of
-    the search.  Every per-row array holds the rows still searching on its
-    last axis, in the order of ``ids``, their block rows.  Per column the
-    scan holds the parity columns ``cols`` and the reliabilities ``l`` in
-    the row's frame, as (n, rows) arrays, the no-flip log-probability
+    Construction settles query 1 for every row, and ``run`` the rest of the
+    search.  ``rows`` holds every per-row array: the searching rows' block
+    rows ``ids``, their parity columns ``cols`` and reliabilities ``l`` in
+    the row's frame as (n, rows) arrays, the no-flip log-probability
     ``base``, the syndrome ``target`` to hit, the running log-mass ``carry``
     after the last query so far, which thresholds are still ``open``, and
     the syndrome ``syn`` and left-folded flip sum ``fold`` of every query so
-    far, as (queries, rows) arrays, so that following a parent pointer
-    copies a whole row vector (with room for at most twice the queries so
-    far).  A row that stops closes its thresholds, and the settle step that
-    stops it drops its column from every per-row array.  In the logistic
-    order ``frame`` holds the reliability ranks of the rows ``ranked``,
-    those that searched past query 1; the scan ranks no others.
-    The running log-mass state (``base``, ``carry``, ``l``, ``fold``) is
-    kept only while something reads it: an open threshold, or the caller's
-    ``confidence``.  Without ``confidence`` it is dropped by the settle step
-    that closes the last threshold (never built without one), and the
-    log-masses recorded after that read 0.  An array with a single column is
-    shared by every row: in the hamming order ``cols`` and ``syn``, under an
-    accounting observation ``base`` (and ``carry`` until the first chunk),
-    and under both ``l``, ``fold`` and ``carry``.  Per block row it records
-    how the search ended (HIT or AT_CAP, 0 if every threshold abandoned
-    first) with the query and log-mass there, and per threshold and row
-    those of an abandonment (q 0 for none).
+    far as (queries, rows) arrays, so that following a parent pointer copies
+    a whole row vector.  A row that stops closes its thresholds, and the
+    settle step that stops it drops its column from every per-row array.  In
+    the logistic order ``frame`` holds the reliability ranks of the rows
+    ``ranked``, those that searched past query 1; the scan ranks no
+    others.  The running log-mass state (``base``, ``carry``, ``l``,
+    ``fold``) is kept, and ``rows`` holds ``base``, only while something
+    reads it: an open threshold, or the caller's ``confidence``.  Without
+    ``confidence`` it is dropped by the settle step that closes the last
+    threshold (never built without one), and the log-masses recorded after
+    that read 0.  An array with a single column is shared by every row: in
+    the hamming order ``cols`` and ``syn``, under an accounting observation
+    ``base`` (and ``carry`` until the first chunk), and under both ``l``,
+    ``fold`` and ``carry``.  Per block row the scan records how the search
+    ended (HIT or AT_CAP, 0 if every threshold abandoned first) with the
+    query and log-mass there, and per threshold and row those of an
+    abandonment (q 0 for none).
     """
 
     def __init__(self, code, hard, reliab, taus, order_kind, max_queries,
@@ -252,7 +297,7 @@ class _Scan:
             acct = channel._reliabilities(accounting.reliab)
             if len(acct) != n:
                 raise ValueError(f"accounting length {len(acct)} != code length {n}")
-        rows = len(hard)
+        size = len(hard)
         self.redundancy = code.redundancy
         self.cap = _resolve_cap(max_queries, code)
         self.table = order_table(QueryOrder(kind=order_kind, n=n))
@@ -264,81 +309,63 @@ class _Scan:
         self.to_the_end = len(finite) < len(taus)
 
         packed = packed_parity_columns(code)
-        self.ids = np.arange(rows)
-        self.target = np.bitwise_xor.reduce(packed * hard, axis=1)
-        self.open = np.full((len(finite), rows), True)
+        # Query 1 flips nothing: its syndrome is the hard decision's and its
+        # log-mass the no-flip one, so these are all the state it needs.
+        rows = self.rows = _Rows(self.cap, ids=np.arange(size),
+                                 target=np.bitwise_xor.reduce(packed * hard, axis=1),
+                                 open=np.full((len(finite), size), True))
         # Open thresholds test the running log-mass; once none is open
         # only the caller's confidence would read it.
         self.confidence = confidence
-        self.ledger = confidence or bool(finite)
-        if self.ledger:
+        if confidence or finite:
             # One row of accounting reliabilities serves every row.
             source = reliab if accounting is None else acct[np.newaxis]
-            self.base = -np.add.reduce(np.log1p(np.exp(-source)), axis=1)[np.newaxis]
+            rows["base"] = -np.add.reduce(np.log1p(np.exp(-source)), axis=1)[np.newaxis]
 
-        self.end = np.zeros(rows, dtype=np.int8)
-        self.end_q = np.zeros(rows, dtype=np.int64)
-        self.end_cum = np.zeros(rows)
-        self.ab_q = np.zeros((len(taus), rows), dtype=np.int64)
-        self.ab_cum = np.zeros((len(taus), rows))
+        self.end = np.zeros(size, dtype=np.int8)
+        self.end_q = np.zeros(size, dtype=np.int64)
+        self.end_cum = np.zeros(size)
+        self.ab_q = np.zeros((len(taus), size), dtype=np.int64)
+        self.ab_cum = np.zeros((len(taus), size))
 
-        # Query 1 flips nothing: its syndrome is the hard decision's and its
-        # log-mass the no-flip one.  Until it is settled these are the only
-        # per-row arrays.
-        self.row_state = ("ids", "target", "open") + (("base",) if self.ledger else ())
-        self._settle(0, 1, self.target == 0, np.zeros(rows, dtype=np.intp),
-                     self.base if self.ledger else None)
+        self._settle(0, 1, rows["target"] == 0, np.zeros(size, dtype=np.intp), rows.get("base"))
         # frame[i] maps searching row i's pattern frame to bit positions;
         # None is the identity frame of the hamming order.
         self.frame = None
-        if not len(self.ids):
+        ids = rows["ids"]
+        if not len(ids):
             return
         # Only the rows still searching are ranked and gathered.
-        reliab = reliab[self.ids]
+        reliab = reliab[ids]
         if order_kind == "logistic":
             self.frame = channel._ranks(reliab)
-            self.ranked = self.ids
-        self.cols = (packed[:, np.newaxis] if self.frame is None
-                     else np.ascontiguousarray(packed[self.frame].T))
+            self.ranked = ids
+        cols = (packed[:, np.newaxis] if self.frame is None
+                else np.ascontiguousarray(packed[self.frame].T))
         # Query 1's syndrome, and below its flip sum, are 0.
-        self.syn = np.zeros((1, self.cols.shape[1]), dtype=packed.dtype)
-        self.row_state = _ROW_STATE + (_LEDGER_STATE if self.ledger else ())
-        if self.ledger:
+        rows.update(cols=cols, syn=np.zeros((1, cols.shape[1]), dtype=packed.dtype))
+        if "base" in rows:
             source = reliab if accounting is None else acct[np.newaxis]
             l = (source if self.frame is None
                  else source[np.arange(len(source))[:, np.newaxis], self.frame])
-            self.l = np.ascontiguousarray(l.T)
-            self.fold = np.zeros((1, self.l.shape[1]))
             # The running log-mass after query 1.
-            self.carry = self.base
+            rows.update(l=np.ascontiguousarray(l.T), fold=np.zeros((1, len(l))),
+                        carry=rows["base"])
 
     def run(self):
         """Advance the searching rows from query 2 until each stops."""
         for lo, hi in _chunk_bounds(self.cap):
-            if not len(self.ids):
+            if not len(self.rows["ids"]):
                 return
             self.table.extend_to(hi)
             self._chunk(lo, hi)
-        if len(self.ids):
-            self.end[self.ids] = AT_CAP
-            self.end_q[self.ids] = self.cap
-            if self.ledger:
-                self.end_cum[self.ids] = self.carry[0]
-            self.ids = self.ids[:0]
-
-    def _reserve(self, hi):
-        """Room in ``syn`` and ``fold`` for the queries before ``hi``."""
-        for name in _HISTORIES if self.ledger else ("syn",):
-            arr = getattr(self, name)
-            have = len(arr)
-            if have < hi:
-                # Doubled, or grown to the chunk end if that is further, so
-                # a deep search moves its histories a few times; nothing
-                # more is reserved, since searching rows × history is most
-                # of a deep block's memory.
-                new = np.empty((min(self.cap, max(hi, 2 * have)), arr.shape[1]), dtype=arr.dtype)
-                new[:have] = arr
-                setattr(self, name, new)
+        ids = self.rows["ids"]
+        if len(ids):
+            self.end[ids] = AT_CAP
+            self.end_q[ids] = self.cap
+            if "base" in self.rows:
+                self.end_cum[ids] = self.rows["carry"][0]
+            self.rows["ids"] = ids[:0]
 
     def _chunk(self, lo, hi):
         """Queries [lo, hi) for every searching row.
@@ -346,16 +373,16 @@ class _Scan:
         A query's syndrome is its parent's XOR the parity column of its last
         index.
         """
-        self._reserve(hi)
-        table, cols, syn = self.table, self.cols, self.syn
+        self.rows.reserve(hi)
+        table, cols, syn = self.table, self.rows["cols"], self.rows["syn"]
         for g in table.waves(lo, hi):
             syn[g] = syn.take(table.parent[g], axis=0) ^ cols.take(table.last[g], axis=0)
         hit, hit_i = self._hits(syn[lo:hi])
         cum = None
-        if self.ledger:
+        if "base" in self.rows:
             # No outcome reads the running sum past a row's first hit, so
             # when every row hits, the sum stops at the last of those hits.
-            m = int(hit_i[hit].max()) + 1 if np.count_nonzero(hit) == len(self.ids) else hi - lo
+            m = int(hit_i[hit].max()) + 1 if np.count_nonzero(hit) == len(hit) else hi - lo
             cum = self._running_sum(lo, hi, m)
         self._settle(lo, hi, hit, hit_i, cum)
 
@@ -366,7 +393,7 @@ class _Scan:
         and one column per searching row, or one column they share; a row's
         first hit is its index in ``syn`` (any index for a row that misses).
         """
-        target = self.target
+        target = self.rows["target"]
         if syn.shape[1] > 1:
             # One column per row.  Hits are rare, so only they are located,
             # and a row's first hit is the least index among its matches.
@@ -389,14 +416,15 @@ class _Scan:
         index.  Returns the running log-mass per query and searching row
         (one column when the rows share it).
         """
-        table, l, fold = self.table, self.l, self.fold
+        rows, table = self.rows, self.table
+        l, fold = rows["l"], rows["fold"]
         for g in table.waves(lo, hi):
             fold[g] = fold.take(table.parent[g], axis=0) + l.take(table.last[g], axis=0)
-        terms = self.base - self._flips(lo, lo + m)
+        terms = rows["base"] - self._flips(lo, lo + m)
         # The running sum goes on from where the previous chunk left it.
-        terms[0] = np.logaddexp(self.carry[0], terms[0])
+        terms[0] = np.logaddexp(rows["carry"][0], terms[0])
         cum = np.logaddexp.accumulate(terms, axis=0)
-        self.carry = cum[-1:].copy()
+        rows["carry"] = cum[-1:].copy()
         return cum
 
     def _settle(self, lo, hi, hit, hit_i, cum):
@@ -407,44 +435,38 @@ class _Scan:
         shared), None without a ledger.  A threshold abandons at its first
         crossing no later than the hit.
         """
-        shared = cum is not None and cum.shape[1] != len(self.ids)
-        if len(self.taus) and np.count_nonzero(self.open):
+        ids, open_ = self.rows["ids"], self.rows["open"]
+        shared = cum is not None and cum.shape[1] != len(ids)
+        if len(self.taus) and np.count_nonzero(open_):
             m = len(cum)
             qs = np.arange(lo + 1, lo + m + 1)[:, np.newaxis]
             below = softout._llr_bits(self.redundancy, qs, cum) < self.taus
             # A first crossing is searched for only where an open threshold
             # crossed.
             crossed = below.any(axis=1)
-            crossed &= self.open.any(axis=1, keepdims=True) if shared else self.open
+            crossed &= open_.any(axis=1, keepdims=True) if shared else open_
             t, c = np.nonzero(crossed)
             if len(t):
                 ab_i = np.full(crossed.shape, m)  # m: no crossing
                 ab_i[t, c] = below[t, :, c].argmax(axis=1)
-                t, r = np.nonzero(self.open & (ab_i <= np.where(hit, hit_i, m - 1)))
+                t, r = np.nonzero(open_ & (ab_i <= np.where(hit, hit_i, m - 1)))
                 a = ab_i[t, 0 if shared else r]
-                self.ab_q[self.thresholds[t], self.ids[r]] = a + (lo + 1)
-                self.ab_cum[self.thresholds[t], self.ids[r]] = cum[a, 0 if shared else r]
-                self.open[t, r] = False
-        stopped = hit if self.to_the_end else hit | ~self.open.any(axis=0)
+                self.ab_q[self.thresholds[t], ids[r]] = a + (lo + 1)
+                self.ab_cum[self.thresholds[t], ids[r]] = cum[a, 0 if shared else r]
+                open_[t, r] = False
+        stopped = hit if self.to_the_end else hit | ~open_.any(axis=0)
         # A stopped row's thresholds close with it.
-        self.open &= ~stopped
-        if self.ledger and not self.confidence and not self.open.any():
-            self._drop_ledger()
+        open_ &= ~stopped
+        if "base" in self.rows and not self.confidence and not open_.any():
+            self.rows.drop(("base", "carry", "l", "fold"))
         # Every row that hit has stopped.
         if np.count_nonzero(stopped):
-            ids, a = self.ids[hit], hit_i[hit]
-            self.end[ids] = HIT
-            self.end_q[ids] = a + (lo + 1)
-            if self.ledger:
-                self.end_cum[ids] = cum[a, 0 if shared else hit]
-            self._keep(~stopped, hi)
-
-    def _drop_ledger(self):
-        """Stop keeping the running log-mass, which nothing reads any more."""
-        self.ledger = False
-        self.row_state = tuple(name for name in self.row_state if name not in _LEDGER_STATE)
-        for name in _LEDGER_STATE:
-            self.__dict__.pop(name, None)
+            done, a = ids[hit], hit_i[hit]
+            self.end[done] = HIT
+            self.end_q[done] = a + (lo + 1)
+            if "base" in self.rows:
+                self.end_cum[done] = cum[a, 0 if shared else hit]
+            self.rows.keep(np.flatnonzero(~stopped), hi)
 
     def _flips(self, lo, stop):
         """Flip sums of queries [lo, stop), bit for bit as np.add.reduceat sums them.
@@ -454,9 +476,9 @@ class _Scan:
         eight; from nine flips up it sums them pairwise, and so does this,
         along the rows of a (rows, flips) copy.
         """
-        table, l = self.table, self.l
+        table, l = self.table, self.rows["l"]
         q = slice(lo, stop)
-        flips = l.take(table.first[q], axis=0) + self.fold.take(table.tail[q], axis=0)
+        flips = l.take(table.first[q], axis=0) + self.rows["fold"].take(table.tail[q], axis=0)
         (big,) = np.nonzero(table.flips[q] >= 9)
         if len(big):
             entry, pos = table.positions(big + lo)
@@ -464,30 +486,6 @@ class _Scan:
             by_row = np.ascontiguousarray(l.take(pos, axis=0).T)
             flips[big] = np.add.reduceat(by_row, starts, axis=1).T
         return flips
-
-    def _keep(self, keep, written):
-        """Keep searching the rows ``keep`` marks, and drop the others' columns.
-
-        An array with a single column among several rows is shared by them
-        and stays.  The histories keep their ``written`` queries, in arrays
-        with room for as many more (up to the cap), so the chunks that
-        follow seldom move them again.  ``take`` keeps every array C-ordered,
-        which indexing its last axis with a mask would not, so each query's
-        row vector stays contiguous.
-        """
-        width, kept = len(self.ids), np.flatnonzero(keep)
-        for name in self.row_state:
-            arr = getattr(self, name)
-            if arr.shape[-1] != width:
-                continue
-            if name in _HISTORIES:
-                new = np.empty((min(self.cap, 2 * written), len(kept)), dtype=arr.dtype)
-                # Only under mode "raise" does take stage its output in a
-                # copy; the indices are in range either way.
-                arr[:written].take(kept, axis=1, out=new[:written], mode="clip")
-            else:
-                new = arr.take(kept, axis=-1)
-            setattr(self, name, new)
 
     def results(self):
         """(status, q, log-mass) per threshold and block row, once all stopped.

@@ -127,7 +127,9 @@ class _OrderTable:
         weight, last, first, par, tail = (np.concatenate(a) for a in zip(*levels))
         # The levels are concatenated by flips, each in lex order, so a
         # stable sort by weight gives the query order: weight, flips, lex.
-        take = np.argsort(weight, kind="stable")[:count]
+        # In the narrowest type that holds them numpy radix-sorts the weights.
+        take = np.argsort(weight.astype(np.min_scalar_type(int(weight.max()))),
+                          kind="stable")[:count]
         index = np.empty(len(weight), dtype=np.int32)
         index[take] = np.arange(count, dtype=np.int32)
         flips, last, first, par, tail = (a[take] for a in (flips, last, first, par, tail))

@@ -85,6 +85,15 @@ class TestFlagParsing:
                                 "--trials", "5"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("ebn0", ["3", "-3:1:-1"])
+    def test_flags_must_be_spelled_in_full(self, ebn0, tmp_path):
+        argv = ["--mode", "sweep", "--code", "rlc:16:8:1", "--trials", "3",
+                "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as e:
+            main(argv + ["--ebn", ebn0])
+        assert e.value.code == 2 and not (tmp_path / "out").exists()
+        assert main(argv + ["--ebn0", ebn0]) == 0
+
     def test_decoder_selection(self):
         cfg = parse_and_validate(["--mode", "sweep", "--code", "rlc:16:8",
                                   "--ebn0", "1", "--decoder", "grand"])

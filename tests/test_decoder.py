@@ -491,10 +491,10 @@ class TestBatchDecode:
         drops, settle = [], decoder._Scan._settle
 
         def spy(scan, lo, *args):
-            kept = scan.ledger
+            kept = "base" in scan.rows
             settle(scan, lo, *args)
-            if kept and not scan.ledger:
-                drops.append((lo, len(scan.ids)))
+            if kept and "base" not in scan.rows:
+                drops.append((lo, len(scan.rows["ids"])))
 
         monkeypatch.setattr(decoder._Scan, "_settle", spy)
         for taus in [(None, 60.0), (None, 5.0), (None, 2.0), (None, 0.0, 1.0, 2.0)]:
@@ -656,20 +656,21 @@ class TestIncrementalSums:
         scan = decoder._Scan(code, hard, reliab, [None], "logistic", 32768, None)
         assert np.array_equal(scan.frame, channel._ranks(reliab))
         # No syndrome sets bit r: nothing hits, every row runs to the cap.
-        scan.target[:] = 1 << r
+        store = scan.rows
+        store["target"][:] = 1 << r
         scan.run()
-        assert scan.syn.dtype == scan.target.dtype == dtype
+        assert store["syn"].dtype == store["target"].dtype == dtype
         vals, off = reference_arrays("logistic", 128, 32768)
         # The nine-flip patterns, which numpy sums pairwise, are in range.
         assert np.diff(off).max() == 9 and (np.diff(off) == 9).sum() == 19
         # The histories are (queries, rows), C-ordered; cols and l are (n, rows).
-        assert scan.cols.shape == scan.l.shape == (128, rows)
-        syn = np.bitwise_xor.reduceat(scan.cols.take(vals - 1, axis=0), off[:-1], axis=0)
+        assert store["cols"].shape == store["l"].shape == (128, rows)
+        syn = np.bitwise_xor.reduceat(store["cols"].take(vals - 1, axis=0), off[:-1], axis=0)
         syn[0] = 0
-        assert scan.syn.shape == (32768, rows) and scan.syn.flags.c_contiguous
-        assert np.array_equal(scan.syn, syn)
+        assert store["syn"].shape == (32768, rows) and store["syn"].flags.c_contiguous
+        assert np.array_equal(store["syn"], syn)
         # reduceat sums each pattern along a row of a (rows, patterns) array.
-        by_row = np.ascontiguousarray(scan.l.T)
+        by_row = np.ascontiguousarray(store["l"].T)
         flips = np.add.reduceat(by_row.take(vals - 1, axis=1), off[:-1], axis=1)
         flips[:, 0] = 0.0
         for lo, hi in decoder._chunk_bounds(32768):
@@ -709,20 +710,20 @@ class TestColumnCompaction:
         searching, chunk = [], decoder._Scan._chunk
 
         def spy_chunk(scan, lo, hi):
-            before = len(scan.ids)
+            before = len(scan.rows["ids"])
             chunk(scan, lo, hi)
-            searching.append((before, len(scan.ids)))
-            if not len(scan.ids):
+            ids = scan.rows["ids"]
+            searching.append((before, len(ids)))
+            if not len(ids):
                 # once every row has stopped nothing reads the arrays again
                 return
             # every column is a row still searching: none has hit
-            assert not scan.end[scan.ids].any()
-            for name in scan.row_state:
-                arr = getattr(scan, name)
+            assert not scan.end[ids].any()
+            for name, arr in scan.rows.items():
                 assert arr.flags.c_contiguous, name
-                assert arr.shape[-1] == (1 if name in shared else len(scan.ids)), name
-            for name in ("syn", "fold") if scan.ledger else ("syn",):
-                assert len(getattr(scan, name)) >= hi
+                assert arr.shape[-1] == (1 if name in shared else len(ids)), name
+            for name in ("syn", "fold") if "base" in scan.rows else ("syn",):
+                assert len(scan.rows[name]) >= hi
 
         monkeypatch.setattr(decoder._Scan, "_chunk", spy_chunk)
         got = decode_batch(code, *arrays, taus, kind, None, acct, confidence)
@@ -773,6 +774,48 @@ class TestDeepBlockMemory:
         assert np.array_equal(got.q, want.q)
         assert (got.q[0] > 64).mean() > 0.9  # nearly every row searches deep
         assert peak <= bound_mb * 1e6
+
+    # The ledger kept to the end, or dropped mid-scan once tau = 0 closes.
+    @pytest.mark.parametrize("confidence", [True, False])
+    # The default chunks, and 16-query ones that settle often
+    @pytest.mark.parametrize("step", [None, 16])
+    def test_history_room_after_every_settle(self, confidence, step, monkeypatch):
+        # README's memory claim: the histories hold at least the queries so
+        # far and at most twice as many, for the rows still searching.
+        code = make_rlc(32, 22, seed=3)
+        rng = np.random.default_rng(21)
+        parts = [_block(code, ebn0, 12, rng)[1] for ebn0 in (4.0, -2.0)]
+        arrays = tuple(np.concatenate(rows) for rows in zip(*parts))
+        if step:
+            monkeypatch.setattr(decoder, "_CHUNK_EDGES", ())
+            monkeypatch.setattr(decoder, "_CHUNK_STEP", step)
+        ledger = {"base", "carry", "l", "fold"}
+        # (rows searching, ledger kept) after each chunk's settle step
+        seen, chunk = [], decoder._Scan._chunk
+
+        def spy_chunk(scan, lo, hi):
+            chunk(scan, lo, hi)
+            rows = scan.rows
+            width, kept = len(rows["ids"]), ledger & rows.keys()
+            for name, arr in rows.items():
+                assert arr.shape[-1] in (width, 1), name
+            # the ledger's arrays are all held, or all gone
+            assert kept in (ledger, set())
+            for name in ("syn", "fold") if kept else ("syn",):
+                assert hi <= len(rows[name]) <= min(scan.cap, 2 * hi), (name, lo, hi)
+            seen.append((width, bool(kept)))
+
+        monkeypatch.setattr(decoder._Scan, "_chunk", spy_chunk)
+        got = decode_batch(code, *arrays, (None, 0.0), "logistic", None, None, confidence)
+        monkeypatch.undo()
+        assert (got.q[0] > 1024).any() and len(seen) > 3
+        held = [kept for _, kept in seen]
+        if confidence:
+            assert all(held)
+        else:
+            # dropped after some chunk while rows searched on, and never back
+            assert held[0] and not held[-1] and held == sorted(held, reverse=True)
+            assert any(width and not kept for width, kept in seen)
 
 
 class TestPolicyAndGuards:

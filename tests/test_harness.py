@@ -339,8 +339,8 @@ class TestLockstepBatches:
 
         def spy_settle(scan, *args):
             settle(scan, *args)
-            closed[0] = not scan.open.any()
-            searched_on.append(closed[0] and len(scan.ids) > 0)
+            closed[0] = not scan.rows["open"].any()
+            searched_on.append(closed[0] and len(scan.rows["ids"]) > 0)
 
         def guarded(real):
             def call(*args):
